@@ -127,6 +127,25 @@ def injection_sum(users: Sequence[int], outputs: DestMultiset, p: np.ndarray) ->
     return table.get(zero, 0.0)
 
 
+def _crowd_weights(
+    scenario: Scenario, users: tuple[int, ...], outputs: DestMultiset, query: PosteriorQuery
+) -> tuple[float, float, float]:
+    """The injection sums behind a view split, without the prefactor.
+
+    Returns the crowd's weight for ``outputs`` and, for the rest of the
+    crowd, its weight with the queried destination's one output removed
+    (0 if ``outputs`` has none) and with ``outputs`` intact.
+    """
+    crowd_rest = tuple(v for v in users if v != query.user)
+    any_dest = injection_sum(users, outputs, scenario.p)
+    if outputs.contains(query.dest):
+        seen = injection_sum(crowd_rest, outputs.remove_one(query.dest), scenario.p)
+    else:
+        seen = 0.0
+    hidden = injection_sum(crowd_rest, outputs, scenario.p)
+    return any_dest, seen, hidden
+
+
 def view_probability_split(
     scenario: Scenario, view: UnobservedView, query: PosteriorQuery
 ) -> ViewSplit:
@@ -145,20 +164,18 @@ def view_probability_split(
     size = len(users)
     out_size = view.outputs.size
     prefactor = b ** (n - size + out_size) * (1.0 - b) ** (2 * size - out_size)
-    crowd_rest = tuple(v for v in users if v != query.user)
     p_ud = float(scenario.p[query.user, query.dest])
-    any_dest = prefactor * injection_sum(users, view.outputs, scenario.p)
-    if view.outputs.contains(query.dest):
-        reduced = view.outputs.remove_one(query.dest)
-        dest_seen = prefactor * p_ud * injection_sum(crowd_rest, reduced, scenario.p)
-    else:
-        dest_seen = 0.0
-    dest_hidden = prefactor * p_ud * injection_sum(crowd_rest, view.outputs, scenario.p)
-    return ViewSplit(any_dest, dest_seen, dest_hidden)
+    any_dest, seen, hidden = _crowd_weights(scenario, users, view.outputs, query)
+    return ViewSplit(prefactor * any_dest, prefactor * p_ud * seen, prefactor * p_ud * hidden)
 
 
 def posterior(scenario: Scenario, observation: Observation, query: PosteriorQuery) -> float:
-    """Probability the queried user chose the queried destination, given the view."""
+    """Probability the queried user chose the queried destination, given the view.
+
+    The ratio of :func:`view_probability_split`'s components, taken
+    without their shared prefactor ``b^k (1-b)^m``: at a few hundred
+    users that prefactor underflows to 0 although the view is possible.
+    """
     _check_query(scenario, query)
     check_observation(scenario, observation)
     linked = dict(observation.linked)
@@ -168,11 +185,11 @@ def posterior(scenario: Scenario, observation: Observation, query: PosteriorQuer
         return float(scenario.p[query.user, query.dest])
     visible = set(linked) | set(observation.input_only)
     crowd = tuple(v for v in range(scenario.n) if v not in visible)
-    view = UnobservedView(users=crowd, outputs=observation.output_only)
-    split = view_probability_split(scenario, view, query)
-    if split.any_dest <= 0.0:
+    any_dest, seen, hidden = _crowd_weights(scenario, crowd, observation.output_only, query)
+    if any_dest <= 0.0:
         raise ImpossibleObservationError("observation has zero probability under this scenario")
-    return (split.dest_seen + split.dest_hidden) / split.any_dest
+    p_ud = float(scenario.p[query.user, query.dest])
+    return (p_ud * seen + p_ud * hidden) / any_dest
 
 
 def _count_vectors(dest_count: int, max_total: int) -> Iterator[tuple[int, ...]]:

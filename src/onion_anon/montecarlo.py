@@ -7,7 +7,10 @@ mode) regardless of the requested thread count.  The posterior is
 computed exactly per sample, never approximated: the generic mode runs
 the inference machinery on the sampled view (views repeat heavily, so
 they are cached), while the structured modes evaluate their closed
-forms on binomially sampled counts without materializing users.
+forms on binomially sampled counts without materializing users.  Those
+counts come from the package's own exact inverse CDF
+(:func:`onion_anon.binomial.ppf`), so a seeded estimate depends on
+nothing but this package and numpy.
 """
 from __future__ import annotations
 
@@ -16,8 +19,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import binom
 
+from . import binomial as binom
 from .errors import ConditioningError, ModelError, SizeLimitError
 from .inference import PosteriorQuery, posterior
 from .limits import SizeLimits, current_limits
@@ -38,9 +41,12 @@ class Estimate:
     seed: int
 
 
-def _binomial_from_uniform(u: np.ndarray, n, prob: float) -> np.ndarray:
-    """Inverse-CDF binomial draw; a pure function of the uniform variate."""
-    return np.rint(binom.ppf(u, n, prob)).astype(np.int64)
+def _small_int(largest: int) -> np.dtype:
+    """The narrowest signed integer type holding 0..largest."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if largest <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
 
 
 def _decode_observation(scenario: Scenario, codes_row, counts_row) -> Observation:
@@ -61,6 +67,9 @@ def _generic_sampler(scenario: Scenario, query: PosteriorQuery, seed: int) -> Ca
     n, nd, b = scenario.n, scenario.dest_count, scenario.b
     u, d = query.user, query.dest
     cumulative = np.cumsum(scenario.p, axis=1)
+    # Views are packed as one code per user (a destination, nd for
+    # input-only, nd + 1 for hidden) and one count per destination.
+    packed_dtype = _small_int(max(nd + 1, n))
     cache: dict[bytes, float] = {}
 
     def draw(offset: int, count: int, force_u) -> np.ndarray:
@@ -70,7 +79,7 @@ def _generic_sampler(scenario: Scenario, query: PosteriorQuery, seed: int) -> Ca
             indices = np.arange(offset + lo, offset + hi, dtype=np.int64)
             variates = uniform_block(seed, indices, 3 * n)
             m = hi - lo
-            dest = np.empty((m, n), dtype=np.int16)
+            dest = np.empty((m, n), dtype=packed_dtype)
             for v in range(n):
                 dest[:, v] = np.minimum(
                     np.searchsorted(cumulative[v], variates[:, v], side="right"), nd - 1
@@ -82,13 +91,13 @@ def _generic_sampler(scenario: Scenario, query: PosteriorQuery, seed: int) -> Ca
                 seen_in[:, u] = force_u[0]
                 seen_out[:, u] = force_u[1]
             both = seen_in & seen_out
-            codes = np.where(both, dest, np.where(seen_in, nd, nd + 1)).astype(np.int8)
-            counts = np.zeros((m, nd), dtype=np.int8)
+            codes = np.where(both, dest, np.where(seen_in, nd, nd + 1)).astype(packed_dtype)
+            counts = np.zeros((m, nd), dtype=packed_dtype)
             for v in range(n):
                 bare = np.flatnonzero(seen_out[:, v] & ~seen_in[:, v])
                 np.add.at(counts, (bare, dest[bare, v]), 1)
             packed = np.ascontiguousarray(np.hstack([codes, counts]))
-            flat = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+            flat = packed.view(np.dtype((np.void, packed.shape[1] * packed.itemsize))).ravel()
             unique_rows, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
             values = np.empty(len(unique_rows), dtype=np.float64)
             for i, row_index in enumerate(first.tolist()):
@@ -115,10 +124,10 @@ def _worst_case_sampler(pop: WorstCasePopulation, seed: int) -> Callable:
             hi = min(count, lo + _CHUNK)
             indices = np.arange(offset + lo, offset + hi, dtype=np.int64)
             variates = uniform_block(seed, indices, 6)
-            unobs_target = _binomial_from_uniform(variates[:, 2], n_target, 1.0 - b)
-            unobs_other = _binomial_from_uniform(variates[:, 3], n_other, 1.0 - b)
-            seen_other = _binomial_from_uniform(variates[:, 4], unobs_other, b)
-            seen_target = _binomial_from_uniform(variates[:, 5], unobs_target, b)
+            unobs_target = binom.ppf(variates[:, 2], n_target, 1.0 - b)
+            unobs_other = binom.ppf(variates[:, 3], n_other, 1.0 - b)
+            seen_other = binom.ppf(variates[:, 4], unobs_other, b)
+            seen_target = binom.ppf(variates[:, 5], unobs_target, b)
             if force_u is None:
                 u_in = variates[:, 0] < b
                 u_out = variates[:, 1] < b
@@ -152,9 +161,9 @@ def _common_sampler(pop: CommonPopulation, seed: int) -> Callable:
             hi = min(count, lo + _CHUNK)
             indices = np.arange(offset + lo, offset + hi, dtype=np.int64)
             variates = uniform_block(seed, indices, 5)
-            unobserved = 1 + _binomial_from_uniform(variates[:, 2], n - 1, 1.0 - b)
-            seen_other = _binomial_from_uniform(variates[:, 3], unobserved - 1, b)
-            match_other = _binomial_from_uniform(variates[:, 4], seen_other, p_d)
+            unobserved = 1 + binom.ppf(variates[:, 2], n - 1, 1.0 - b)
+            seen_other = binom.ppf(variates[:, 3], unobserved - 1, b)
+            match_other = binom.ppf(variates[:, 4], seen_other, p_d)
             if force_u is None:
                 u_in = variates[:, 0] < b
                 u_out = variates[:, 1] < b

@@ -36,7 +36,13 @@ def mix64(seed: int, index: int) -> int:
 
 
 def unit_interval(word: int) -> float:
-    """Map a 64-bit word onto the open interval (0, 1)."""
+    """Map a 64-bit word onto the half-open interval (0, 1].
+
+    The top 53 bits plus one half, scaled by 2**-53: the smallest value
+    is 2**-54.  For the top 2**11 words, whose top bits are all ones,
+    ``(2**53 - 1) + 0.5`` rounds to even, i.e. to 2**53, so they give
+    exactly 1.0.
+    """
     return ((word >> 11) + 0.5) * 2.0 ** -53
 
 
@@ -67,6 +73,7 @@ def uniform_block(seed: int, indices: np.ndarray, columns: int) -> np.ndarray:
 
     Row ``r``, column ``t`` equals ``uniform(mix64(seed, indices[r]), t)``,
     i.e. the block is the per-sample child streams laid out side by side.
+    Values lie in (0, 1], as for :func:`unit_interval`.
     """
     children = mix64_array(seed, indices)
     out = np.empty((len(children), columns), dtype=np.float64)

@@ -19,6 +19,7 @@ from math import fsum
 
 import numpy as np
 
+from .binomial import masses
 from .errors import ConditioningError, DegenerateCellError, ScenarioError, SizeLimitError
 from .limits import SizeLimits, current_limits
 
@@ -143,43 +144,14 @@ def shared_distribution_posterior(
 def binomial_weights(n: int, q: float) -> np.ndarray:
     """Probability masses of Binomial(n, q) as a length n+1 vector.
 
-    Computed by ratio updates outward from the mode, whose mass is
-    anchored through log-gamma; this keeps every entry finite for any n
-    and q without arbitrary precision.
+    The full-support case of :func:`onion_anon.binomial.masses`, the
+    kernel that the Monte Carlo inverse-CDF tables also use.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q out of range: {q!r}")
-    out = np.zeros(n + 1, dtype=np.float64)
-    if n == 0:
-        out[0] = 1.0
-        return out
-    if q == 0.0:
-        out[0] = 1.0
-        return out
-    if q == 1.0:
-        out[n] = 1.0
-        return out
-    mode = min(n, int((n + 1) * q))
-    log_mode = (
-        math.lgamma(n + 1)
-        - math.lgamma(mode + 1)
-        - math.lgamma(n - mode + 1)
-        + mode * math.log(q)
-        + (n - mode) * math.log1p(-q)
-    )
-    out[mode] = math.exp(log_mode)
-    odds = q / (1.0 - q)
-    if mode < n:
-        k = np.arange(mode, n, dtype=np.float64)
-        up = (n - k) / (k + 1.0) * odds
-        out[mode + 1 :] = out[mode] * np.cumprod(up)
-    if mode > 0:
-        k = np.arange(mode, 0, -1, dtype=np.float64)
-        down = k / (n - k + 1.0) / odds
-        out[mode - 1 :: -1] = out[mode] * np.cumprod(down)
-    return out
+    return masses(n, q, 0, n)
 
 
 @lru_cache(maxsize=4096)

@@ -1,0 +1,188 @@
+import itertools
+import math
+from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from onion_anon import binomial
+from onion_anon.seeding import uniform_block
+from onion_anon.structured import binomial_weights
+
+EDGE_U = [2.0**-54, 0.5, 1.0 - 2.0**-53, 1.0]
+PROBS = [0.0, 1e-6, 0.1, 0.3, 0.5, 0.75, 0.97, 1.0]
+
+
+def brute_force_ppf(u: float, n: int, p: float) -> int:
+    """Smallest k whose full-support, normalised CDF reaches u; n at u == 1."""
+    if u == 1.0:
+        return n
+    cdf = np.cumsum(binomial_weights(n, p))
+    cdf /= cdf[-1]
+    return next(k for k in range(n + 1) if cdf[k] >= u)
+
+
+@lru_cache(maxsize=None)
+def exact_cdf(n: int, p: float) -> list[Fraction]:
+    q = Fraction(p)
+    masses = [math.comb(n, i) * q**i * (1 - q) ** (n - i) for i in range(n + 1)]
+    return list(itertools.accumulate(masses))
+
+
+def agrees_with_exact_cdf(draw: int, u: float, n: int, p: float, tol=2.0**-48) -> bool:
+    """Whether ``draw`` is the smallest k with CDF(k) >= u for some CDF
+    within ``tol`` of the exact one (and n at u == 1)."""
+    if u == 1.0:
+        return draw == n
+    if not 0 <= draw <= n:
+        return False
+    cdf, x = exact_cdf(n, p), Fraction(u)
+    below = draw == 0 or cdf[draw - 1] < x + Fraction(tol)
+    return below and cdf[draw] >= x - Fraction(tol)
+
+
+def reference_weights(n: int, q: float) -> np.ndarray:
+    """``binomial_weights`` as written before it shared its kernel."""
+    out = np.zeros(n + 1, dtype=np.float64)
+    if n == 0 or q == 0.0:
+        out[0] = 1.0
+        return out
+    if q == 1.0:
+        out[n] = 1.0
+        return out
+    mode = min(n, int((n + 1) * q))
+    log_mode = (
+        math.lgamma(n + 1)
+        - math.lgamma(mode + 1)
+        - math.lgamma(n - mode + 1)
+        + mode * math.log(q)
+        + (n - mode) * math.log1p(-q)
+    )
+    out[mode] = math.exp(log_mode)
+    odds = q / (1.0 - q)
+    if mode < n:
+        k = np.arange(mode, n, dtype=np.float64)
+        out[mode + 1 :] = out[mode] * np.cumprod((n - k) / (k + 1.0) * odds)
+    if mode > 0:
+        k = np.arange(mode, 0, -1, dtype=np.float64)
+        out[mode - 1 :: -1] = out[mode] * np.cumprod(k / (n - k + 1.0) / odds)
+    return out
+
+
+def small_cases():
+    u = np.concatenate([EDGE_U, uniform_block(17, np.arange(40), 1)[:, 0]])
+    for n in range(61):
+        for p in PROBS:
+            yield n, p, u
+
+
+class TestAgainstBruteForce:
+    def test_fixed_n(self):
+        for n, p, u in small_cases():
+            want = [brute_force_ppf(x, n, p) for x in u.tolist()]
+            assert binomial.ppf(u, n, p).tolist() == want, (n, p)
+
+    def test_per_draw_n(self):
+        for n, p, u in small_cases():
+            want = [brute_force_ppf(x, n, p) for x in u.tolist()]
+            assert binomial.ppf(u, np.full(len(u), n), p).tolist() == want, (n, p)
+
+    def test_per_draw_n_through_anchors(self, monkeypatch):
+        # Every n through an anchor table and the bracket search.  Its CDF
+        # is summed in another order, so it may settle a u that lies within
+        # rounding of the CDF differently; it must agree with the exact
+        # rational CDF up to that tolerance.
+        monkeypatch.setattr(binomial, "_DIRECT_BELOW", 0)
+        u = np.repeat(np.concatenate([EDGE_U, uniform_block(19, np.arange(12), 1)[:, 0]]), 61)
+        n = np.tile(np.arange(61), len(u) // 61)
+        for p in PROBS:
+            got = binomial.ppf(u, n, p).tolist()
+            for x, k, draw in zip(u.tolist(), n.tolist(), got):
+                assert agrees_with_exact_cdf(draw, x, k, p), (x, k, p, draw)
+
+    def test_exact_cdf_within_rounding(self):
+        u = np.concatenate([EDGE_U, uniform_block(31, np.arange(8), 1)[:, 0]])
+        for n in range(0, 61, 3):
+            for p in PROBS:
+                for x, draw in zip(u.tolist(), binomial.ppf(u, n, p).tolist()):
+                    assert agrees_with_exact_cdf(draw, x, n, p), (x, n, p, draw)
+
+    def test_anchors_at_large_n(self):
+        u = uniform_block(23, np.arange(400), 1)[:, 0]
+        n = 5000 + np.arange(400) % 37
+        for p in (0.2, 0.9):
+            want = [brute_force_ppf(x, k, p) for x, k in zip(u.tolist(), n.tolist())]
+            assert binomial.ppf(u, n, p).tolist() == want, p
+
+    def test_batches_of_anchors(self, monkeypatch):
+        # Tiny batches must give the same draws as one batch.
+        u = uniform_block(29, np.arange(3000), 2)
+        n = 100_000 + (u[:, 0] * 4000).astype(np.int64)
+        whole = binomial.ppf(u[:, 1], n, 0.3)
+        monkeypatch.setattr(binomial, "_BATCH_ENTRIES", 1)
+        assert np.array_equal(binomial.ppf(u[:, 1], n, 0.3), whole)
+
+
+class TestInputs:
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            binomial.ppf([0.5], 3, 1.5)
+        with pytest.raises(ValueError):
+            binomial.ppf([0.5], -1, 0.5)
+        with pytest.raises(ValueError):
+            binomial.ppf([0.0], 3, 0.5)
+        with pytest.raises(ValueError):
+            binomial.ppf([0.5, 0.5], np.array([3, 4, 5]), 0.5)
+
+    def test_returns_int64(self):
+        assert binomial.ppf([0.5], 10, 0.5).dtype == np.int64
+        assert binomial.ppf([0.5], np.array([10]), 0.5).dtype == np.int64
+
+
+class TestAgainstScipy:
+    """scipy is an optional oracle: the draws must match it exactly."""
+
+    def setup_method(self):
+        stats = pytest.importorskip("scipy.stats")
+        self.oracle = lambda u, n, p: np.rint(stats.binom.ppf(u, n, p)).astype(np.int64)
+        self.u = uniform_block(2024, np.arange(100_000), 3)
+
+    def test_fixed_n_of_a_million(self):
+        u = self.u[:, 0]
+        assert np.array_equal(binomial.ppf(u, 1_000_000, 0.75), self.oracle(u, 1_000_000, 0.75))
+
+    @pytest.mark.parametrize("n, p_first, p_second", [(1_000_000, 0.8, 0.2), (300, 0.75, 0.25)])
+    def test_nested_draws(self, n, p_first, p_second):
+        first = binomial.ppf(self.u[:, 1], n, p_first)
+        u = self.u[:, 2]
+        assert np.array_equal(binomial.ppf(u, first, p_second), self.oracle(u, first, p_second))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 2_000_000),
+    p=st.floats(0.0, 1.0),
+    u=st.lists(st.floats(2.0**-54, 1.0), min_size=1, max_size=30),
+    per_draw=st.booleans(),
+)
+def test_draws_in_range_and_monotone_in_u(n, p, u, per_draw):
+    u = np.sort(np.array(u))
+    k = binomial.ppf(u, np.full(len(u), n) if per_draw else n, p)
+    assert k.min() >= 0 and k.max() <= n
+    assert (np.diff(k) >= 0).all()
+
+
+def test_binomial_weights_unchanged():
+    for n in range(301):
+        for q in PROBS + [1e-9, 1 / 3, 0.999999999]:
+            assert np.array_equal(binomial_weights(n, q), reference_weights(n, q)), (n, q)
+
+
+def test_window_tables_match_full_support():
+    # A window's masses equal the full-support masses at the same k.
+    for n, q in [(300, 0.25), (5000, 0.6), (200_000, 0.05)]:
+        lo, hi = binomial._window(n, q)
+        assert np.array_equal(binomial.masses(n, q, lo, hi), binomial_weights(n, q)[lo : hi + 1])

@@ -25,6 +25,7 @@ from onion_anon import (
     observe,
     posterior,
     posterior_oracle,
+    shared_distribution_posterior,
     validate_scenario,
     view_probability_split,
 )
@@ -239,6 +240,26 @@ class TestPosterior:
     def test_impossible_observation_raises(self):
         s = validate_scenario([[1.0, 0.0], [1.0, 0.0]], 0.5)
         obs = Observation((), (), DestMultiset((0, 1)), 1)
+        with pytest.raises(ImpossibleObservationError):
+            posterior(s, obs, PosteriorQuery(0, 0))
+
+    def test_all_hidden_view_at_1200_users(self):
+        # The shared prefactor 0.5**2400 is 0.0 in floats; the view is
+        # still possible, and revealing nothing leaves the prior.
+        rng = np.random.default_rng(21)
+        s = random_scenario(rng, 1200, 2, 0.5)
+        obs = Observation((), (), DestMultiset((0, 0)), 1200)
+        assert posterior(s, obs, PosteriorQuery(7, 1)) == pytest.approx(float(s.p[7, 1]), rel=1e-12)
+
+    def test_bare_outputs_at_1200_users_match_closed_form(self):
+        s = validate_scenario(np.tile([0.7, 0.3], (1200, 1)), 0.5)
+        obs = Observation((), (), DestMultiset((3, 2)), 1195)
+        want = shared_distribution_posterior(1200, 5, 3, 0.7)
+        assert posterior(s, obs, PosteriorQuery(0, 0)) == pytest.approx(want, rel=1e-12)
+
+    def test_impossible_view_at_1200_users_still_raises(self):
+        s = validate_scenario(np.tile([1.0, 0.0], (1200, 1)), 0.5)
+        obs = Observation((), (), DestMultiset((0, 1)), 1199)
         with pytest.raises(ImpossibleObservationError):
             posterior(s, obs, PosteriorQuery(0, 0))
 

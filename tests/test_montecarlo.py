@@ -9,6 +9,7 @@ from onion_anon import (
     ModelError,
     PosteriorQuery,
     SizeLimitError,
+    SizeLimits,
     WorstCasePopulation,
     common_expected_exact,
     build_worst_case_scenario,
@@ -30,6 +31,15 @@ def fixed_scenario(b=0.5):
     p = rng.random((4, 2)) + 0.2
     p /= p.sum(axis=1, keepdims=True)
     return validate_scenario(p, b)
+
+
+def scalar_path(s, q, seed, count):
+    """Per-sample posteriors through the scalar sampler and ``observe``."""
+    values = []
+    for i in range(count):
+        config = sample_configuration(s, mix64(seed, i), pin=(q.user, q.dest))
+        values.append(posterior(s, observe(s, config), q))
+    return np.array(values)
 
 
 class TestBoundaries:
@@ -74,11 +84,32 @@ class TestReproducibility:
         q = PosteriorQuery(0, 0)
         seed = 4242
         block = _generic_sampler(s, q, seed)(0, 64, None)
-        scalar = []
-        for i in range(64):
-            config = sample_configuration(s, mix64(seed, i), pin=(0, 0))
-            scalar.append(posterior(s, observe(s, config), q))
-        assert np.array_equal(block, np.array(scalar))
+        assert np.array_equal(block, scalar_path(s, q, seed, 64))
+
+
+class TestWideViews:
+    """Views whose codes or multiplicities do not fit in int8."""
+
+    def test_many_destinations(self):
+        rng = np.random.default_rng(3)
+        p = rng.random((3, 140))
+        s = validate_scenario(p / p.sum(axis=1, keepdims=True), 0.5)
+        q = PosteriorQuery(0, 130)
+        block = _generic_sampler(s, q, 5)(0, 16, None)
+        assert np.array_equal(block, scalar_path(s, q, 5, 16))
+        est = estimate_expected_posterior(s, q, 16, 5, limits=SizeLimits(mc_dests=200))
+        assert est.mean == pytest.approx(float(block.mean()), rel=1e-12)
+
+    def test_multiplicities_above_127(self):
+        # At b = 0.5 about 175 of 700 outputs are bare, all on destination 0.
+        p = np.tile([1.0, 0.0], (700, 1))
+        p[0] = [0.5, 0.5]
+        s = validate_scenario(p, 0.5)
+        q = PosteriorQuery(0, 0)
+        block = _generic_sampler(s, q, 8)(0, 3, None)
+        assert np.array_equal(block, scalar_path(s, q, 8, 3))
+        est = estimate_expected_posterior(s, q, 3, 8, limits=SizeLimits(mc_users=1000))
+        assert est.mean == pytest.approx(float(block.mean()), rel=1e-12)
 
 
 class TestAgreement:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from onion_anon.seeding import mix64, mix64_array, uniform, uniform_block
+from onion_anon.seeding import MASK64, mix64, mix64_array, uniform, uniform_block, unit_interval
 
 
 def test_mix64_matches_published_splitmix64_stream():
@@ -15,9 +15,17 @@ def test_mix64_rejects_negative_index():
         mix64(0, -1)
 
 
-def test_uniforms_lie_strictly_inside_unit_interval():
+def test_uniforms_lie_in_half_open_unit_interval():
     values = [uniform(123, i) for i in range(2000)]
-    assert all(0.0 < v < 1.0 for v in values)
+    assert all(0.0 < v <= 1.0 for v in values)
+
+
+def test_unit_interval_edges():
+    # The smallest variate is 2**-54; the top 2**11 words round up to 1.0.
+    assert unit_interval(0) == 2.0**-54
+    assert unit_interval(MASK64) == 1.0
+    assert unit_interval(MASK64 - 2**11 + 1) == 1.0
+    assert unit_interval(MASK64 - 2**11) == 1.0 - 2.0**-52
 
 
 def test_uniform_mean_is_plausible():
