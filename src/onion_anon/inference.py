@@ -6,10 +6,16 @@ is then an indicator (input and output both seen) or the prior row
 the queried user hides in the crowd of users whose inputs are also
 unseen, and the bare observed outputs must be matched against that
 crowd.  The matching weight is a permanent-like sum over injective
-assignments of crowd members to output slots; this module evaluates it
-with dynamic programming over the remaining multiplicity vector rather
-than by enumerating assignments, which turns a factorial blowup into
-O(crowd size x product of (multiplicity + 1)).
+assignments of crowd members to output slots.  One numpy kernel
+evaluates it by dynamic programming instead of enumeration: a dense
+table over every count vector up to the bare outputs c, for the crowd
+without the queried user, built one user at a time.  That one table
+serves all three sums a posterior needs (the whole crowd's weight, and
+the queried user's output seen or hidden), and one call batches any
+number of crowds that share c.  A call costs O(crowd size x views x
+product of (c_d + 1)) instead of a factorial.  Tables are tilted and
+renormalised by powers of two, so views with hundreds of bare outputs
+stay inside the float range.
 
 Two independent enumeration oracles (one in floats, one in exact
 rationals) are provided for cross-checking the closed computations.
@@ -94,6 +100,124 @@ def duplicate_orderings(multiset: DestMultiset) -> int:
     return out
 
 
+_IMPOSSIBLE = "observation has zero probability under this scenario"
+
+# At most this many table entries (views x box size) per batched kernel call,
+# so memory stays flat however many views a caller hands in at once.
+BATCH_ENTRIES = 1 << 17
+
+
+def _crowd_table(p: np.ndarray, masks: np.ndarray, counts: Sequence[int]):
+    """Crowd-matching tables of V crowds against one bare-output vector.
+
+    ``masks`` is a ``(V, n)`` boolean array of crowds.  Over the support
+    destinations ``s`` (those with ``counts[s] > 0``), entry ``[v, r]``
+    of the returned ``(V, c_s + 1, ...)`` table is the summed weight of
+    the ways crowd ``v`` covers each ``s`` exactly ``r_s`` times, each
+    covering user contributing ``p[user, s]``.  One crowd user is one
+    step, ``new = W + sum_i a_i * shift_i(W)``.
+
+    The table is kept scale-safe: column ``i`` of a view is tilted by
+    ``2**tilt[v, i]``, the largest power of two not above ``c_i`` over
+    the crowd's mass on ``s_i``, and each step divides a view by the
+    power of two that brings its largest entry into [1, 2).  Powers of
+    two scale exactly, so a view's entries do not depend on which other
+    views share the batch.  Returns ``(support, table, exponent, tilt)``:
+    the true W[c] is ``ldexp(table[v, c], exponent[v])`` and the true
+    W[c - e_i] is ``ldexp(table[v, c - e_i], exponent[v] + tilt[v, i])``.
+    """
+    support = [s for s, c in enumerate(counts) if c > 0]
+    top = np.array([counts[s] for s in support], dtype=np.int64)
+    views = masks.shape[0]
+    rows = p[:, support]
+    users = np.flatnonzero(masks.any(axis=0) & (rows > 0.0).any(axis=1))
+    # Each view's mass is summed user by user, so it does not depend on
+    # the batch either.
+    mass = np.zeros((views, len(support)))
+    for v in users:
+        mass += masks[:, v, None] * rows[v]
+    _, scale = np.frexp(np.divide(top, mass, where=mass > 0.0, out=np.ones_like(mass)))
+    # The clip keeps every tilted probability finite.
+    tilt = np.clip(scale - 1, -512, 512).astype(np.int64)
+    table = np.zeros((views,) + tuple(top + 1))
+    table[(slice(None),) + (0,) * len(support)] = 1.0
+    exponent = np.zeros(views, dtype=np.int64)
+    per_view = (views,) + (1,) * len(support)
+    shifts = [
+        ((slice(None),) * (i + 1) + (slice(1, None),), (slice(None),) * (i + 1) + (slice(None, -1),))
+        for i in range(len(support))
+    ]
+    for v in users:
+        step = (np.ldexp(rows[v], tilt) * masks[:, v, None]).T.reshape((len(support),) + per_view)
+        grown = table.copy()
+        for a, (upper, lower) in zip(step, shifts):
+            grown[upper] += a * table[lower]
+        shift = np.frexp(grown.reshape(views, -1).max(axis=1))[1] - 1
+        if shift.any():
+            grown = np.ldexp(grown, -shift.reshape(per_view))
+            exponent += shift
+        table = grown
+    return support, table, exponent - tilt @ top, tilt
+
+
+def _view_sums(p: np.ndarray, masks: np.ndarray, counts: Sequence[int], query: PosteriorQuery):
+    """The three crowd sums of V views, read off one table.
+
+    ``masks`` holds each view's crowd *without* the queried user u.  For
+    the bare-output vector c the sums are, with W that crowd's table:
+    ``any_dest = W[c] + sum_i p[u, s_i] W[c - e_i]`` (the whole crowd's
+    weight, u included), ``seen = W[c - e_d]`` (0 if d is not among the
+    outputs) and ``hidden = W[c]``.  They share a per-view scale: the
+    true values are ``ldexp(x, exponent)``.
+    """
+    support, table, exponent, tilt = _crowd_table(p, masks, counts)
+    top = tuple(counts[s] for s in support)
+    hidden = table[(slice(None),) + top]
+    any_dest = hidden.copy()
+    seen = np.zeros_like(hidden)
+    for i, s in enumerate(support):
+        below = np.ldexp(table[(slice(None),) + top[:i] + (top[i] - 1,) + top[i + 1 :]], tilt[:, i])
+        any_dest += p[query.user, s] * below
+        if s == query.dest:
+            seen = below
+    return any_dest, seen, hidden, exponent
+
+
+def crowd_posteriors(
+    p: np.ndarray, masks: np.ndarray, counts: Sequence[int], query: PosteriorQuery
+) -> np.ndarray:
+    """Posteriors of the query for V views with the same bare outputs.
+
+    Each row of ``masks`` is one view's crowd of unseen inputs, without
+    the queried user (whose input is unseen too); ``counts`` is the
+    shared bare-output vector.  Views go through the kernel in batches
+    of at most ``BATCH_ENTRIES`` table entries; a view's value is the
+    same bit for bit in any batch.
+    """
+    size = math.prod(int(c) + 1 for c in counts)
+    step = max(1, BATCH_ENTRIES // size)
+    p_ud = float(p[query.user, query.dest])
+    out = np.empty(masks.shape[0])
+    for lo in range(0, masks.shape[0], step):
+        any_dest, seen, hidden, _ = _view_sums(p, masks[lo : lo + step], counts, query)
+        if not np.all(any_dest > 0.0):
+            raise ImpossibleObservationError(_IMPOSSIBLE)
+        out[lo : lo + step] = p_ud * (seen + hidden) / any_dest
+    return out
+
+
+def _crowd_mask(n: int, users) -> np.ndarray:
+    mask = np.zeros((1, n), dtype=bool)
+    mask[0, list(users)] = True
+    return mask
+
+
+def _crowd_weight(p: np.ndarray, mask: np.ndarray, counts: Sequence[int]) -> tuple[float, int]:
+    """W[c] of one crowd as ``(x, e)``; the weight is ``ldexp(x, e)``."""
+    support, table, exponent, _ = _crowd_table(p, mask, counts)
+    return float(table[(0,) + tuple(counts[s] for s in support)]), int(exponent[0])
+
+
 def injection_sum(users: Sequence[int], outputs: DestMultiset, p: np.ndarray) -> float:
     """Total weight of ways the crowd could have produced the bare outputs.
 
@@ -101,49 +225,9 @@ def injection_sum(users: Sequence[int], outputs: DestMultiset, p: np.ndarray) ->
     assignments of T covering each destination exactly its multiplicity,
     the product of p[v, assigned dest].  Equals the naive sum over
     slot-labeled injections divided by ``duplicate_orderings(outputs)``.
-
-    The DP state is the vector of multiplicities still to cover; each
-    user either takes one remaining slot or none.
+    Read off the crowd-matching table and returned unscaled.
     """
-    total = outputs.size
-    if total == 0:
-        return 1.0
-    if total > len(users):
-        return 0.0
-    support = [d for d, c in enumerate(outputs.counts) if c > 0]
-    start = tuple(outputs.counts[d] for d in support)
-    zero = (0,) * len(support)
-    table: dict[tuple[int, ...], float] = {start: 1.0}
-    for v in users:
-        row = p[v]
-        nxt: dict[tuple[int, ...], float] = {}
-        for state, weight in table.items():
-            nxt[state] = nxt.get(state, 0.0) + weight
-            for i, remaining in enumerate(state):
-                if remaining:
-                    taken = state[:i] + (remaining - 1,) + state[i + 1 :]
-                    nxt[taken] = nxt.get(taken, 0.0) + weight * row[support[i]]
-        table = nxt
-    return table.get(zero, 0.0)
-
-
-def _crowd_weights(
-    scenario: Scenario, users: tuple[int, ...], outputs: DestMultiset, query: PosteriorQuery
-) -> tuple[float, float, float]:
-    """The injection sums behind a view split, without the prefactor.
-
-    Returns the crowd's weight for ``outputs`` and, for the rest of the
-    crowd, its weight with the queried destination's one output removed
-    (0 if ``outputs`` has none) and with ``outputs`` intact.
-    """
-    crowd_rest = tuple(v for v in users if v != query.user)
-    any_dest = injection_sum(users, outputs, scenario.p)
-    if outputs.contains(query.dest):
-        seen = injection_sum(crowd_rest, outputs.remove_one(query.dest), scenario.p)
-    else:
-        seen = 0.0
-    hidden = injection_sum(crowd_rest, outputs, scenario.p)
-    return any_dest, seen, hidden
+    return math.ldexp(*_crowd_weight(p, _crowd_mask(p.shape[0], users), outputs.counts))
 
 
 def view_probability_split(
@@ -153,7 +237,8 @@ def view_probability_split(
 
     The queried user must belong to the crowd.  All three components
     share the prefactor accounting for which endpoints were observed;
-    the crowd-to-outputs matching weight is the injection sum above.
+    the crowd-to-outputs matching weights come from one table of the
+    crowd without the queried user.
     """
     _check_query(scenario, query)
     users = tuple(view.users)
@@ -165,7 +250,9 @@ def view_probability_split(
     out_size = view.outputs.size
     prefactor = b ** (n - size + out_size) * (1.0 - b) ** (2 * size - out_size)
     p_ud = float(scenario.p[query.user, query.dest])
-    any_dest, seen, hidden = _crowd_weights(scenario, users, view.outputs, query)
+    rest = _crowd_mask(n, (v for v in users if v != query.user))
+    *sums, exponent = _view_sums(scenario.p, rest, view.outputs.counts, query)
+    any_dest, seen, hidden = (math.ldexp(float(x[0]), int(exponent[0])) for x in sums)
     return ViewSplit(prefactor * any_dest, prefactor * p_ud * seen, prefactor * p_ud * hidden)
 
 
@@ -173,23 +260,33 @@ def posterior(scenario: Scenario, observation: Observation, query: PosteriorQuer
     """Probability the queried user chose the queried destination, given the view.
 
     The ratio of :func:`view_probability_split`'s components, taken
-    without their shared prefactor ``b^k (1-b)^m``: at a few hundred
-    users that prefactor underflows to 0 although the view is possible.
+    without their shared prefactor ``b^k (1-b)^m`` and in the kernel's
+    scaled units: at a few hundred users both the prefactor and the
+    crowd sums leave the float range although the view is possible.
+    A view that no configuration produces raises, whoever is queried.
     """
     _check_query(scenario, query)
     check_observation(scenario, observation)
     linked = dict(observation.linked)
+    seen = 2 * len(linked) + len(observation.input_only) + observation.output_only.size
+    unseen = 2 * scenario.n - seen
+    if (
+        (scenario.b == 0.0 and seen)
+        or (scenario.b == 1.0 and unseen)
+        or any(scenario.p[v, dest] == 0.0 for v, dest in linked.items())
+    ):
+        raise ImpossibleObservationError(_IMPOSSIBLE)
+    crowd = np.ones((1, scenario.n), dtype=bool)
+    crowd[0, list(linked) + list(observation.input_only)] = False
+    counts = observation.output_only.counts
+    if crowd[0, query.user]:
+        crowd[0, query.user] = False
+        return float(crowd_posteriors(scenario.p, crowd, counts, query)[0])
+    if _crowd_weight(scenario.p, crowd, counts)[0] <= 0.0:
+        raise ImpossibleObservationError(_IMPOSSIBLE)
     if query.user in linked:
         return 1.0 if linked[query.user] == query.dest else 0.0
-    if query.user in observation.input_only:
-        return float(scenario.p[query.user, query.dest])
-    visible = set(linked) | set(observation.input_only)
-    crowd = tuple(v for v in range(scenario.n) if v not in visible)
-    any_dest, seen, hidden = _crowd_weights(scenario, crowd, observation.output_only, query)
-    if any_dest <= 0.0:
-        raise ImpossibleObservationError("observation has zero probability under this scenario")
-    p_ud = float(scenario.p[query.user, query.dest])
-    return (p_ud * seen + p_ud * hidden) / any_dest
+    return float(scenario.p[query.user, query.dest])
 
 
 def _count_vectors(dest_count: int, max_total: int) -> Iterator[tuple[int, ...]]:

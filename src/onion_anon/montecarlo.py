@@ -4,9 +4,12 @@ Each sample draws from the child stream ``mix64(seed, sample_index)``,
 so sample ``i`` is the same number no matter how the loop is chunked or
 scheduled; estimates are bit-reproducible for a fixed (seed, samples,
 mode) regardless of the requested thread count.  The posterior is
-computed exactly per sample, never approximated: the generic mode runs
-the inference machinery on the sampled view (views repeat heavily, so
-they are cached), while the structured modes evaluate their closed
+computed exactly per sample, never approximated.  The generic mode
+settles samples where the queried user's input is seen in one
+vectorised step (the posterior is then 1 or the prior).  The rest are
+reduced to distinct views, each fixed by its crowd and its bare-output
+multiset; views with the same multiset share one batched call of the
+crowd-matching kernel.  The structured modes evaluate their closed
 forms on binomially sampled counts without materializing users.  Those
 counts come from the package's own exact inverse CDF
 (:func:`onion_anon.binomial.ppf`), so a seeded estimate depends on
@@ -22,9 +25,10 @@ import numpy as np
 
 from . import binomial as binom
 from .errors import ConditioningError, ModelError, SizeLimitError
-from .inference import PosteriorQuery, posterior
+# ``posterior`` stays a module attribute: benchmarks/spans.py wraps it by name.
+from .inference import PosteriorQuery, crowd_posteriors, posterior  # noqa: F401
 from .limits import SizeLimits, current_limits
-from .model import DestMultiset, Observation, Scenario
+from .model import Scenario
 from .seeding import MASK64, uniform_block
 from .structured import CommonPopulation, WorstCasePopulation
 
@@ -49,28 +53,11 @@ def _small_int(largest: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
-def _decode_observation(scenario: Scenario, codes_row, counts_row) -> Observation:
-    nd = scenario.dest_count
-    linked = []
-    input_only = []
-    for v, code in enumerate(codes_row.tolist()):
-        if code < nd:
-            linked.append((v, code))
-        elif code == nd:
-            input_only.append(v)
-    counts = tuple(int(c) for c in counts_row.tolist())
-    hidden = scenario.n - len(linked) - len(input_only) - sum(counts)
-    return Observation(tuple(linked), tuple(input_only), DestMultiset(counts), hidden)
-
-
 def _generic_sampler(scenario: Scenario, query: PosteriorQuery, seed: int) -> Callable:
     n, nd, b = scenario.n, scenario.dest_count, scenario.b
     u, d = query.user, query.dest
+    p_ud = float(scenario.p[u, d])
     cumulative = np.cumsum(scenario.p, axis=1)
-    # Views are packed as one code per user (a destination, nd for
-    # input-only, nd + 1 for hidden) and one count per destination.
-    packed_dtype = _small_int(max(nd + 1, n))
-    cache: dict[bytes, float] = {}
 
     def draw(offset: int, count: int, force_u) -> np.ndarray:
         psi = np.empty(count, dtype=np.float64)
@@ -79,7 +66,7 @@ def _generic_sampler(scenario: Scenario, query: PosteriorQuery, seed: int) -> Ca
             indices = np.arange(offset + lo, offset + hi, dtype=np.int64)
             variates = uniform_block(seed, indices, 3 * n)
             m = hi - lo
-            dest = np.empty((m, n), dtype=packed_dtype)
+            dest = np.empty((m, n), dtype=_small_int(nd))
             for v in range(n):
                 dest[:, v] = np.minimum(
                     np.searchsorted(cumulative[v], variates[:, v], side="right"), nd - 1
@@ -90,28 +77,48 @@ def _generic_sampler(scenario: Scenario, query: PosteriorQuery, seed: int) -> Ca
             if force_u is not None:
                 seen_in[:, u] = force_u[0]
                 seen_out[:, u] = force_u[1]
-            both = seen_in & seen_out
-            codes = np.where(both, dest, np.where(seen_in, nd, nd + 1)).astype(packed_dtype)
-            counts = np.zeros((m, nd), dtype=packed_dtype)
-            for v in range(n):
-                bare = np.flatnonzero(seen_out[:, v] & ~seen_in[:, v])
-                np.add.at(counts, (bare, dest[bare, v]), 1)
-            packed = np.ascontiguousarray(np.hstack([codes, counts]))
-            flat = packed.view(np.dtype((np.void, packed.shape[1] * packed.itemsize))).ravel()
-            unique_rows, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
-            values = np.empty(len(unique_rows), dtype=np.float64)
-            for i, row_index in enumerate(first.tolist()):
-                key = flat[row_index].tobytes()
-                cached = cache.get(key)
-                if cached is None:
-                    view = _decode_observation(scenario, codes[row_index], counts[row_index])
-                    cached = posterior(scenario, view, query)
-                    cache[key] = cached
-                values[i] = cached
-            psi[lo:hi] = values[inverse]
+            # With u's input seen the posterior is 1 (linked, and u is
+            # pinned to d) or the prior; otherwise u hides in the crowd.
+            block = np.where(seen_out[:, u], 1.0, p_ud)
+            rows = np.flatnonzero(~seen_in[:, u])
+            if len(rows):
+                block[rows] = _crowd_values(scenario.p, query, seen_in[rows], seen_out[rows], dest[rows])
+            psi[lo:hi] = block
         return psi
 
     return draw
+
+
+def _crowd_values(p, query: PosteriorQuery, seen_in, seen_out, dest) -> np.ndarray:
+    """Posteriors of sampled views in which the queried user's input is unseen.
+
+    Such a view is fixed by its crowd (the users with unseen inputs,
+    less the queried user) and its bare-output count vector.  Distinct
+    views are grouped by count vector, and each group is one batched
+    kernel call.
+    """
+    m, n = seen_in.shape
+    nd = p.shape[1]
+    crowd = ~seen_in
+    bare = crowd & seen_out
+    counts = np.bincount((np.arange(m)[:, None] * nd + dest)[bare], minlength=m * nd)
+    counts = counts.reshape(m, nd).astype(_small_int(n))
+    crowd[:, query.user] = False
+    packed = np.hstack([np.packbits(crowd, axis=1), counts.view(np.uint8)])
+    _, first, inverse = np.unique(_row_keys(packed), return_index=True, return_inverse=True)
+    crowd, counts = crowd[first], counts[first]
+    _, group_first, group = np.unique(_row_keys(counts), return_index=True, return_inverse=True)
+    values = np.empty(len(first))
+    for g, row in enumerate(group_first.tolist()):
+        members = np.flatnonzero(group == g)
+        values[members] = crowd_posteriors(p, crowd[members], counts[row].tolist(), query)
+    return values[inverse]
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque, sortable key per row, for ``np.unique`` over rows."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
 def _worst_case_sampler(pop: WorstCasePopulation, seed: int) -> Callable:

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onion_anon import (
     ConditioningError,
@@ -29,6 +31,9 @@ from onion_anon import (
     validate_scenario,
     view_probability_split,
 )
+from onion_anon import inference
+from onion_anon.inference import _view_sums, crowd_posteriors
+from onion_anon.model import Configuration
 
 
 def random_scenario(rng, n, dest_count, b, floor=0.05):
@@ -257,6 +262,29 @@ class TestPosterior:
         want = shared_distribution_posterior(1200, 5, 3, 0.7)
         assert posterior(s, obs, PosteriorQuery(0, 0)) == pytest.approx(want, rel=1e-12)
 
+    def test_rare_destination_view_at_1200_users(self):
+        # 400 bare outputs of mass 0.01 each: the unscaled crowd sums are
+        # about 1e-469 and used to underflow to "impossible".
+        s = validate_scenario(np.tile([0.99, 0.01], (1200, 1)), 0.5)
+        obs = Observation((), (), DestMultiset((0, 400)), 800)
+        value = posterior(s, obs, PosteriorQuery(0, 1))
+        assert value == pytest.approx((400 + 0.01 * 800) / 1200, abs=1e-12)
+
+    def test_impossible_view_raises_for_a_seen_user(self):
+        # Nobody can reach destination 0, so the bare output rules the view
+        # out even though the queried users' own answers need no crowd.
+        s = validate_scenario([[0.0, 1.0]] * 3, 0.5)
+        obs = Observation(((1, 1),), (0,), DestMultiset((1, 0)), 0)
+        for user in (0, 1):
+            with pytest.raises(ImpossibleObservationError):
+                posterior(s, obs, PosteriorQuery(user, 1))
+        linked_to_nowhere = Observation(((1, 0),), (0,), DestMultiset((0, 0)), 1)
+        with pytest.raises(ImpossibleObservationError):
+            posterior(s, linked_to_nowhere, PosteriorQuery(1, 0))
+        blind = validate_scenario([[0.5, 0.5]] * 2, 0.0)
+        with pytest.raises(ImpossibleObservationError):
+            posterior(blind, Observation(((1, 0),), (), DestMultiset((0, 0)), 1), PosteriorQuery(0, 0))
+
     def test_impossible_view_at_1200_users_still_raises(self):
         s = validate_scenario(np.tile([1.0, 0.0], (1200, 1)), 0.5)
         obs = Observation((), (), DestMultiset((0, 1)), 1199)
@@ -388,3 +416,98 @@ class TestExpectedPosterior:
         second = np.diff(values, n=2)
         assert np.all(second >= -1e-9)
         assert max(values) <= max(values[0], values[-1]) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Properties of the crowd-matching kernel on random small scenarios
+
+WEIGHTS = st.sampled_from([0.0, 0.0, 0.1, 0.25, 0.5, 1.0, 3.0])
+
+
+@st.composite
+def small_scenarios(draw, max_users=6, max_dests=3):
+    """A scenario with zero entries allowed; each row keeps one positive."""
+    n = draw(st.integers(1, max_users))
+    k = draw(st.integers(1, max_dests))
+    p = np.array([[draw(WEIGHTS) for _ in range(k)] for _ in range(n)])
+    for v in range(n):
+        if p[v].sum() == 0.0:
+            p[v, draw(st.integers(0, k - 1))] = 1.0
+    b = draw(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))
+    return validate_scenario(p / p.sum(axis=1, keepdims=True), b)
+
+
+@st.composite
+def crowd_views(draw):
+    """A scenario, a query, and a crowd of unseen inputs holding its user."""
+    s = draw(small_scenarios())
+    query = PosteriorQuery(draw(st.integers(0, s.n - 1)), draw(st.integers(0, s.dest_count - 1)))
+    crowd = draw(st.sets(st.integers(0, s.n - 1))) | {query.user}
+    items = draw(st.lists(st.integers(0, s.dest_count - 1), max_size=len(crowd) + 1))
+    return s, query, tuple(sorted(crowd)), DestMultiset.from_items(items, s.dest_count)
+
+
+def rest_mask(n, crowd, user):
+    mask = np.zeros((1, n), dtype=bool)
+    mask[0, [v for v in crowd if v != user]] = True
+    return mask
+
+
+@settings(max_examples=150, deadline=None)
+@given(crowd_views())
+def test_kernel_sums_match_slot_enumeration(view):
+    s, query, crowd, outputs = view
+    rest = tuple(v for v in crowd if v != query.user)
+    *sums, exponent = _view_sums(s.p, rest_mask(s.n, crowd, query.user), outputs.counts, query)
+    any_dest, seen, hidden = (float(np.ldexp(x[0], exponent[0])) for x in sums)
+    want_seen = (
+        slot_injection_sum(rest, outputs.remove_one(query.dest), s.p)
+        if outputs.contains(query.dest)
+        else 0.0
+    )
+    assert any_dest == pytest.approx(slot_injection_sum(crowd, outputs, s.p), rel=1e-12, abs=1e-300)
+    assert seen == pytest.approx(want_seen, rel=1e-12, abs=1e-300)
+    assert hidden == pytest.approx(slot_injection_sum(rest, outputs, s.p), rel=1e-12, abs=1e-300)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_posterior_matches_exact_oracle(data):
+    s = data.draw(small_scenarios(max_users=3))
+    n, k = s.n, s.dest_count
+    config = Configuration(
+        tuple(data.draw(st.integers(0, k - 1)) for _ in range(n)),
+        tuple(data.draw(st.booleans()) for _ in range(n)),
+        tuple(data.draw(st.booleans()) for _ in range(n)),
+    )
+    obs = observe(s, config)
+    query = PosteriorQuery(data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, k - 1)))
+    try:
+        want = posterior_oracle(s, obs, query, exact=True)
+    except ImpossibleObservationError:
+        with pytest.raises(ImpossibleObservationError):
+            posterior(s, obs, query)
+        return
+    assert posterior(s, obs, query) == pytest.approx(float(want), rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_batched_views_equal_single_views_bit_for_bit(data):
+    s = data.draw(small_scenarios())
+    query = PosteriorQuery(data.draw(st.integers(0, s.n - 1)), data.draw(st.integers(0, s.dest_count - 1)))
+    counts = tuple(data.draw(st.integers(0, 3)) for _ in range(s.dest_count))
+    masks = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=s.n, max_size=s.n), min_size=1, max_size=8)))
+    masks[:, query.user] = False
+    batch = _view_sums(s.p, masks, counts, query)
+    for i in range(len(masks)):
+        single = _view_sums(s.p, masks[i : i + 1], counts, query)
+        for got, want in zip(batch, single):
+            assert np.array_equal(got[i : i + 1], want)
+    possible = batch[0] > 0.0
+    if possible.any():
+        whole = crowd_posteriors(s.p, masks[possible], counts, query)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inference, "BATCH_ENTRIES", data.draw(st.integers(1, 200)))
+            split = crowd_posteriors(s.p, masks[possible], counts, query)
+        assert np.array_equal(split, whole)

@@ -22,6 +22,9 @@ from onion_anon import (
     worst_case_expected_exact,
     worst_case_limit,
 )
+from onion_anon import inference
+from onion_anon.inference import crowd_posteriors
+from onion_anon.model import DestMultiset, Observation
 from onion_anon.montecarlo import _generic_sampler
 from onion_anon.seeding import mix64
 
@@ -109,6 +112,40 @@ class TestWideViews:
         block = _generic_sampler(s, q, 8)(0, 3, None)
         assert np.array_equal(block, scalar_path(s, q, 8, 3))
         est = estimate_expected_posterior(s, q, 3, 8, limits=SizeLimits(mc_users=1000))
+        assert est.mean == pytest.approx(float(block.mean()), rel=1e-12)
+
+
+class TestBatching:
+    """A view's posterior does not depend on the batch it is evaluated in."""
+
+    def test_split_unsplit_and_single_views_agree(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        p = rng.random((240, 3))
+        s = validate_scenario(p / p.sum(axis=1, keepdims=True), 0.5)
+        q = PosteriorQuery(0, 1)
+        counts = (30, 20, 10)
+        masks = rng.random((24, 240)) < 0.5
+        masks[:, q.user] = False
+        assert len(masks) * 31 * 21 * 11 > inference.BATCH_ENTRIES  # the default call splits
+        split = crowd_posteriors(s.p, masks, counts, q)
+        singles = np.concatenate([crowd_posteriors(s.p, m[None], counts, q) for m in masks])
+        monkeypatch.setattr(inference, "BATCH_ENTRIES", 1 << 30)
+        unsplit = crowd_posteriors(s.p, masks, counts, q)
+        assert np.array_equal(split, unsplit) and np.array_equal(split, singles)
+        for mask, value in zip(masks[:3], split):
+            shown = tuple(v for v in range(240) if not mask[v] and v != q.user)
+            obs = Observation((), shown, DestMultiset(counts), 240 - len(shown) - 60)
+            assert posterior(s, obs, q) == value
+
+    def test_wide_views_under_raised_limits(self, monkeypatch):
+        monkeypatch.setenv("ONION_ANON_SIZE_LIMITS", "mc_users=300")
+        rng = np.random.default_rng(7)
+        p = rng.random((240, 3))
+        s = validate_scenario(p / p.sum(axis=1, keepdims=True), 0.5)
+        q = PosteriorQuery(0, 2)
+        block = _generic_sampler(s, q, 9)(0, 12, None)
+        assert np.array_equal(block, scalar_path(s, q, 9, 12))
+        est = estimate_expected_posterior(s, q, 12, 9)
         assert est.mean == pytest.approx(float(block.mean()), rel=1e-12)
 
 
