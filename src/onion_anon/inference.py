@@ -13,9 +13,9 @@ without the queried user, built one user at a time.  That one table
 serves all three sums a posterior needs (the whole crowd's weight, and
 the queried user's output seen or hidden), and one call batches any
 number of crowds that share c.  A call costs O(crowd size x views x
-product of (c_d + 1)) instead of a factorial.  Tables are tilted and
-renormalised by powers of two, so views with hundreds of bare outputs
-stay inside the float range.
+product of (c_d + 1)) instead of a factorial.  A view whose table could
+leave the float range (a large crowd, or hundreds of rare bare outputs)
+runs the same recurrence with an integer exponent per entry instead.
 
 Two independent enumeration oracles (one in floats, one in exact
 rationals) are provided for cross-checking the closed computations.
@@ -106,6 +106,87 @@ _IMPOSSIBLE = "observation has zero probability under this scenario"
 # so memory stays flat however many views a caller hands in at once.
 BATCH_ENTRIES = 1 << 17
 
+# A view goes through the plain float kernel while log2 of its table's
+# span (see _plain_views) stays under this; the rest take the wide kernel.
+_PLAIN_SPAN = 900.0
+
+# Exponent of the zero entries of a wide table, far below any real one.
+_ZERO_EXPONENT = -(1 << 40)
+
+
+def _shifts(dims: int):
+    """Index pairs ``(upper, lower)`` that shift a ``(V, ...)`` table by one along each axis."""
+    return [
+        ((slice(None),) * (i + 1) + (slice(1, None),), (slice(None),) * (i + 1) + (slice(None, -1),))
+        for i in range(dims)
+    ]
+
+
+def _plain_views(rows: np.ndarray, masks: np.ndarray, top: Sequence[int]) -> np.ndarray:
+    """Which views the plain float kernel computes to full precision.
+
+    With m_v user v's mass on the support and M the crowd's total, an
+    entry ``W[r]`` is at most e_|r|(m) <= M**|r| / |r|!, and at most
+    G = prod (1 + m_v); a nonzero one is at least the product of
+    ``pmin_i ** r_i``, where ``pmin_i`` is the crowd's smallest positive
+    mass on column i.  While log2 of the ratio of these bounds over
+    ``r <= c`` is at most ``_PLAIN_SPAN``, nothing needed underflows, and
+    an entry that underflows elsewhere moves a needed one by at most
+    2**-174 of it per multiply-add.  The test depends on the view alone,
+    never on its batch.
+    """
+    mass = rows.sum(axis=1)
+    sizes = np.arange(1, sum(top) + 1)
+    with np.errstate(divide="ignore"):
+        powers = sizes * np.log2((masks * mass).sum(axis=1))[:, None] - np.cumsum(np.log2(sizes))
+    span = np.minimum((masks * np.log2(1.0 + mass)).sum(axis=1), powers.max(axis=1, initial=0.0))
+    rare = -np.log2(np.where(rows > 0.0, rows, 1.0))
+    for i, c in enumerate(top):
+        span += c * np.where(masks, rare[:, i], 0.0).max(axis=1)
+    return span <= _PLAIN_SPAN
+
+
+def _plain_table(rows: np.ndarray, masks: np.ndarray, top: Sequence[int]) -> np.ndarray:
+    views, dims = masks.shape[0], len(top)
+    per_view = (views,) + (1,) * dims
+    table = np.zeros((views,) + tuple(c + 1 for c in top))
+    table[(slice(None),) + (0,) * dims] = 1.0
+    for v in np.flatnonzero(masks.any(axis=0) & (rows > 0.0).any(axis=1)):
+        step = (rows[v] * masks[:, v, None]).T.reshape((dims,) + per_view)
+        grown = table.copy()
+        for a, (upper, lower) in zip(step, _shifts(dims)):
+            grown[upper] += a * table[lower]
+        table = grown
+    return table
+
+
+def _wide_table(rows: np.ndarray, masks: np.ndarray, top: Sequence[int]):
+    """The plain recurrence with an integer exponent per entry.
+
+    Entry ``r`` is ``ldexp(table[r], exponent[r])``; each step adds the
+    shifted terms after aligning them to the larger exponent and then
+    renormalises every mantissa into [0.5, 1).  Nothing leaves the
+    float range, so no view is too large or too skewed for it.
+    """
+    views, dims = masks.shape[0], len(top)
+    per_view = (views,) + (1,) * dims
+    origin = (slice(None),) + (0,) * dims
+    table = np.zeros((views,) + tuple(c + 1 for c in top))
+    exponent = np.full(table.shape, _ZERO_EXPONENT, dtype=np.int64)
+    table[origin], exponent[origin] = 0.5, 1
+    for v in np.flatnonzero(masks.any(axis=0) & (rows > 0.0).any(axis=1)):
+        mantissa, power = np.frexp(rows[v] * masks[:, v, None])
+        grown, raised = table.copy(), exponent.copy()
+        for i, (upper, lower) in enumerate(_shifts(dims)):
+            part = mantissa[:, i].reshape(per_view) * table[lower]
+            part_exp = np.where(part > 0.0, exponent[lower] + power[:, i].reshape(per_view), _ZERO_EXPONENT)
+            common = np.maximum(raised[upper], part_exp)
+            grown[upper] = np.ldexp(grown[upper], raised[upper] - common) + np.ldexp(part, part_exp - common)
+            raised[upper] = common
+        table, shift = np.frexp(grown)
+        exponent = raised + shift
+    return table, exponent
+
 
 def _crowd_table(p: np.ndarray, masks: np.ndarray, counts: Sequence[int]):
     """Crowd-matching tables of V crowds against one bare-output vector.
@@ -117,47 +198,23 @@ def _crowd_table(p: np.ndarray, masks: np.ndarray, counts: Sequence[int]):
     covering user contributing ``p[user, s]``.  One crowd user is one
     step, ``new = W + sum_i a_i * shift_i(W)``.
 
-    The table is kept scale-safe: column ``i`` of a view is tilted by
-    ``2**tilt[v, i]``, the largest power of two not above ``c_i`` over
-    the crowd's mass on ``s_i``, and each step divides a view by the
-    power of two that brings its largest entry into [1, 2).  Powers of
-    two scale exactly, so a view's entries do not depend on which other
-    views share the batch.  Returns ``(support, table, exponent, tilt)``:
-    the true W[c] is ``ldexp(table[v, c], exponent[v])`` and the true
-    W[c - e_i] is ``ldexp(table[v, c - e_i], exponent[v] + tilt[v, i])``.
+    Views whose entries fit the float range run that recurrence in plain
+    floats; the others run it with an exponent per entry.  Returns
+    ``(support, table, exponent)``: the weight is ``ldexp(table,
+    exponent)``, and ``exponent`` is 0 on the plain views.  A view's
+    entries do not depend on which other views share the batch.
     """
     support = [s for s, c in enumerate(counts) if c > 0]
-    top = np.array([counts[s] for s in support], dtype=np.int64)
-    views = masks.shape[0]
+    top = [int(counts[s]) for s in support]
     rows = p[:, support]
-    users = np.flatnonzero(masks.any(axis=0) & (rows > 0.0).any(axis=1))
-    # Each view's mass is summed user by user, so it does not depend on
-    # the batch either.
-    mass = np.zeros((views, len(support)))
-    for v in users:
-        mass += masks[:, v, None] * rows[v]
-    _, scale = np.frexp(np.divide(top, mass, where=mass > 0.0, out=np.ones_like(mass)))
-    # The clip keeps every tilted probability finite.
-    tilt = np.clip(scale - 1, -512, 512).astype(np.int64)
-    table = np.zeros((views,) + tuple(top + 1))
-    table[(slice(None),) + (0,) * len(support)] = 1.0
-    exponent = np.zeros(views, dtype=np.int64)
-    per_view = (views,) + (1,) * len(support)
-    shifts = [
-        ((slice(None),) * (i + 1) + (slice(1, None),), (slice(None),) * (i + 1) + (slice(None, -1),))
-        for i in range(len(support))
-    ]
-    for v in users:
-        step = (np.ldexp(rows[v], tilt) * masks[:, v, None]).T.reshape((len(support),) + per_view)
-        grown = table.copy()
-        for a, (upper, lower) in zip(step, shifts):
-            grown[upper] += a * table[lower]
-        shift = np.frexp(grown.reshape(views, -1).max(axis=1))[1] - 1
-        if shift.any():
-            grown = np.ldexp(grown, -shift.reshape(per_view))
-            exponent += shift
-        table = grown
-    return support, table, exponent - tilt @ top, tilt
+    plain = _plain_views(rows, masks, top)
+    table = np.zeros((masks.shape[0],) + tuple(c + 1 for c in top))
+    exponent = np.zeros(table.shape, dtype=np.int64)
+    if plain.any():
+        table[plain] = _plain_table(rows, masks[plain], top)
+    if not plain.all():
+        table[~plain], exponent[~plain] = _wide_table(rows, masks[~plain], top)
+    return support, table, exponent
 
 
 def _view_sums(p: np.ndarray, masks: np.ndarray, counts: Sequence[int], query: PosteriorQuery):
@@ -170,17 +227,19 @@ def _view_sums(p: np.ndarray, masks: np.ndarray, counts: Sequence[int], query: P
     outputs) and ``hidden = W[c]``.  They share a per-view scale: the
     true values are ``ldexp(x, exponent)``.
     """
-    support, table, exponent, tilt = _crowd_table(p, masks, counts)
+    support, table, exponent = _crowd_table(p, masks, counts)
     top = tuple(counts[s] for s in support)
-    hidden = table[(slice(None),) + top]
+    corners = [top] + [top[:i] + (top[i] - 1,) + top[i + 1 :] for i in range(len(support))]
+    corners = [(table[(slice(None),) + r], exponent[(slice(None),) + r]) for r in corners]
+    common = np.max([e for _, e in corners], axis=0)
+    hidden, *below = (np.ldexp(x, e - common) for x, e in corners)
     any_dest = hidden.copy()
     seen = np.zeros_like(hidden)
     for i, s in enumerate(support):
-        below = np.ldexp(table[(slice(None),) + top[:i] + (top[i] - 1,) + top[i + 1 :]], tilt[:, i])
-        any_dest += p[query.user, s] * below
+        any_dest += p[query.user, s] * below[i]
         if s == query.dest:
-            seen = below
-    return any_dest, seen, hidden, exponent
+            seen = below[i]
+    return any_dest, seen, hidden, common
 
 
 def crowd_posteriors(
@@ -214,8 +273,9 @@ def _crowd_mask(n: int, users) -> np.ndarray:
 
 def _crowd_weight(p: np.ndarray, mask: np.ndarray, counts: Sequence[int]) -> tuple[float, int]:
     """W[c] of one crowd as ``(x, e)``; the weight is ``ldexp(x, e)``."""
-    support, table, exponent, _ = _crowd_table(p, mask, counts)
-    return float(table[(0,) + tuple(counts[s] for s in support)]), int(exponent[0])
+    support, table, exponent = _crowd_table(p, mask, counts)
+    corner = (0,) + tuple(counts[s] for s in support)
+    return float(table[corner]), int(exponent[corner])
 
 
 def injection_sum(users: Sequence[int], outputs: DestMultiset, p: np.ndarray) -> float:
@@ -225,9 +285,12 @@ def injection_sum(users: Sequence[int], outputs: DestMultiset, p: np.ndarray) ->
     assignments of T covering each destination exactly its multiplicity,
     the product of p[v, assigned dest].  Equals the naive sum over
     slot-labeled injections divided by ``duplicate_orderings(outputs)``.
-    Read off the crowd-matching table and returned unscaled.
+    Read off the crowd-matching table and returned unscaled, so a weight
+    above the float range is ``inf`` and one below it is 0.
     """
-    return math.ldexp(*_crowd_weight(p, _crowd_mask(p.shape[0], users), outputs.counts))
+    x, e = _crowd_weight(p, _crowd_mask(p.shape[0], users), outputs.counts)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(x, e))
 
 
 def view_probability_split(
@@ -252,7 +315,8 @@ def view_probability_split(
     p_ud = float(scenario.p[query.user, query.dest])
     rest = _crowd_mask(n, (v for v in users if v != query.user))
     *sums, exponent = _view_sums(scenario.p, rest, view.outputs.counts, query)
-    any_dest, seen, hidden = (math.ldexp(float(x[0]), int(exponent[0])) for x in sums)
+    with np.errstate(over="ignore"):
+        any_dest, seen, hidden = (float(np.ldexp(x[0], exponent[0])) for x in sums)
     return ViewSplit(prefactor * any_dest, prefactor * p_ud * seen, prefactor * p_ud * hidden)
 
 

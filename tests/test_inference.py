@@ -89,6 +89,14 @@ class TestInjectionSum:
         s = random_scenario(np.random.default_rng(3), 2, 2, 0.5)
         assert injection_sum((0,), DestMultiset((1, 1)), s.p) == 0.0
 
+    def test_weights_beyond_the_float_range(self):
+        ones = np.ones((1200, 1))
+        crowd = range(1200)
+        assert injection_sum(crowd, DestMultiset((1199,)), ones) == 1200.0
+        assert injection_sum(crowd, DestMultiset((1200,)), ones) == 1.0
+        assert injection_sum(crowd, DestMultiset((600,)), ones) == math.inf  # C(1200, 600) ~ 1e359
+        assert injection_sum(crowd, DestMultiset((400,)), np.full((1200, 1), 0.01)) == 0.0  # ~ 1e-470
+
     def test_matches_slot_enumeration(self):
         rng = np.random.default_rng(4)
         for trial in range(60):
@@ -285,6 +293,25 @@ class TestPosterior:
         with pytest.raises(ImpossibleObservationError):
             posterior(blind, Observation(((1, 0),), (), DestMultiset((0, 0)), 1), PosteriorQuery(0, 0))
 
+    def test_bare_outputs_filling_a_crowd_of_1200(self):
+        # Every bare output has to come from its own user, so W[c] is 1 in
+        # a table whose middle entries reach about 2**1194.
+        p = np.tile([1.0, 0.0], (1200, 1))
+        p[0] = [0.5, 0.5]
+        s = validate_scenario(p, 0.5)
+        obs = Observation((), (), DestMultiset((1199, 1)), 0)
+        assert posterior(s, obs, PosteriorQuery(0, 1)) == 1.0
+        assert posterior(s, obs, PosteriorQuery(0, 0)) == 0.0
+        input_only = Observation((), (0,), DestMultiset((1199, 0)), 0)
+        assert posterior(s, input_only, PosteriorQuery(0, 1)) == 0.5
+        with pytest.raises(ImpossibleObservationError):
+            posterior(s, Observation((), (0,), DestMultiset((1198, 1)), 0), PosteriorQuery(0, 1))
+
+    def test_rare_outputs_with_the_queried_input_seen(self):
+        s = validate_scenario(np.tile([0.99, 0.01], (1200, 1)), 0.5)
+        obs = Observation((), (0,), DestMultiset((0, 400)), 799)
+        assert posterior(s, obs, PosteriorQuery(0, 1)) == 0.01
+
     def test_impossible_view_at_1200_users_still_raises(self):
         s = validate_scenario(np.tile([1.0, 0.0], (1200, 1)), 0.5)
         obs = Observation((), (), DestMultiset((0, 1)), 1199)
@@ -453,12 +480,19 @@ def rest_mask(n, crowd, user):
     return mask
 
 
+# A span of -1 sends every view through the wide kernel; 3 bits splits
+# small batches between the two kernels.
+SPANS = st.sampled_from([inference._PLAIN_SPAN, -1.0, 3.0])
+
+
 @settings(max_examples=150, deadline=None)
-@given(crowd_views())
-def test_kernel_sums_match_slot_enumeration(view):
+@given(crowd_views(), SPANS)
+def test_kernel_sums_match_slot_enumeration(view, span):
     s, query, crowd, outputs = view
     rest = tuple(v for v in crowd if v != query.user)
-    *sums, exponent = _view_sums(s.p, rest_mask(s.n, crowd, query.user), outputs.counts, query)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inference, "_PLAIN_SPAN", span)
+        *sums, exponent = _view_sums(s.p, rest_mask(s.n, crowd, query.user), outputs.counts, query)
     any_dest, seen, hidden = (float(np.ldexp(x[0], exponent[0])) for x in sums)
     want_seen = (
         slot_injection_sum(rest, outputs.remove_one(query.dest), s.p)
@@ -482,13 +516,15 @@ def test_posterior_matches_exact_oracle(data):
     )
     obs = observe(s, config)
     query = PosteriorQuery(data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, k - 1)))
-    try:
-        want = posterior_oracle(s, obs, query, exact=True)
-    except ImpossibleObservationError:
-        with pytest.raises(ImpossibleObservationError):
-            posterior(s, obs, query)
-        return
-    assert posterior(s, obs, query) == pytest.approx(float(want), rel=1e-12, abs=1e-15)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inference, "_PLAIN_SPAN", data.draw(SPANS))
+        try:
+            want = posterior_oracle(s, obs, query, exact=True)
+        except ImpossibleObservationError:
+            with pytest.raises(ImpossibleObservationError):
+                posterior(s, obs, query)
+            return
+        assert posterior(s, obs, query) == pytest.approx(float(want), rel=1e-12, abs=1e-15)
 
 
 @settings(max_examples=100, deadline=None)
@@ -499,6 +535,12 @@ def test_batched_views_equal_single_views_bit_for_bit(data):
     counts = tuple(data.draw(st.integers(0, 3)) for _ in range(s.dest_count))
     masks = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=s.n, max_size=s.n), min_size=1, max_size=8)))
     masks[:, query.user] = False
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inference, "_PLAIN_SPAN", data.draw(SPANS))
+        check_batches(s, query, counts, masks, data)
+
+
+def check_batches(s, query, counts, masks, data):
     batch = _view_sums(s.p, masks, counts, query)
     for i in range(len(masks)):
         single = _view_sums(s.p, masks[i : i + 1], counts, query)
