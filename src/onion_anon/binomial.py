@@ -123,7 +123,7 @@ def ppf(u, n, q: float) -> np.ndarray:
         lo, cdf = _cdf_table(int(n), q)
         k = lo + np.searchsorted(cdf, u, side="left")
     else:
-        k = _varying_ppf(u, n, q)
+        k = _varying_ppf(u, n, q) if n.size else n
     return np.where(u == 1.0, n, k)
 
 

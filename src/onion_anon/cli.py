@@ -347,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("--user", required=True)
     p_exact.add_argument("--dest", required=True)
     p_exact.add_argument("--method", choices=["formula", "oracle"], default="formula")
-    p_exact.add_argument("--threads", type=int, default=1)
     p_exact.set_defaults(func=_cmd_exact)
 
     p_post = sub.add_parser("posterior", help="posterior for a recorded observation")
@@ -356,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_post.add_argument("--user", required=True)
     p_post.add_argument("--dest", required=True)
     p_post.add_argument("--method", choices=["formula", "oracle"], default="formula")
-    p_post.add_argument("--threads", type=int, default=1)
     p_post.set_defaults(func=_cmd_posterior)
 
     p_mc = sub.add_parser("mc", help="Monte Carlo estimate of the expected posterior")
@@ -386,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_worst.add_argument("--p-least", type=float, dest="p_least", required=True)
     p_worst.add_argument("--method", choices=["exact", "limit"], default="exact")
     p_worst.add_argument("--truncate", action="store_true")
-    p_worst.add_argument("--threads", type=int, default=1)
     p_worst.set_defaults(func=_cmd_worst_case)
 
     p_common = sub.add_parser("common", help="common-distribution population expectation")
@@ -396,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_common.add_argument("--dests", type=int, required=True)
     p_common.add_argument("--dest", type=int, required=True)
     p_common.add_argument("--method", choices=["exact", "bound"], default="exact")
-    p_common.add_argument("--threads", type=int, default=1)
     p_common.set_defaults(func=_cmd_common)
 
     p_sweep = sub.add_parser("sweep", help="parameter sweep written as CSV")
@@ -421,8 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_mode_args(args) -> None:
-    threads = getattr(args, "threads", 1)
-    if threads is not None and threads < 1:
+    if getattr(args, "threads", 1) < 1:
         raise ParseError("--threads must be at least 1")
     if getattr(args, "command", None) == "mc":
         if args.mode == "generic":

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum
@@ -301,7 +302,9 @@ def view_probability_split(
     The queried user must belong to the crowd.  All three components
     share the prefactor accounting for which endpoints were observed;
     the crowd-to-outputs matching weights come from one table of the
-    crowd without the queried user.
+    crowd without the queried user.  The prefactor joins the table's
+    exponent before anything is unscaled, so a component far below the
+    float range reads 0, not the ``nan`` of ``0 * inf``.
     """
     _check_query(scenario, query)
     users = tuple(view.users)
@@ -311,13 +314,36 @@ def view_probability_split(
     b = scenario.b
     size = len(users)
     out_size = view.outputs.size
-    prefactor = b ** (n - size + out_size) * (1.0 - b) ** (2 * size - out_size)
+    seen_x, seen_e = _scaled_power(b, n - size + out_size)
+    hidden_x, hidden_e = _scaled_power(1.0 - b, 2 * size - out_size)
+    prefactor = seen_x * hidden_x
     p_ud = float(scenario.p[query.user, query.dest])
     rest = _crowd_mask(n, (v for v in users if v != query.user))
     *sums, exponent = _view_sums(scenario.p, rest, view.outputs.counts, query)
+    scale = seen_e + hidden_e + int(exponent[0])
+    weights = (prefactor, prefactor * p_ud, prefactor * p_ud)
     with np.errstate(over="ignore"):
-        any_dest, seen, hidden = (float(np.ldexp(x[0], exponent[0])) for x in sums)
-    return ViewSplit(prefactor * any_dest, prefactor * p_ud * seen, prefactor * p_ud * hidden)
+        return ViewSplit(*(float(np.ldexp(w * x[0], scale)) for w, x in zip(weights, sums)))
+
+
+def _scaled_power(base: float, k: int) -> tuple[float, int]:
+    """``base ** k`` for ``0 <= base <= 1`` as ``(x, e)``, the value ``ldexp(x, e)``.
+
+    Below the normal float range the power is built by squaring with
+    renormalised mantissas, so it never underflows to 0.
+    """
+    value = base**k
+    if value >= sys.float_info.min or base == 0.0:
+        return math.frexp(value)
+    x, e = 1.0, 0
+    square, power = math.frexp(base)
+    while k:
+        if k & 1:
+            x, shift = math.frexp(x * square)
+            e += power + shift
+        square, shift = math.frexp(square * square)
+        power, k = 2 * power + shift, k >> 1
+    return x, e
 
 
 def posterior(scenario: Scenario, observation: Observation, query: PosteriorQuery) -> float:

@@ -4,16 +4,20 @@ Each sample draws from the child stream ``mix64(seed, sample_index)``,
 so sample ``i`` is the same number no matter how the loop is chunked or
 scheduled; estimates are bit-reproducible for a fixed (seed, samples,
 mode) regardless of the requested thread count.  The posterior is
-computed exactly per sample, never approximated.  The generic mode
-settles samples where the queried user's input is seen in one
-vectorised step (the posterior is then 1 or the prior).  The rest are
-reduced to distinct views, each fixed by its crowd and its bare-output
-multiset; views with the same multiset share one batched call of the
-crowd-matching kernel.  The structured modes evaluate their closed
-forms on binomially sampled counts without materializing users.  Those
-counts come from the package's own exact inverse CDF
-(:func:`onion_anon.binomial.ppf`), so a seeded estimate depends on
-nothing but this package and numpy.
+computed exactly per sample, never approximated.
+
+One sampling loop serves every mode.  It reads the queried user's own
+endpoint flags; with the input seen the posterior is 1 (the output is
+seen too) or the prior, whatever the population.  Only the unseen-input
+"crowd" case depends on the population, and each mode supplies just
+that.  The generic mode reduces its crowd samples to distinct views,
+each fixed by its crowd and its bare-output multiset; views with the
+same multiset share one batched call of the crowd-matching kernel.  The
+structured modes evaluate the closed-form cells of
+:mod:`onion_anon.structured` on binomially sampled counts without
+materializing users.  Those counts come from the package's own exact
+inverse CDF (:func:`onion_anon.binomial.ppf`), so a seeded estimate
+depends on nothing but this package and numpy.
 """
 from __future__ import annotations
 
@@ -30,7 +34,12 @@ from .inference import PosteriorQuery, crowd_posteriors, posterior  # noqa: F401
 from .limits import SizeLimits, current_limits
 from .model import Scenario
 from .seeding import MASK64, uniform_block
-from .structured import CommonPopulation, WorstCasePopulation
+from .structured import (
+    CommonPopulation,
+    WorstCasePopulation,
+    shared_distribution_cell,
+    two_group_cell,
+)
 
 _CHUNK = 1 << 15
 
@@ -53,66 +62,75 @@ def _small_int(largest: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
-def _generic_sampler(scenario: Scenario, query: PosteriorQuery, seed: int) -> Callable:
-    n, nd, b = scenario.n, scenario.dest_count, scenario.b
-    u, d = query.user, query.dest
-    p_ud = float(scenario.p[u, d])
-    cumulative = np.cumsum(scenario.p, axis=1)
+def _sampler(
+    seed: int, b: float, width: int, flags: tuple[int, int], prior: float, crowd: Callable
+) -> Callable:
+    """The one sampling loop; a population supplies only its crowd case.
+
+    Sample ``i`` reads ``width`` variates of stream ``i``.  The queried
+    user's input and output are seen where the variates at ``flags`` fall
+    below ``b``, unless ``force_u`` fixes both.  With the input seen the
+    posterior is 1 (the output is linked too) or the prior; otherwise
+    ``crowd(variates, u_out)`` gives it on those rows alone.
+    """
+    col_in, col_out = flags
 
     def draw(offset: int, count: int, force_u) -> np.ndarray:
         psi = np.empty(count, dtype=np.float64)
         for lo in range(0, count, _CHUNK):
             hi = min(count, lo + _CHUNK)
-            indices = np.arange(offset + lo, offset + hi, dtype=np.int64)
-            variates = uniform_block(seed, indices, 3 * n)
-            m = hi - lo
-            dest = np.empty((m, n), dtype=_small_int(nd))
-            for v in range(n):
-                dest[:, v] = np.minimum(
-                    np.searchsorted(cumulative[v], variates[:, v], side="right"), nd - 1
-                )
-            dest[:, u] = d
-            seen_in = variates[:, n : 2 * n] < b
-            seen_out = variates[:, 2 * n : 3 * n] < b
-            if force_u is not None:
-                seen_in[:, u] = force_u[0]
-                seen_out[:, u] = force_u[1]
-            # With u's input seen the posterior is 1 (linked, and u is
-            # pinned to d) or the prior; otherwise u hides in the crowd.
-            block = np.where(seen_out[:, u], 1.0, p_ud)
-            rows = np.flatnonzero(~seen_in[:, u])
+            variates = uniform_block(seed, np.arange(offset + lo, offset + hi, dtype=np.int64), width)
+            if force_u is None:
+                u_in, u_out = variates[:, col_in] < b, variates[:, col_out] < b
+            else:
+                u_in, u_out = np.full(hi - lo, force_u[0]), np.full(hi - lo, force_u[1])
+            block = np.where(u_out, 1.0, prior)
+            rows = np.flatnonzero(~u_in)
             if len(rows):
-                block[rows] = _crowd_values(scenario.p, query, seen_in[rows], seen_out[rows], dest[rows])
+                block[rows] = crowd(variates[rows], u_out[rows])
             psi[lo:hi] = block
         return psi
 
     return draw
 
 
-def _crowd_values(p, query: PosteriorQuery, seen_in, seen_out, dest) -> np.ndarray:
-    """Posteriors of sampled views in which the queried user's input is unseen.
+def _generic_sampler(scenario: Scenario, query: PosteriorQuery, seed: int) -> Callable:
+    n, nd, b = scenario.n, scenario.dest_count, scenario.b
+    u, d = query.user, query.dest
+    cumulative = np.cumsum(scenario.p, axis=1)
 
-    Such a view is fixed by its crowd (the users with unseen inputs,
-    less the queried user) and its bare-output count vector.  Distinct
-    views are grouped by count vector, and each group is one batched
-    kernel call.
-    """
-    m, n = seen_in.shape
-    nd = p.shape[1]
-    crowd = ~seen_in
-    bare = crowd & seen_out
-    counts = np.bincount((np.arange(m)[:, None] * nd + dest)[bare], minlength=m * nd)
-    counts = counts.reshape(m, nd).astype(_small_int(n))
-    crowd[:, query.user] = False
-    packed = np.hstack([np.packbits(crowd, axis=1), counts.view(np.uint8)])
-    _, first, inverse = np.unique(_row_keys(packed), return_index=True, return_inverse=True)
-    crowd, counts = crowd[first], counts[first]
-    _, group_first, group = np.unique(_row_keys(counts), return_index=True, return_inverse=True)
-    values = np.empty(len(first))
-    for g, row in enumerate(group_first.tolist()):
-        members = np.flatnonzero(group == g)
-        values[members] = crowd_posteriors(p, crowd[members], counts[row].tolist(), query)
-    return values[inverse]
+    def crowd(variates: np.ndarray, u_out: np.ndarray) -> np.ndarray:
+        """Posteriors of sampled views in which the queried user's input is unseen.
+
+        Such a view is fixed by its crowd (the users with unseen inputs,
+        less the queried user) and its bare-output count vector.  Distinct
+        views are grouped by count vector, and each group is one batched
+        kernel call.
+        """
+        m = len(variates)
+        dest = np.empty((m, n), dtype=_small_int(nd))
+        for v in range(n):
+            dest[:, v] = np.minimum(
+                np.searchsorted(cumulative[v], variates[:, v], side="right"), nd - 1
+            )
+        dest[:, u] = d
+        unseen = variates[:, n : 2 * n] >= b
+        bare = unseen & (variates[:, 2 * n : 3 * n] < b)
+        bare[:, u] = u_out
+        counts = np.bincount((np.arange(m)[:, None] * nd + dest)[bare], minlength=m * nd)
+        counts = counts.reshape(m, nd).astype(_small_int(n))
+        unseen[:, u] = False
+        packed = np.hstack([np.packbits(unseen, axis=1), counts.view(np.uint8)])
+        _, first, inverse = np.unique(_row_keys(packed), return_index=True, return_inverse=True)
+        unseen, counts = unseen[first], counts[first]
+        _, group_first, group = np.unique(_row_keys(counts), return_index=True, return_inverse=True)
+        values = np.empty(len(first))
+        for g, row in enumerate(group_first.tolist()):
+            members = np.flatnonzero(group == g)
+            values[members] = crowd_posteriors(scenario.p, unseen[members], counts[row].tolist(), query)
+        return values[inverse]
+
+    return _sampler(seed, b, 3 * n, (n + u, 2 * n + u), float(scenario.p[u, d]), crowd)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -122,77 +140,37 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 
 
 def _worst_case_sampler(pop: WorstCasePopulation, seed: int) -> Callable:
-    b, p, q = pop.b, pop.p_target, pop.p_least
-    n_target, n_other = pop.n_target, pop.n_other
+    b, p = pop.b, pop.p_target
 
-    def draw(offset: int, count: int, force_u) -> np.ndarray:
-        psi = np.empty(count, dtype=np.float64)
-        for lo in range(0, count, _CHUNK):
-            hi = min(count, lo + _CHUNK)
-            indices = np.arange(offset + lo, offset + hi, dtype=np.int64)
-            variates = uniform_block(seed, indices, 6)
-            unobs_target = binom.ppf(variates[:, 2], n_target, 1.0 - b)
-            unobs_other = binom.ppf(variates[:, 3], n_other, 1.0 - b)
-            seen_other = binom.ppf(variates[:, 4], unobs_other, b)
-            seen_target = binom.ppf(variates[:, 5], unobs_target, b)
-            if force_u is None:
-                u_in = variates[:, 0] < b
-                u_out = variates[:, 1] < b
-            else:
-                u_in = np.full(hi - lo, force_u[0])
-                u_out = np.full(hi - lo, force_u[1])
-            k_eff = seen_target + u_out
-            spare_target = unobs_target - k_eff + 1
-            spare_other = unobs_other - seen_other + 1
-            numerator = p * (unobs_target + 1) * spare_other
-            denominator = (
-                p * k_eff * spare_other
-                + q * seen_other * spare_target
-                + spare_target * spare_other
-            )
-            cell = numerator / denominator
-            psi[lo:hi] = np.where(u_in & u_out, 1.0, np.where(u_in, p, cell))
-        return psi
+    def crowd(variates: np.ndarray, u_out: np.ndarray) -> np.ndarray:
+        unobs_target = binom.ppf(variates[:, 2], pop.n_target, 1.0 - b)
+        unobs_other = binom.ppf(variates[:, 3], pop.n_other, 1.0 - b)
+        seen_other = binom.ppf(variates[:, 4], unobs_other, b)
+        seen_target = binom.ppf(variates[:, 5], unobs_target, b) + u_out
+        return two_group_cell(unobs_target, unobs_other, seen_other, seen_target, p, pop.p_least)
 
-    return draw
+    return _sampler(seed, b, 6, (0, 1), p, crowd)
 
 
 def _common_sampler(pop: CommonPopulation, seed: int) -> Callable:
-    b = pop.b
+    b, n = pop.b, pop.n
     p_d = float(pop.p[pop.dest])
-    n = pop.n
 
-    def draw(offset: int, count: int, force_u) -> np.ndarray:
-        psi = np.empty(count, dtype=np.float64)
-        for lo in range(0, count, _CHUNK):
-            hi = min(count, lo + _CHUNK)
-            indices = np.arange(offset + lo, offset + hi, dtype=np.int64)
-            variates = uniform_block(seed, indices, 5)
-            unobserved = 1 + binom.ppf(variates[:, 2], n - 1, 1.0 - b)
-            seen_other = binom.ppf(variates[:, 3], unobserved - 1, b)
-            match_other = binom.ppf(variates[:, 4], seen_other, p_d)
-            if force_u is None:
-                u_in = variates[:, 0] < b
-                u_out = variates[:, 1] < b
-            else:
-                u_in = np.full(hi - lo, force_u[0])
-                u_out = np.full(hi - lo, force_u[1])
-            seen = seen_other + u_out
-            matched = match_other + u_out
-            cell = (matched + p_d * (unobserved - seen)) / unobserved
-            psi[lo:hi] = np.where(u_in & u_out, 1.0, np.where(u_in, p_d, cell))
-        return psi
+    def crowd(variates: np.ndarray, u_out: np.ndarray) -> np.ndarray:
+        unobserved = 1 + binom.ppf(variates[:, 2], n - 1, 1.0 - b)
+        seen_other = binom.ppf(variates[:, 3], unobserved - 1, b)
+        match_other = binom.ppf(variates[:, 4], seen_other, p_d)
+        return shared_distribution_cell(unobserved, seen_other + u_out, match_other + u_out, p_d)
 
-    return draw
+    return _sampler(seed, b, 5, (0, 1), p_d, crowd)
 
 
-def _plain_estimate(draw: Callable, samples: int, seed: int) -> Estimate:
-    psi = draw(0, samples, None)
+def _summary(psi: np.ndarray, seed: int) -> Estimate:
+    """Mean and standard error of equally weighted samples."""
+    samples = len(psi)
     if float(psi.min()) == float(psi.max()):
         return Estimate(float(psi[0]), 0.0, samples, seed)
-    mean = float(psi.mean())
-    spread = float(psi.std(ddof=1))
-    return Estimate(mean, spread / math.sqrt(samples), samples, seed)
+    return Estimate(float(psi.mean()), float(psi.std(ddof=1)) / math.sqrt(samples), samples, seed)
 
 
 def _stratified_estimate(
@@ -210,11 +188,7 @@ def _stratified_estimate(
     if b == 1.0:
         return Estimate(1.0, 0.0, samples, seed)
     if b == 0.0:
-        psi = draw(0, samples, (False, False))
-        if float(psi.min()) == float(psi.max()):
-            return Estimate(float(psi[0]), 0.0, samples, seed)
-        mean = float(psi.mean())
-        return Estimate(mean, float(psi.std(ddof=1)) / math.sqrt(samples), samples, seed)
+        return _summary(draw(0, samples, (False, False)), seed)
     if samples < 4:
         raise ModelError("stratified estimation needs at least 4 samples")
     share = w_hidden / (w_hidden + w_out_seen)
@@ -260,30 +234,24 @@ def estimate_expected_posterior(
                 f"generic sampling limited to {limits.mc_users} users and "
                 f"{limits.mc_dests} destinations"
             )
-        p_ud = float(subject.p[query.user, query.dest])
-        if p_ud <= 0.0:
-            raise ConditioningError(
-                f"user {query.user} never visits destination {query.dest}"
-            )
+        prior = float(subject.p[query.user, query.dest])
+        never = f"user {query.user} never visits destination {query.dest}"
         draw = _generic_sampler(subject, query, seed)
-        base_prob, b = p_ud, subject.b
     elif mode == "worst_case":
         if not isinstance(subject, WorstCasePopulation):
             raise ModelError("worst_case mode needs a WorstCasePopulation")
-        if subject.p_target <= 0.0:
-            raise ConditioningError("p_target must be positive")
+        prior, never = subject.p_target, "p_target must be positive"
         draw = _worst_case_sampler(subject, seed)
-        base_prob, b = subject.p_target, subject.b
     elif mode == "common":
         if not isinstance(subject, CommonPopulation):
             raise ModelError("common mode needs a CommonPopulation")
-        p_d = float(subject.p[subject.dest])
-        if p_d <= 0.0:
-            raise ConditioningError("the shared prior never visits the queried destination")
+        prior = float(subject.p[subject.dest])
+        never = "the shared prior never visits the queried destination"
         draw = _common_sampler(subject, seed)
-        base_prob, b = p_d, subject.b
     else:
         raise ModelError(f"unknown mode {mode!r}")
+    if prior <= 0.0:
+        raise ConditioningError(never)
     if stratify:
-        return _stratified_estimate(draw, base_prob, b, samples, seed)
-    return _plain_estimate(draw, samples, seed)
+        return _stratified_estimate(draw, prior, subject.b, samples, seed)
+    return _summary(draw(0, samples, None), seed)

@@ -88,6 +88,19 @@ class CommonPopulation:
             raise ScenarioError(f"destination {self.dest} out of range")
 
 
+def two_group_cell(n_target, n_other, seen_other, seen_target, p_target, p_least):
+    """Unchecked, elementwise :func:`two_group_posterior` on scalars or arrays."""
+    spare_target = n_target - seen_target + 1
+    spare_other = n_other - seen_other + 1
+    numerator = p_target * (n_target + 1) * spare_other
+    denominator = (
+        p_target * seen_target * spare_other
+        + p_least * seen_other * spare_target
+        + spare_target * spare_other
+    )
+    return numerator / denominator
+
+
 def two_group_posterior(
     n_target: int,
     n_other: int,
@@ -108,19 +121,16 @@ def two_group_posterior(
         raise ValueError("seen_other must lie in [0, n_other]")
     if not 0 <= seen_target <= n_target + 1:
         raise ValueError("seen_target must lie in [0, n_target + 1]")
-    spare_target = n_target - seen_target + 1
-    spare_other = n_other - seen_other + 1
-    numerator = p_target * (n_target + 1) * spare_other
-    denominator = (
-        p_target * seen_target * spare_other
-        + p_least * seen_other * spare_target
-        + spare_target * spare_other
-    )
-    if denominator == 0.0:
+    if p_target == 0.0 and seen_target == n_target + 1:
         raise DegenerateCellError(
             "two-group posterior cell is 0/0 (every output pinned on a zero prior)"
         )
-    return numerator / denominator
+    return two_group_cell(n_target, n_other, seen_other, seen_target, p_target, p_least)
+
+
+def shared_distribution_cell(unobserved, seen, seen_target, p_target):
+    """Unchecked, elementwise :func:`shared_distribution_posterior`."""
+    return (seen_target + p_target * (unobserved - seen)) / unobserved
 
 
 def shared_distribution_posterior(
@@ -138,7 +148,7 @@ def shared_distribution_posterior(
         raise ValueError("seen must lie in [0, unobserved]")
     if not 0 <= seen_target <= seen:
         raise ValueError("seen_target must lie in [0, seen]")
-    return (seen_target + p_target * (unobserved - seen)) / unobserved
+    return shared_distribution_cell(unobserved, seen, seen_target, p_target)
 
 
 def binomial_weights(n: int, q: float) -> np.ndarray:
@@ -175,11 +185,8 @@ def _seen_counts_mean(
     w_target = _cached_weights(unobs_target, b)  # index: seen_target
     seen_t = np.arange(unobs_target + 2, dtype=np.float64)  # includes the +1 slot
     seen_o = np.arange(unobs_other + 1, dtype=np.float64)[:, None]
-    spare_t = unobs_target - seen_t + 1.0
-    spare_o = unobs_other - seen_o + 1.0
-    numerator = p_target * (unobs_target + 1) * spare_o
-    denominator = p_target * seen_t * spare_o + p_least * seen_o * spare_t + spare_t * spare_o
-    grid = numerator / denominator  # (unobs_other + 1, unobs_target + 2)
+    # (unobs_other + 1, unobs_target + 2)
+    grid = two_group_cell(unobs_target, unobs_other, seen_o, seen_t, p_target, p_least)
     mixed = b * grid[:, 1:] + (1.0 - b) * grid[:, :-1]
     return float(w_other @ mixed @ w_target)
 

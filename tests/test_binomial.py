@@ -140,6 +140,9 @@ class TestInputs:
     def test_returns_int64(self):
         assert binomial.ppf([0.5], 10, 0.5).dtype == np.int64
         assert binomial.ppf([0.5], np.array([10]), 0.5).dtype == np.int64
+        for n in (10, np.array([], dtype=np.int64)):
+            empty = binomial.ppf(np.array([]), n, 0.3)
+            assert empty.dtype == np.int64 and empty.shape == (0,)
 
 
 class TestAgainstScipy:

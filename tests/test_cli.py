@@ -167,6 +167,28 @@ class TestMc:
         assert header == "mean,std_error,samples,seed"
 
 
+@pytest.mark.parametrize("command", ["exact", "posterior", "worst-case", "common"])
+def test_threads_only_on_sampling_commands(command, scenario_file, observation_file, capsys):
+    argv = {
+        "exact": ["exact", "--scenario", scenario_file, "--user", "alice", "--dest", "web"],
+        "posterior": [
+            "posterior", "--scenario", scenario_file, "--observation", observation_file,
+            "--user", "alice", "--dest", "web",
+        ],
+        "worst-case": [
+            "worst-case", "--n", "20", "--alpha", "0.5", "--b", "0.3",
+            "--p-target", "0.2", "--p-least", "0.1",
+        ],
+        "common": [
+            "common", "--n", "20", "--b", "0.3", "--dist", "uniform", "--dests", "3", "--dest", "0",
+        ],
+    }[command]
+    assert main(argv) == 0
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--threads", "2"])
+    assert exit_info.value.code == 2
+
+
 class TestWorstCaseAndCommon:
     def test_exact_vs_limit(self, capsys):
         base = ["--alpha", "0", "--b", "0.25", "--p-target", "0.2", "--p-least", "0.05"]

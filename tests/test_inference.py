@@ -186,6 +186,21 @@ class TestViewSplit:
             for got, want in zip(split, naive):
                 assert got == pytest.approx(want, rel=1e-11, abs=1e-15)
 
+    def test_prefactor_below_the_float_range(self):
+        # b**k (1-b)**m is 0.5**2400 here and the crowd sum about 2**1195:
+        # the product, about 1e-363, is 0 in floats, not inf * 0 = nan.
+        s = validate_scenario(np.ones((1200, 1)), 0.5)
+        view = UnobservedView(users=tuple(range(1200)), outputs=DestMultiset((600,)))
+        assert view_probability_split(s, view, PosteriorQuery(0, 0)) == (0.0, 0.0, 0.0)
+        # A prefactor of about 1e-330 against a crowd sum of about 1e58.
+        s = validate_scenario(np.ones((200, 1)), 0.001)
+        view = UnobservedView(users=tuple(range(200)), outputs=DestMultiset((110,)))
+        split = view_probability_split(s, view, PosteriorQuery(0, 0))
+        pref = Fraction(0.001) ** 110 * (1 - Fraction(0.001)) ** 290
+        assert split.any_dest == pytest.approx(float(pref * math.comb(200, 110)), rel=1e-12)
+        assert split.dest_seen == pytest.approx(float(pref * math.comb(199, 109)), rel=1e-12)
+        assert split.dest_hidden == pytest.approx(float(pref * math.comb(199, 110)), rel=1e-12)
+
     def test_requires_user_in_crowd(self):
         s = validate_scenario([[0.5, 0.5], [0.5, 0.5]], 0.5)
         view = UnobservedView(users=(1,), outputs=DestMultiset((0, 0)))

@@ -25,8 +25,8 @@ from onion_anon import (
 from onion_anon import inference
 from onion_anon.inference import crowd_posteriors
 from onion_anon.model import DestMultiset, Observation
-from onion_anon.montecarlo import _generic_sampler
-from onion_anon.seeding import mix64
+from onion_anon.montecarlo import _common_sampler, _generic_sampler, _worst_case_sampler
+from onion_anon.seeding import mix64, uniform_block
 
 
 def fixed_scenario(b=0.5):
@@ -210,6 +210,32 @@ class TestStratified:
         exact = common_expected_exact(pop)
         est = estimate_expected_posterior(pop, None, 50_000, 16, mode="common", stratify=True)
         assert abs(est.mean - exact) <= 4 * est.std_error
+
+
+class TestForcedEndpoints:
+    """Forcing the queried user's endpoints keeps the rest of each stream."""
+
+    @pytest.mark.parametrize("mode", ["generic", "worst_case", "common"])
+    @pytest.mark.parametrize("force_u", [(False, False), (False, True)])
+    def test_forced_draws_match_the_unforced_stream(self, mode, force_u):
+        seed, count = 17, 3000
+        if mode == "generic":
+            s = fixed_scenario(b=0.3)
+            q = PosteriorQuery(1, 0)
+            draw, width, flags = _generic_sampler(s, q, seed), 3 * s.n, (s.n + q.user, 2 * s.n + q.user)
+        elif mode == "worst_case":
+            pop = WorstCasePopulation(n=500, alpha=0.4, b=0.3, p_target=0.3, p_least=0.1)
+            draw, width, flags = _worst_case_sampler(pop, seed), 6, (0, 1)
+        else:
+            pop = CommonPopulation(n=500, b=0.3, p=(0.5, 0.3, 0.2), dest=1)
+            draw, width, flags = _common_sampler(pop, seed), 5, (0, 1)
+        variates = uniform_block(seed, np.arange(count, dtype=np.int64), width)
+        own = (variates[:, flags[0]] < 0.3) == force_u[0]
+        own &= (variates[:, flags[1]] < 0.3) == force_u[1]
+        assert own.sum() > 100
+        forced = draw(0, count, force_u)
+        assert np.array_equal(forced[own], draw(0, count, None)[own])
+        assert len(np.unique(forced)) > 2
 
 
 class TestValidation:
