@@ -207,13 +207,16 @@ def _population_from_args(args):
         return WorstCasePopulation(
             n=args.n, alpha=args.alpha, b=args.b, p_target=args.p_target, p_least=args.p_least
         )
-    spec = DistributionSpec.parse(args.dist, args.dests)
-    row = make_distribution(spec)
     try:
         dest = int(args.dest)
     except (TypeError, ValueError):
         raise ParseError(f"--dest must be a destination index, got {args.dest!r}") from None
-    return CommonPopulation(n=args.n, b=args.b, p=tuple(float(x) for x in row), dest=dest)
+    return _common_population(args, args.n, dest)
+
+
+def _common_population(args, n: int, dest: int) -> CommonPopulation:
+    row = make_distribution(DistributionSpec.parse(args.dist, args.dests))
+    return CommonPopulation(n=n, b=args.b, p=tuple(float(x) for x in row), dest=dest)
 
 
 def _cmd_mc(args) -> int:
@@ -256,34 +259,28 @@ def _cmd_worst_case(args) -> int:
 
 
 def _cmd_common(args) -> int:
-    spec = DistributionSpec.parse(args.dist, args.dests)
-    row = make_distribution(spec)
+    pop = _common_population(args, args.n, args.dest)
     if args.method == "bound":
-        value = lower_bound(args.b, float(row[args.dest]))
+        value = lower_bound(pop.b, pop.p[pop.dest])
     else:
-        pop = CommonPopulation(n=args.n, b=args.b, p=tuple(float(x) for x in row), dest=args.dest)
         value = common_expected_exact(pop)
     print(_fmt(value))
     return 0
 
 
 def _sweep_common(args) -> int:
-    spec = DistributionSpec.parse(args.dist, args.dests)
-    row = make_distribution(spec)
-    p_tuple = tuple(float(x) for x in row)
-    bound = lower_bound(args.b, p_tuple[args.dest])
+    pops = [_common_population(args, int(n), args.dest) for n in _parse_range(args.n, integer=True)]
+    bound = lower_bound(args.b, pops[0].p[args.dest])
     rows = []
-    for i, n in enumerate(_parse_range(args.n, integer=True)):
+    for i, pop in enumerate(pops):
         if args.method == "mc":
-            pop = CommonPopulation(n=int(n), b=args.b, p=p_tuple, dest=args.dest)
             value = estimate_expected_posterior(
                 pop, None, args.samples, mix64(args.seed, i),
                 mode="common", threads=args.threads,
             ).mean
         else:
-            pop = CommonPopulation(n=int(n), b=args.b, p=p_tuple, dest=args.dest)
             value = common_expected_exact(pop)
-        rows.append([str(int(n)), _fmt(value), _fmt(bound), _fmt(abs(value - bound))])
+        rows.append([str(pop.n), _fmt(value), _fmt(bound), _fmt(abs(value - bound))])
     _write_csv(args.out, ["n", "expected_psi", "lower_bound", "abs_error"], rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
@@ -419,6 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate_mode_args(args) -> None:
     if getattr(args, "threads", 1) < 1:
         raise ParseError("--threads must be at least 1")
+    if getattr(args, "command", None) == "worst-case" and args.method == "exact" and args.n is None:
+        raise ParseError("worst-case --method exact is missing: n")
     if getattr(args, "command", None) == "mc":
         if args.mode == "generic":
             missing = [k for k in ("scenario", "user", "dest") if getattr(args, k) is None]

@@ -7,21 +7,24 @@ the queried user hides in the crowd of users whose inputs are also
 unseen, and the bare observed outputs must be matched against that
 crowd.  The matching weight is a permanent-like sum over injective
 assignments of crowd members to output slots.  One numpy kernel
-evaluates it by dynamic programming instead of enumeration: a dense
-table over every count vector up to the bare outputs c, for the crowd
-without the queried user, built one user at a time.  That one table
-serves all three sums a posterior needs (the whole crowd's weight, and
-the queried user's output seen or hidden), and one call batches any
-number of crowds that share c.  A call costs O(crowd size x views x
-product of (c_d + 1)) instead of a factorial.  A view whose table could
-leave the float range (a large crowd, or hundreds of rare bare outputs)
-runs the same recurrence with an integer exponent per entry instead.
+evaluates it by dynamic programming instead of enumeration: a table
+over a downward-closed set of count vectors, for the crowd without the
+queried user, built one user at a time.  A posterior reads the box of
+every vector up to its bare outputs c at the corner c, which serves
+all three sums it needs (the whole crowd's weight, and the queried
+user's output seen or hidden); the exact expectation reads the simplex
+of vectors with total at most the crowd size at every entry.  One call
+batches any number of crowds over one set, at O(crowd size x views x
+set size) instead of a factorial.  A view whose table could leave the
+float range (a large crowd, or hundreds of rare bare outputs) runs the
+same recurrence with an integer exponent per entry instead.
 
 Two independent enumeration oracles (one in floats, one in exact
 rationals) are provided for cross-checking the closed computations.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -115,53 +118,88 @@ _PLAIN_SPAN = 900.0
 _ZERO_EXPONENT = -(1 << 40)
 
 
-def _shifts(dims: int):
-    """Index pairs ``(upper, lower)`` that shift a ``(V, ...)`` table by one along each axis."""
-    return [
-        ((slice(None),) * (i + 1) + (slice(1, None),), (slice(None),) * (i + 1) + (slice(None, -1),))
-        for i in range(dims)
-    ]
+class _IndexSet(NamedTuple):
+    """A downward-closed set of count vectors, the entries of a crowd table.
+
+    Two sets serve every caller: the box under a bare-output vector (a
+    posterior, a sampled view) and the total-capped simplex (the exact
+    expectation).  Axis i counts outputs on ``dests[i]``; ``keys`` lists
+    the E vectors in lexicographic order.  A table over the set has
+    E + 1 columns, a zero sentinel and then ``keys``; ``pred[i]`` maps
+    each column to that of the vector one lower on axis i, or to the
+    sentinel where that count is 0.
+    """
+
+    dests: tuple[int, ...]
+    keys: np.ndarray
+    pred: np.ndarray
 
 
-def _plain_views(rows: np.ndarray, masks: np.ndarray, top: Sequence[int]) -> np.ndarray:
+def _index_set(dests: Sequence[int], keys: np.ndarray) -> _IndexSet:
+    """Sort ``keys`` and look up each predecessor by binary search on mixed-radix codes."""
+    radix = keys.max(axis=0) + 1
+    if math.prod(int(x) for x in radix) > 1 << 62:
+        raise SizeLimitError("count vectors too large to index in 64 bits")
+    place = np.cumprod(radix[::-1])[::-1] // radix
+    codes = keys @ place
+    order = np.argsort(codes)
+    keys, codes = keys[order], codes[order]
+    pred = np.where(keys.T > 0, np.searchsorted(codes, codes - place[:, None]) + 1, 0)
+    return _IndexSet(tuple(dests), keys, np.pad(pred, ((0, 0), (1, 0))))
+
+
+def _box(counts: Sequence[int]) -> _IndexSet:
+    """Every count vector up to ``counts``, over its support; the top corner is last."""
+    dests = [s for s, c in enumerate(counts) if c > 0]
+    shape = tuple(int(counts[s]) + 1 for s in dests)
+    return _index_set(dests, np.indices(shape).reshape(len(shape), math.prod(shape)).T)
+
+
+def _simplex(dest_count: int, total: int) -> _IndexSet:
+    """Every count vector over all destinations with at most ``total`` outputs."""
+    picks = np.array(list(itertools.combinations_with_replacement(range(dest_count + 1), total)))
+    keys = (picks.reshape(len(picks), total, 1) == np.arange(dest_count)).sum(axis=1)
+    return _index_set(range(dest_count), keys)
+
+
+def _plain_views(rows: np.ndarray, masks: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Which views the plain float kernel computes to full precision.
 
     With m_v user v's mass on the support and M the crowd's total, an
     entry ``W[r]`` is at most e_|r|(m) <= M**|r| / |r|!, and at most
     G = prod (1 + m_v); a nonzero one is at least the product of
     ``pmin_i ** r_i``, where ``pmin_i`` is the crowd's smallest positive
-    mass on column i.  While log2 of the ratio of these bounds over
-    ``r <= c`` is at most ``_PLAIN_SPAN``, nothing needed underflows, and
-    an entry that underflows elsewhere moves a needed one by at most
-    2**-174 of it per multiply-add.  The test depends on the view alone,
-    never on its batch.
+    mass on column i.  While log2 of the ratio of these bounds over the
+    index set's ``keys`` is at most ``_PLAIN_SPAN``, nothing needed
+    underflows, and an entry that underflows elsewhere moves a needed one
+    by at most 2**-174 of it per multiply-add.  The test depends on the
+    view alone, never on its batch.
     """
     mass = rows.sum(axis=1)
-    sizes = np.arange(1, sum(top) + 1)
+    sizes = np.arange(1, keys.sum(axis=1).max() + 1)
     with np.errstate(divide="ignore"):
         powers = sizes * np.log2((masks * mass).sum(axis=1))[:, None] - np.cumsum(np.log2(sizes))
     span = np.minimum((masks * np.log2(1.0 + mass)).sum(axis=1), powers.max(axis=1, initial=0.0))
     rare = -np.log2(np.where(rows > 0.0, rows, 1.0))
-    for i, c in enumerate(top):
-        span += c * np.where(masks, rare[:, i], 0.0).max(axis=1)
-    return span <= _PLAIN_SPAN
+    worst = np.zeros((masks.shape[0], keys.shape[1]))
+    for i in range(keys.shape[1]):
+        worst[:, i] = np.where(masks, rare[:, i], 0.0).max(axis=1)
+    return span + (worst @ keys.T).max(axis=1) <= _PLAIN_SPAN
 
 
-def _plain_table(rows: np.ndarray, masks: np.ndarray, top: Sequence[int]) -> np.ndarray:
-    views, dims = masks.shape[0], len(top)
-    per_view = (views,) + (1,) * dims
-    table = np.zeros((views,) + tuple(c + 1 for c in top))
-    table[(slice(None),) + (0,) * dims] = 1.0
+def _plain_table(rows: np.ndarray, masks: np.ndarray, pred: np.ndarray) -> np.ndarray:
+    table = np.zeros((masks.shape[0], pred.shape[1]))
+    table[:, 1] = 1.0
     for v in np.flatnonzero(masks.any(axis=0) & (rows > 0.0).any(axis=1)):
-        step = (rows[v] * masks[:, v, None]).T.reshape((dims,) + per_view)
+        step = rows[v] * masks[:, v, None]
         grown = table.copy()
-        for a, (upper, lower) in zip(step, _shifts(dims)):
-            grown[upper] += a * table[lower]
+        for i, below in enumerate(pred):
+            grown += step[:, i, None] * table.take(below, axis=1)
         table = grown
     return table
 
 
-def _wide_table(rows: np.ndarray, masks: np.ndarray, top: Sequence[int]):
+def _wide_table(rows: np.ndarray, masks: np.ndarray, pred: np.ndarray):
     """The plain recurrence with an integer exponent per entry.
 
     Entry ``r`` is ``ldexp(table[r], exponent[r])``; each step adds the
@@ -169,78 +207,82 @@ def _wide_table(rows: np.ndarray, masks: np.ndarray, top: Sequence[int]):
     renormalises every mantissa into [0.5, 1).  Nothing leaves the
     float range, so no view is too large or too skewed for it.
     """
-    views, dims = masks.shape[0], len(top)
-    per_view = (views,) + (1,) * dims
-    origin = (slice(None),) + (0,) * dims
-    table = np.zeros((views,) + tuple(c + 1 for c in top))
+    table = np.zeros((masks.shape[0], pred.shape[1]))
     exponent = np.full(table.shape, _ZERO_EXPONENT, dtype=np.int64)
-    table[origin], exponent[origin] = 0.5, 1
+    table[:, 1], exponent[:, 1] = 0.5, 1
     for v in np.flatnonzero(masks.any(axis=0) & (rows > 0.0).any(axis=1)):
         mantissa, power = np.frexp(rows[v] * masks[:, v, None])
         grown, raised = table.copy(), exponent.copy()
-        for i, (upper, lower) in enumerate(_shifts(dims)):
-            part = mantissa[:, i].reshape(per_view) * table[lower]
-            part_exp = np.where(part > 0.0, exponent[lower] + power[:, i].reshape(per_view), _ZERO_EXPONENT)
-            common = np.maximum(raised[upper], part_exp)
-            grown[upper] = np.ldexp(grown[upper], raised[upper] - common) + np.ldexp(part, part_exp - common)
-            raised[upper] = common
+        for i, below in enumerate(pred):
+            part = mantissa[:, i, None] * table.take(below, axis=1)
+            part_exp = np.where(part > 0.0, exponent.take(below, axis=1) + power[:, i, None], _ZERO_EXPONENT)
+            common = np.maximum(raised, part_exp)
+            grown = np.ldexp(grown, raised - common) + np.ldexp(part, part_exp - common)
+            raised = common
         table, shift = np.frexp(grown)
         exponent = raised + shift
     return table, exponent
 
 
-def _crowd_table(p: np.ndarray, masks: np.ndarray, counts: Sequence[int]):
-    """Crowd-matching tables of V crowds against one bare-output vector.
+def _crowd_table(p: np.ndarray, masks: np.ndarray, index: _IndexSet):
+    """Crowd-matching tables of V crowds over one index set.
 
-    ``masks`` is a ``(V, n)`` boolean array of crowds.  Over the support
-    destinations ``s`` (those with ``counts[s] > 0``), entry ``[v, r]``
-    of the returned ``(V, c_s + 1, ...)`` table is the summed weight of
-    the ways crowd ``v`` covers each ``s`` exactly ``r_s`` times, each
-    covering user contributing ``p[user, s]``.  One crowd user is one
-    step, ``new = W + sum_i a_i * shift_i(W)``.
+    ``masks`` is a ``(V, n)`` boolean array of crowds.  Entry ``[v, r]``
+    of the returned ``(V, E + 1)`` table is the summed weight of the ways
+    crowd ``v`` covers each ``index.dests[i]`` exactly ``r_i`` times,
+    each covering user contributing ``p[user, dests[i]]``.  One crowd
+    user is one step, ``new = W + sum_i a_i * W[pred_i]``.
 
     Views whose entries fit the float range run that recurrence in plain
     floats; the others run it with an exponent per entry.  Returns
-    ``(support, table, exponent)``: the weight is ``ldexp(table,
-    exponent)``, and ``exponent`` is 0 on the plain views.  A view's
-    entries do not depend on which other views share the batch.
+    ``(table, exponent)``: the weight is ``ldexp(table, exponent)``, and
+    ``exponent`` is 0 on the plain views.  A view's entries do not
+    depend on which other views share the batch.
     """
-    support = [s for s, c in enumerate(counts) if c > 0]
-    top = [int(counts[s]) for s in support]
-    rows = p[:, support]
-    plain = _plain_views(rows, masks, top)
-    table = np.zeros((masks.shape[0],) + tuple(c + 1 for c in top))
+    rows = p[:, list(index.dests)]
+    plain = _plain_views(rows, masks, index.keys)
+    table = np.zeros((masks.shape[0], index.pred.shape[1]))
     exponent = np.zeros(table.shape, dtype=np.int64)
     if plain.any():
-        table[plain] = _plain_table(rows, masks[plain], top)
+        table[plain] = _plain_table(rows, masks[plain], index.pred)
     if not plain.all():
-        table[~plain], exponent[~plain] = _wide_table(rows, masks[~plain], top)
-    return support, table, exponent
+        table[~plain], exponent[~plain] = _wide_table(rows, masks[~plain], index.pred)
+    return table, exponent
 
 
-def _view_sums(p: np.ndarray, masks: np.ndarray, counts: Sequence[int], query: PosteriorQuery):
-    """The three crowd sums of V views, read off one table.
+def _view_sums(p: np.ndarray, masks: np.ndarray, index, query: PosteriorQuery, at=-1):
+    """The three crowd sums of V views, read off one table per view.
 
-    ``masks`` holds each view's crowd *without* the queried user u.  For
-    the bare-output vector c the sums are, with W that crowd's table:
-    ``any_dest = W[c] + sum_i p[u, s_i] W[c - e_i]`` (the whole crowd's
-    weight, u included), ``seen = W[c - e_d]`` (0 if d is not among the
-    outputs) and ``hidden = W[c]``.  They share a per-view scale: the
-    true values are ``ldexp(x, exponent)``.
+    ``masks`` holds each view's crowd *without* the queried user u, and
+    ``index`` is an :class:`_IndexSet` or a bare-output vector c, which
+    stands for its box.  For the entry r at column ``at`` (by default the
+    last, the top corner c of a box) the sums are, with W the crowd's
+    table: ``any_dest = W[r] + sum_i p[u, s_i] W[r - e_i]`` (the whole
+    crowd's weight, u included), ``seen = W[r - e_d]`` (0 if d is not
+    among the outputs) and ``hidden = W[r]``.  They share a per-entry
+    scale: the true values are ``ldexp(x, exponent)``.  A slice ``at``
+    reads every entry it covers at once.
     """
-    support, table, exponent = _crowd_table(p, masks, counts)
-    top = tuple(counts[s] for s in support)
-    corners = [top] + [top[:i] + (top[i] - 1,) + top[i + 1 :] for i in range(len(support))]
-    corners = [(table[(slice(None),) + r], exponent[(slice(None),) + r]) for r in corners]
-    common = np.max([e for _, e in corners], axis=0)
-    hidden, *below = (np.ldexp(x, e - common) for x, e in corners)
+    if not isinstance(index, _IndexSet):
+        index = _box(index)
+    table, exponent = _crowd_table(p, masks, index)
+    columns = [at] + [below[at] for below in index.pred]
+    common = functools.reduce(np.maximum, (exponent[:, c] for c in columns))
+    hidden = np.ldexp(table[:, at], exponent[:, at] - common)
     any_dest = hidden.copy()
     seen = np.zeros_like(hidden)
-    for i, s in enumerate(support):
-        any_dest += p[query.user, s] * below[i]
+    for s, c in zip(index.dests, columns[1:]):
+        below = np.ldexp(table[:, c], exponent[:, c] - common)
+        any_dest += p[query.user, s] * below
         if s == query.dest:
-            seen = below[i]
+            seen = below
     return any_dest, seen, hidden, common
+
+
+def _batches(views: int, index: _IndexSet) -> Iterator[slice]:
+    """Slices of at most ``BATCH_ENTRIES`` table entries' worth of views."""
+    step = max(1, BATCH_ENTRIES // len(index.keys))
+    return (slice(lo, lo + step) for lo in range(0, views, step))
 
 
 def crowd_posteriors(
@@ -254,15 +296,14 @@ def crowd_posteriors(
     of at most ``BATCH_ENTRIES`` table entries; a view's value is the
     same bit for bit in any batch.
     """
-    size = math.prod(int(c) + 1 for c in counts)
-    step = max(1, BATCH_ENTRIES // size)
+    index = _box(counts)
     p_ud = float(p[query.user, query.dest])
     out = np.empty(masks.shape[0])
-    for lo in range(0, masks.shape[0], step):
-        any_dest, seen, hidden, _ = _view_sums(p, masks[lo : lo + step], counts, query)
+    for batch in _batches(masks.shape[0], index):
+        any_dest, seen, hidden, _ = _view_sums(p, masks[batch], index, query)
         if not np.all(any_dest > 0.0):
             raise ImpossibleObservationError(_IMPOSSIBLE)
-        out[lo : lo + step] = p_ud * (seen + hidden) / any_dest
+        out[batch] = p_ud * (seen + hidden) / any_dest
     return out
 
 
@@ -274,9 +315,8 @@ def _crowd_mask(n: int, users) -> np.ndarray:
 
 def _crowd_weight(p: np.ndarray, mask: np.ndarray, counts: Sequence[int]) -> tuple[float, int]:
     """W[c] of one crowd as ``(x, e)``; the weight is ``ldexp(x, e)``."""
-    support, table, exponent = _crowd_table(p, mask, counts)
-    corner = (0,) + tuple(counts[s] for s in support)
-    return float(table[corner]), int(exponent[corner])
+    table, exponent = _crowd_table(p, mask, _box(counts))
+    return float(table[0, -1]), int(exponent[0, -1])
 
 
 def injection_sum(users: Sequence[int], outputs: DestMultiset, p: np.ndarray) -> float:
@@ -379,43 +419,6 @@ def posterior(scenario: Scenario, observation: Observation, query: PosteriorQuer
     return float(scenario.p[query.user, query.dest])
 
 
-def _count_vectors(dest_count: int, max_total: int) -> Iterator[tuple[int, ...]]:
-    """All destination count vectors with total at most ``max_total``."""
-    if dest_count == 1:
-        for c in range(max_total + 1):
-            yield (c,)
-        return
-    for c in range(max_total + 1):
-        for rest in _count_vectors(dest_count - 1, max_total - c):
-            yield (c,) + rest
-
-
-def _usage_table(
-    users: Sequence[int], cap_total: int, p: np.ndarray, dest_count: int
-) -> dict[tuple[int, ...], float]:
-    """Injection weights for every output vector at once.
-
-    Entry ``r`` is the summed weight over subsets of ``users`` covering
-    destination ``d`` exactly ``r[d]`` times, for all vectors with total
-    at most ``cap_total``.  One forward pass serves every multiset a
-    caller wants to evaluate against the same crowd.
-    """
-    zero = (0,) * dest_count
-    table: dict[tuple[int, ...], float] = {zero: 1.0}
-    for v in users:
-        row = p[v]
-        nxt: dict[tuple[int, ...], float] = {}
-        for state, weight in table.items():
-            nxt[state] = nxt.get(state, 0.0) + weight
-            if sum(state) < cap_total:
-                for d in range(dest_count):
-                    if row[d] > 0.0:
-                        grown = state[:d] + (state[d] + 1,) + state[d + 1 :]
-                        nxt[grown] = nxt.get(grown, 0.0) + weight * row[d]
-        table = nxt
-    return table
-
-
 def expected_posterior_formula(
     scenario: Scenario, query: PosteriorQuery, limits: SizeLimits | None = None
 ) -> float:
@@ -424,7 +427,9 @@ def expected_posterior_formula(
     The observed-input cases contribute b(1-b) p + b^2 up front.  The
     unobserved-input mass is summed in closed form over every crowd
     containing the queried user and every bare-output multiset the crowd
-    could cover, with each term assembled from one usage table per crowd.
+    could cover.  Crowds of k users go through the kernel together, over
+    the simplex of count vectors with total at most k, and each term
+    ``prefactor * p_ud * matched^2 / with_u`` is read off its entry.
     """
     limits = limits or current_limits()
     _check_query(scenario, query)
@@ -438,38 +443,26 @@ def expected_posterior_formula(
     if p_ud <= 0.0:
         raise ConditioningError(f"user {u} never visits destination {d}")
     n = scenario.n
-    nd = scenario.dest_count
     b = scenario.b
-    p_u = scenario.p[u]
     others = [v for v in range(n) if v != u]
-    terms: list[float] = [b * (1.0 - b) * p_ud, b * b]
+    terms = [np.array([b * (1.0 - b) * p_ud, b * b])]
     for crowd_size in range(1, n + 1):
-        rest_size = crowd_size - 1
-        for rest in itertools.combinations(others, rest_size):
-            table = _usage_table(rest, crowd_size, scenario.p, nd)
-            for r in _count_vectors(nd, crowd_size):
-                without_u = table.get(r, 0.0)
-                with_u = without_u
-                for delta in range(nd):
-                    if r[delta]:
-                        shrunk = r[:delta] + (r[delta] - 1,) + r[delta + 1 :]
-                        with_u += p_u[delta] * table.get(shrunk, 0.0)
-                if with_u <= 0.0:
-                    continue
-                if r[d]:
-                    reduced = r[:d] + (r[d] - 1,) + r[d + 1 :]
-                    seen = table.get(reduced, 0.0)
-                else:
-                    seen = 0.0
-                out_size = sum(r)
-                prefactor = b ** (n - crowd_size + out_size) * (1.0 - b) ** (
-                    2 * crowd_size - out_size
-                )
-                if prefactor == 0.0:
-                    continue
-                matched = seen + without_u
-                terms.append(prefactor * p_ud * matched * matched / with_u)
-    return fsum(terms)
+        index = _simplex(scenario.dest_count, crowd_size)
+        prefactor = np.array(
+            [b ** (n - crowd_size + k) * (1.0 - b) ** (2 * crowd_size - k) for k in range(crowd_size + 1)]
+        )[index.keys.sum(axis=1)]
+        rests = np.array(list(itertools.combinations(others, crowd_size - 1)), dtype=np.int64)
+        masks = np.zeros((len(rests), n), dtype=bool)
+        masks[np.arange(len(rests))[:, None], rests] = True
+        for batch in _batches(len(masks), index):
+            with_u, seen, without_u, exponent = _view_sums(
+                scenario.p, masks[batch], index, query, at=slice(1, None)
+            )
+            matched = seen + without_u
+            term = prefactor * p_ud * matched * matched
+            live = with_u > 0.0
+            terms.append(np.ldexp(term[live] / with_u[live], exponent[live]))
+    return fsum(np.concatenate(terms))
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,8 @@ def common_expected_exact(pop: CommonPopulation, limits: SizeLimits | None = Non
         )
     b = pop.b
     p_d = float(pop.p[pop.dest])
+    if p_d <= 0.0:
+        raise ConditioningError("the shared prior never visits the queried destination")
     weights = _cached_weights(pop.n - 1, 1.0 - b)  # index: unobserved - 1
     unobserved = np.arange(1, pop.n + 1, dtype=np.float64)
     inner = b * (p_d * (unobserved - 1.0) + 1.0) / unobserved + (1.0 - b) * p_d

@@ -213,6 +213,42 @@ class TestWorstCaseAndCommon:
             "--p-target", "0.2", "--p-least", "0.05",
         ]) == 3
 
+    def test_worst_case_exact_needs_n(self, capsys):
+        assert main([
+            "worst-case", "--alpha", "0.5", "--b", "0.2", "--p-target", "0.3", "--p-least", "0.1",
+        ]) == 2
+        assert "missing: n" in capsys.readouterr().err
+
+
+COMMON_BASE = ["--n", "20", "--b", "0.1", "--dests", "5"]
+
+
+@pytest.mark.parametrize("argv, dest", [
+    (["common", "--method", "bound", "--dist", "uniform"], "7"),
+    (["common", "--method", "bound", "--dist", "uniform"], "-1"),
+    (["common", "--dist", "uniform"], "5"),
+    (["mc", "--mode", "common", "--dist", "uniform", "--samples", "100", "--seed", "1"], "7"),
+    (["sweep", "--mode", "common", "--dist", "uniform", "--out", "unused.csv"], "7"),
+])
+def test_common_dest_out_of_range(argv, dest, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + COMMON_BASE + ["--dest", dest]) == 3
+    assert f"destination {dest} out of range" in capsys.readouterr().err
+    assert not (tmp_path / "unused.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["common"],
+    ["sweep", "--mode", "common", "--out", "unused.csv"],
+    ["sweep", "--mode", "common", "--method", "mc", "--seed", "1", "--out", "unused.csv"],
+    ["mc", "--mode", "common", "--samples", "100", "--seed", "1"],
+])
+def test_common_never_visited_destination(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + COMMON_BASE + ["--dist", "point:2", "--dest", "0"]) == 3
+    assert "never visits" in capsys.readouterr().err
+    assert not (tmp_path / "unused.csv").exists()
+
 
 class TestSweep:
     def test_common_sweep_layout(self, tmp_path, capsys):

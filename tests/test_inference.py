@@ -568,3 +568,28 @@ def check_batches(s, query, counts, masks, data):
             patch.setattr(inference, "BATCH_ENTRIES", data.draw(st.integers(1, 200)))
             split = crowd_posteriors(s.p, masks[possible], counts, query)
         assert np.array_equal(split, whole)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_scenarios(max_users=5), st.data())
+def test_formula_matches_oracle(s, data):
+    query = PosteriorQuery(data.draw(st.integers(0, s.n - 1)), data.draw(st.integers(0, s.dest_count - 1)))
+    # The rational oracle enumerates one configuration at a time; past
+    # 4096 configurations (27 s at 5 users and 3 destinations) the float
+    # oracle stands in for it.
+    exact = s.dest_count**s.n * 4**s.n <= 4096
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inference, "_PLAIN_SPAN", data.draw(SPANS))
+        if s.p[query.user, query.dest] == 0.0:
+            with pytest.raises(ConditioningError):
+                expected_posterior_formula(s, query)
+            return
+        got = expected_posterior_formula(s, query)
+    want = float(expected_posterior_oracle(s, query, exact=exact))
+    assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+
+def test_index_set_refuses_codes_beyond_64_bits():
+    keys = np.array([[0, 0, 0], [1 << 21, 1 << 21, 1 << 21]])
+    with pytest.raises(SizeLimitError):
+        inference._index_set(range(3), keys)

@@ -15,6 +15,7 @@ from onion_anon import (
     build_common_scenario,
     build_worst_case_scenario,
     common_expected_exact,
+    expected_posterior_formula,
     expected_posterior_oracle,
     lower_bound,
     make_distribution,
@@ -217,6 +218,11 @@ class TestCommonExpected:
                 identity = lower_bound(b, 0.3) + b * (1 - 0.3) * (1 - b**n) / n
                 assert common_expected_exact(pop) == pytest.approx(identity, abs=1e-12)
 
+    def test_requires_positive_prior_on_the_destination(self):
+        pop = CommonPopulation(n=20, b=0.1, p=(0.0, 0.0, 1.0), dest=0)
+        with pytest.raises(ConditioningError):
+            common_expected_exact(pop)
+
     def test_error_shrinks_like_one_over_n(self):
         spec = DistributionSpec.zipf(1.0, 100)
         row = tuple(float(x) for x in make_distribution(spec))
@@ -226,3 +232,22 @@ class TestCommonExpected:
             pop = CommonPopulation(n=n, b=0.1, p=row, dest=0)
             errors[n] = abs(common_expected_exact(pop) - bound)
         assert errors[200] <= 0.55 * errors[100]
+
+
+class TestFormulaAtTheCeiling:
+    """The generic formula at its default limit of 10 users against the closed forms."""
+
+    def test_worst_case_scenario(self):
+        u_dist = [0.4, 0.2, 0.15, 0.1, 0.1, 0.05]
+        scenario = build_worst_case_scenario(10, 0.4, 0.3, u_dist)
+        pop = WorstCasePopulation(n=10, alpha=0.4, b=0.3, p_target=0.4, p_least=0.05)
+        formula = expected_posterior_formula(scenario, PosteriorQuery(0, 0))
+        assert formula == pytest.approx(worst_case_expected_exact(pop), rel=0, abs=1e-9)
+
+    def test_common_scenario(self):
+        spec = DistributionSpec.parse("zipf:1.0", 4)
+        row = tuple(float(x) for x in make_distribution(spec))
+        scenario = build_common_scenario(10, 0.35, spec)
+        pop = CommonPopulation(n=10, b=0.35, p=row, dest=2)
+        formula = expected_posterior_formula(scenario, PosteriorQuery(3, 2))
+        assert formula == pytest.approx(common_expected_exact(pop), rel=0, abs=1e-9)
