@@ -1,5 +1,12 @@
 """Batch front end: scenario files, exact and sampled runs, CSV sweeps.
 
+``worst-case``, ``common``, ``mc --mode worst-case|common`` and each
+``sweep`` point build their population through one builder, which reads
+one field table per mode; a missing field exits 2 with an error naming
+every missing field.  A sweep row is the single command's value at that
+point: what ``worst-case``/``common`` print, or with ``--method mc`` the
+mean that ``mc --seed mix64(seed, i)`` prints for row i.
+
 Exit codes: 0 success, 2 parse/usage errors, 3 model errors (bad
 scenario data, conditioning on a never-visited destination, size
 limits), 4 I/O errors.  Randomized commands require an explicit
@@ -36,6 +43,17 @@ def _fmt(x: float) -> str:
 # File formats
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _list_field(doc: dict, field: str, kind: str) -> list:
+    value = doc.get(field, [])
+    if not isinstance(value, list):
+        raise ParseError(f"{kind} field {field!r} must be a list")
+    return value
+
+
 def load_scenario(path: str) -> tuple[Scenario, list[str], list[str]]:
     """Read a scenario file; returns (scenario, user names, destination names)."""
     with open(path, "r", encoding="utf-8") as handle:
@@ -45,18 +63,24 @@ def load_scenario(path: str) -> tuple[Scenario, list[str], list[str]]:
     for field in ("b", "destinations", "users"):
         if field not in doc:
             raise ParseError(f"scenario file is missing the {field!r} field")
-    dest_names = [str(name) for name in doc["destinations"]]
+    if not _is_number(doc["b"]):
+        raise ParseError("scenario field 'b' must be a number")
+    dest_names = [str(name) for name in _list_field(doc, "destinations", "scenario")]
     if len(set(dest_names)) != len(dest_names):
         raise ParseError("destination names must be unique")
     user_names: list[str] = []
     rows = []
-    for i, entry in enumerate(doc["users"]):
+    for i, entry in enumerate(_list_field(doc, "users", "scenario")):
         if not isinstance(entry, dict) or "name" not in entry or "dist" not in entry:
             raise ParseError(f"user entry {i} needs 'name' and 'dist' fields")
         user_names.append(str(entry["name"]))
         dist = entry["dist"]
         if isinstance(dist, str):
             rows.append(make_distribution(DistributionSpec.parse(dist, len(dest_names))))
+        elif not isinstance(dist, list) or not all(_is_number(x) for x in dist):
+            raise ParseError(
+                f"user {user_names[-1]!r}: 'dist' must be a distribution string or a list of numbers"
+            )
         else:
             row = [float(x) for x in dist]
             if len(row) != len(dest_names):
@@ -112,14 +136,14 @@ def load_observation(path: str, scenario: Scenario, user_names, dest_names) -> O
     if not isinstance(doc, dict):
         raise ParseError("observation file must hold a JSON object")
     linked = []
-    for pair in doc.get("linked", []):
+    for pair in _list_field(doc, "linked", "observation"):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ParseError("linked entries must be [user, destination] pairs")
         linked.append((_resolve("user", pair[0], user_names), _resolve("destination", pair[1], dest_names)))
-    input_only = tuple(_resolve("user", u, user_names) for u in doc.get("input_only", []))
-    outputs = [_resolve("destination", d, dest_names) for d in doc.get("output_only", [])]
+    input_only = tuple(_resolve("user", u, user_names) for u in _list_field(doc, "input_only", "observation"))
+    outputs = [_resolve("destination", d, dest_names) for d in _list_field(doc, "output_only", "observation")]
     hidden = doc.get("hidden_count", 0)
-    if not isinstance(hidden, int) or hidden < 0:
+    if isinstance(hidden, bool) or not isinstance(hidden, int) or hidden < 0:
         raise ParseError("hidden_count must be a non-negative integer")
     observation = Observation(
         linked=tuple(linked),
@@ -202,47 +226,69 @@ def _cmd_posterior(args) -> int:
     return 0
 
 
-def _population_from_args(args):
-    if args.mode == "worst-case":
-        return WorstCasePopulation(
-            n=args.n, alpha=args.alpha, b=args.b, p_target=args.p_target, p_least=args.p_least
-        )
+# The fields each mode reads, in the order a missing-field error names them.
+_FIELDS = {
+    "generic": ("scenario", "user", "dest"),
+    "worst-case": ("n", "alpha", "b", "p_target", "p_least"),
+    "common": ("n", "b", "dist", "dests", "dest"),
+}
+
+
+def _fields(args, mode: str, **point) -> dict:
+    """The mode's fields from ``args``, ``point`` taking precedence; names every missing one."""
+    values = {name: point.get(name, getattr(args, name)) for name in _FIELDS[mode]}
+    missing = [name for name, value in values.items() if value is None]
+    if missing:
+        command = args.command if args.command == mode else f"{args.command} --mode {mode}"
+        raise ParseError(f"{command} is missing: {', '.join(missing)}")
+    return values
+
+
+def _population(args, mode: str, **point):
+    """The structured population of ``worst-case``, ``common``, ``mc`` and each sweep point."""
+    fields = _fields(args, mode, **point)
+    if mode == "worst-case":
+        return WorstCasePopulation(**fields)
     try:
-        dest = int(args.dest)
-    except (TypeError, ValueError):
-        raise ParseError(f"--dest must be a destination index, got {args.dest!r}") from None
-    return _common_population(args, args.n, dest)
+        dest = int(fields["dest"])
+    except ValueError:
+        raise ParseError(f"--dest must be a destination index, got {fields['dest']!r}") from None
+    row = make_distribution(DistributionSpec.parse(fields["dist"], fields["dests"]))
+    return CommonPopulation(n=fields["n"], b=fields["b"], p=tuple(float(x) for x in row), dest=dest)
 
 
-def _common_population(args, n: int, dest: int) -> CommonPopulation:
-    row = make_distribution(DistributionSpec.parse(args.dist, args.dests))
-    return CommonPopulation(n=n, b=args.b, p=tuple(float(x) for x in row), dest=dest)
+def _exact(args, pop) -> float:
+    if isinstance(pop, WorstCasePopulation):
+        return worst_case_expected_exact(pop, truncate=args.truncate)
+    return common_expected_exact(pop)
+
+
+def _estimate(args, subject, query, seed):
+    return estimate_expected_posterior(
+        subject, query, args.samples, seed,
+        mode=args.mode.replace("-", "_"), threads=args.threads, stratify=getattr(args, "stratify", False),
+    )
+
+
+def _reference(pop) -> float:
+    """The value a sweep converges to: the two-group limit, or the common lower bound."""
+    if isinstance(pop, WorstCasePopulation):
+        return worst_case_limit(pop.b, pop.p_target, pop.p_least, pop.alpha).value
+    return lower_bound(pop.b, pop.p[pop.dest])
 
 
 def _cmd_mc(args) -> int:
     if args.mode == "generic":
+        _fields(args, "generic")
         scenario, user_names, dest_names = load_scenario(args.scenario)
-        query = _query_from_args(args, user_names, dest_names)
-        estimate = estimate_expected_posterior(
-            scenario, query, args.samples, args.seed,
-            mode="generic", threads=args.threads, stratify=args.stratify,
-        )
+        estimate = _estimate(args, scenario, _query_from_args(args, user_names, dest_names), args.seed)
     else:
-        population = _population_from_args(args)
-        estimate = estimate_expected_posterior(
-            population, None, args.samples, args.seed,
-            mode=args.mode.replace("-", "_"), threads=args.threads, stratify=args.stratify,
-        )
-    print(
-        f"mean={_fmt(estimate.mean)} std_error={_fmt(estimate.std_error)} "
-        f"samples={estimate.samples} seed={estimate.seed}"
-    )
+        estimate = _estimate(args, _population(args, args.mode), None, args.seed)
+    header = ["mean", "std_error", "samples", "seed"]
+    row = [_fmt(estimate.mean), _fmt(estimate.std_error), str(estimate.samples), str(estimate.seed)]
+    print(" ".join(f"{name}={value}" for name, value in zip(header, row)))
     if args.out:
-        _write_csv(
-            args.out,
-            ["mean", "std_error", "samples", "seed"],
-            [[_fmt(estimate.mean), _fmt(estimate.std_error), str(estimate.samples), str(estimate.seed)]],
-        )
+        _write_csv(args.out, header, [row])
     return 0
 
 
@@ -250,77 +296,44 @@ def _cmd_worst_case(args) -> int:
     if args.method == "limit":
         value = worst_case_limit(args.b, args.p_target, args.p_least, args.alpha).value
     else:
-        pop = WorstCasePopulation(
-            n=args.n, alpha=args.alpha, b=args.b, p_target=args.p_target, p_least=args.p_least
-        )
-        value = worst_case_expected_exact(pop, truncate=args.truncate)
+        value = _exact(args, _population(args, "worst-case"))
     print(_fmt(value))
     return 0
 
 
 def _cmd_common(args) -> int:
-    pop = _common_population(args, args.n, args.dest)
-    if args.method == "bound":
-        value = lower_bound(pop.b, pop.p[pop.dest])
-    else:
-        value = common_expected_exact(pop)
-    print(_fmt(value))
-    return 0
-
-
-def _sweep_common(args) -> int:
-    pops = [_common_population(args, int(n), args.dest) for n in _parse_range(args.n, integer=True)]
-    bound = lower_bound(args.b, pops[0].p[args.dest])
-    rows = []
-    for i, pop in enumerate(pops):
-        if args.method == "mc":
-            value = estimate_expected_posterior(
-                pop, None, args.samples, mix64(args.seed, i),
-                mode="common", threads=args.threads,
-            ).mean
-        else:
-            value = common_expected_exact(pop)
-        rows.append([str(pop.n), _fmt(value), _fmt(bound), _fmt(abs(value - bound))])
-    _write_csv(args.out, ["n", "expected_psi", "lower_bound", "abs_error"], rows)
-    print(f"wrote {args.out} ({len(rows)} rows)")
-    return 0
-
-
-def _sweep_worst_case(args) -> int:
-    n_values = _parse_range(args.n, integer=True)
-    alpha_values = _parse_range(args.alpha, integer=False)
-    if len(n_values) > 1 and len(alpha_values) > 1:
-        raise ParseError("sweep varies either --n or --alpha, not both")
-    varying = "alpha" if len(alpha_values) > 1 else "n"
-    rows = []
-    grid = alpha_values if varying == "alpha" else n_values
-    for i, value in enumerate(grid):
-        alpha = float(value) if varying == "alpha" else float(alpha_values[0])
-        n = int(n_values[0]) if varying == "alpha" else int(value)
-        limit = worst_case_limit(args.b, args.p_target, args.p_least, alpha).value
-        pop = WorstCasePopulation(
-            n=n, alpha=alpha, b=args.b, p_target=args.p_target, p_least=args.p_least
-        )
-        if args.method == "mc":
-            exact = estimate_expected_posterior(
-                pop, None, args.samples, mix64(args.seed, i),
-                mode="worst_case", threads=args.threads,
-            ).mean
-        else:
-            exact = worst_case_expected_exact(pop, truncate=args.truncate)
-        lead = _fmt(alpha) if varying == "alpha" else str(n)
-        rows.append([lead, _fmt(exact), _fmt(limit), _fmt(abs(exact - limit))])
-    _write_csv(args.out, [varying, "expected_psi", "limit_psi", "abs_error"], rows)
-    print(f"wrote {args.out} ({len(rows)} rows)")
+    pop = _population(args, "common")
+    print(_fmt(_reference(pop) if args.method == "bound" else _exact(args, pop)))
     return 0
 
 
 def _cmd_sweep(args) -> int:
+    """One row per point of the ``--n`` or ``--alpha`` range, each the single command's value."""
+    _fields(args, args.mode)
     if args.method == "mc" and args.seed is None:
         raise ParseError("--method mc requires --seed")
-    if args.mode == "common":
-        return _sweep_common(args)
-    return _sweep_worst_case(args)
+    ranges = {"n": _parse_range(args.n, integer=True)}
+    if args.mode == "worst-case":
+        ranges["alpha"] = _parse_range(args.alpha, integer=False)
+    varying = [name for name, values in ranges.items() if len(values) > 1]
+    if len(varying) > 1:
+        raise ParseError("sweep varies either --n or --alpha, not both")
+    lead = varying[0] if varying else "n"
+    point = {name: values[0] for name, values in ranges.items()}
+    rows = []
+    for i, value in enumerate(ranges[lead]):
+        pop = _population(args, args.mode, **{**point, lead: value})
+        if args.method == "mc":
+            psi = _estimate(args, pop, None, mix64(args.seed, i)).mean
+        else:
+            psi = _exact(args, pop)
+        ref = _reference(pop)
+        label = _fmt(value) if lead == "alpha" else str(value)
+        rows.append([label, _fmt(psi), _fmt(ref), _fmt(abs(psi - ref))])
+    reference = "limit_psi" if args.mode == "worst-case" else "lower_bound"
+    _write_csv(args.out, [lead, "expected_psi", reference, "abs_error"], rows)
+    print(f"wrote {args.out} ({len(rows)} rows)")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_common.add_argument("--b", type=float, required=True)
     p_common.add_argument("--dist", required=True)
     p_common.add_argument("--dests", type=int, required=True)
-    p_common.add_argument("--dest", type=int, required=True)
+    p_common.add_argument("--dest", required=True)
     p_common.add_argument("--method", choices=["exact", "bound"], default="exact")
     p_common.set_defaults(func=_cmd_common)
 
@@ -396,14 +409,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--mode", choices=["common", "worst-case"], required=True)
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--method", choices=["exact", "mc"], default="exact")
-    p_sweep.add_argument("--n", default="0")
+    p_sweep.add_argument("--n")
     p_sweep.add_argument("--alpha", default="0")
     p_sweep.add_argument("--b", type=float, required=True)
     p_sweep.add_argument("--p-target", type=float, dest="p_target")
     p_sweep.add_argument("--p-least", type=float, dest="p_least")
     p_sweep.add_argument("--dist")
     p_sweep.add_argument("--dests", type=int)
-    p_sweep.add_argument("--dest", type=int)
+    p_sweep.add_argument("--dest")
     p_sweep.add_argument("--samples", type=int, default=10000)
     p_sweep.add_argument("--seed", type=int)
     p_sweep.add_argument("--threads", type=int, default=1)
@@ -413,36 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_mode_args(args) -> None:
-    if getattr(args, "threads", 1) < 1:
-        raise ParseError("--threads must be at least 1")
-    if getattr(args, "command", None) == "worst-case" and args.method == "exact" and args.n is None:
-        raise ParseError("worst-case --method exact is missing: n")
-    if getattr(args, "command", None) == "mc":
-        if args.mode == "generic":
-            missing = [k for k in ("scenario", "user", "dest") if getattr(args, k) is None]
-        elif args.mode == "worst-case":
-            missing = [
-                k for k in ("n", "alpha", "b", "p_target", "p_least") if getattr(args, k) is None
-            ]
-        else:
-            missing = [k for k in ("n", "b", "dist", "dests", "dest") if getattr(args, k) is None]
-        if missing:
-            raise ParseError(f"mc --mode {args.mode} is missing: {', '.join(missing)}")
-    if getattr(args, "command", None) == "sweep":
-        if args.mode == "common":
-            missing = [k for k in ("dist", "dests", "dest") if getattr(args, k) is None]
-        else:
-            missing = [k for k in ("p_target", "p_least") if getattr(args, k) is None]
-        if missing:
-            raise ParseError(f"sweep --mode {args.mode} is missing: {', '.join(missing)}")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _validate_mode_args(args)
+        if getattr(args, "threads", 1) < 1:
+            raise ParseError("--threads must be at least 1")
         return args.func(args)
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -86,7 +86,7 @@ def make_distribution(spec: DistributionSpec) -> np.ndarray:
         out[spec.dest] = 1.0
         return out
     if spec.kind == "zipf":
-        if spec.exponent is None or spec.exponent <= 0.0:
+        if spec.exponent is None or not spec.exponent > 0.0:
             raise ScenarioError(f"zipf exponent must be positive, got {spec.exponent!r}")
         ranks = np.arange(1, k + 1, dtype=np.float64)
         weights = ranks ** -spec.exponent
@@ -95,7 +95,7 @@ def make_distribution(spec: DistributionSpec) -> np.ndarray:
         if spec.probs is None:
             raise ScenarioError("explicit spec is missing probabilities")
         row = np.array(spec.probs, dtype=np.float64)
-        if np.any(row < 0.0) or abs(float(row.sum()) - 1.0) > 1e-12:
+        if np.any(row < 0.0) or not abs(float(row.sum()) - 1.0) <= 1e-12:
             raise ScenarioError("explicit vector is not stochastic")
         return row / row.sum()
     raise ScenarioError(f"unknown distribution kind {spec.kind!r}")

@@ -82,7 +82,7 @@ class CommonPopulation:
         if not 0.0 <= self.b <= 1.0:
             raise ScenarioError(f"b out of range: {self.b!r}")
         total = fsum(self.p)
-        if any(x < 0 for x in self.p) or abs(total - 1.0) > 1e-12:
+        if any(x < 0 for x in self.p) or not abs(total - 1.0) <= 1e-12:
             raise ScenarioError("shared distribution is not stochastic")
         if not 0 <= self.dest < len(self.p):
             raise ScenarioError(f"destination {self.dest} out of range")

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from onion_anon.cli import load_scenario, main, write_scenario
+from onion_anon.seeding import mix64
 
 
 @pytest.fixture()
@@ -248,6 +253,155 @@ def test_common_never_visited_destination(argv, tmp_path, monkeypatch, capsys):
     assert main(argv + COMMON_BASE + ["--dist", "point:2", "--dest", "0"]) == 3
     assert "never visits" in capsys.readouterr().err
     assert not (tmp_path / "unused.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["common", "--dist", "zipf:nan", "--dests", "5"],
+    ["common", "--dist", "explicit:nan,0.5,0.5", "--dests", "3"],
+    ["mc", "--mode", "common", "--dist", "zipf:nan", "--dests", "5", "--samples", "100", "--seed", "1"],
+    ["sweep", "--mode", "common", "--dist", "zipf:nan", "--dests", "5", "--out", "unused.csv"],
+])
+def test_nan_distribution_is_a_model_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--n", "10", "--b", "0.3", "--dest", "0"]) == 3
+    err = capsys.readouterr().err
+    assert "zipf exponent must be positive" in err or "not stochastic" in err
+    assert not (tmp_path / "unused.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["common", "--dist", "uniform", "--dests", "5"],
+    ["mc", "--mode", "common", "--dist", "uniform", "--dests", "5", "--samples", "100", "--seed", "1"],
+    ["sweep", "--mode", "common", "--dist", "uniform", "--dests", "5", "--out", "unused.csv"],
+])
+def test_common_dest_must_be_an_index(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--n", "10", "--b", "0.3", "--dest", "web"]) == 2
+    assert "--dest must be a destination index" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode_args", [
+    ["--mode", "common", "--dist", "uniform", "--dests", "5", "--dest", "0"],
+    ["--mode", "worst-case", "--p-target", "0.2", "--p-least", "0.05"],
+])
+def test_sweep_without_n_names_it(mode_args, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["sweep", *mode_args, "--b", "0.1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.rstrip().endswith("is missing: n")
+    assert not out.exists()
+
+
+SCENARIO = {"b": 0.4, "destinations": ["web", "mail"], "users": [{"name": "alice", "dist": [0.6, 0.4]}]}
+
+
+@pytest.mark.parametrize("patch, named", [
+    ({"users": [{"name": "alice", "dist": ["p", "q"]}]}, "user 'alice': 'dist'"),
+    ({"users": [{"name": "alice", "dist": 0.5}]}, "user 'alice': 'dist'"),
+    ({"users": [{"name": "alice", "dist": [0.5, None]}]}, "user 'alice': 'dist'"),
+    ({"users": [{"name": "alice", "dist": [True, False]}]}, "user 'alice': 'dist'"),
+    ({"b": True}, "field 'b'"),
+    ({"b": None}, "field 'b'"),
+    ({"destinations": "web"}, "field 'destinations'"),
+    ({"users": {"alice": [0.6, 0.4]}}, "field 'users'"),
+])
+def test_scenario_field_of_the_wrong_type(patch, named, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**SCENARIO, **patch}))
+    assert main(["validate", str(path)]) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("patch, named", [
+    ({"hidden_count": True}, "hidden_count"),
+    ({"hidden_count": 1.0}, "hidden_count"),
+    ({"output_only": "web"}, "field 'output_only'"),
+    ({"input_only": "carol"}, "field 'input_only'"),
+    ({"linked": {"bob": "mail"}}, "field 'linked'"),
+])
+def test_observation_field_of_the_wrong_type(patch, named, scenario_file, tmp_path, capsys):
+    doc = {"linked": [["bob", "mail"]], "input_only": ["carol"], "output_only": ["web"], "hidden_count": 0}
+    path = tmp_path / "observation.json"
+    path.write_text(json.dumps({**doc, **patch}))
+    assert main([
+        "posterior", "--scenario", scenario_file, "--observation", str(path),
+        "--user", "alice", "--dest", "web",
+    ]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_exit_codes_seen_by_a_shell(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def exit_code(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "onion_anon", *argv], cwd=tmp_path, env=env, capture_output=True
+        ).returncode
+
+    worst = ["--alpha", "0.5", "--b", "0.25", "--p-target", "0.2", "--p-least", "0.05"]
+    assert exit_code("worst-case", "--n", "20", *worst) == 0
+    assert exit_code("sweep", "--mode", "worst-case", *worst, "--out", "x.csv") == 2
+    assert exit_code("worst-case", "--n", "20", *worst, "--bogus") == 2
+    assert exit_code("worst-case", "--n", "301", *worst) == 3
+    assert exit_code("validate", "absent.json") == 4
+
+
+WORST = ["--b", "0.25", "--p-target", "0.2", "--p-least", "0.05"]
+COMMON = ["--b", "0.1", "--dist", "zipf:1.0", "--dests", "30", "--dest", "2"]
+
+
+def _printed(argv, capsys) -> str:
+    assert main(argv) == 0
+    return capsys.readouterr().out.strip()
+
+
+def _rows(path) -> list[list[str]]:
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+class TestSweepRowIsTheSingleCommand:
+    def test_worst_case_n_sweep(self, tmp_path, capsys):
+        out = tmp_path / "n.csv"
+        sweep = ["sweep", "--mode", "worst-case", "--n", "40:160:40", "--alpha", "0.5", *WORST]
+        _printed(sweep + ["--out", str(out)], capsys)
+        limit = _printed(["worst-case", "--alpha", "0.5", *WORST, "--method", "limit"], capsys)
+        rows = _rows(out)
+        assert [row[0] for row in rows] == ["40", "80", "120", "160"]
+        for n, psi, ref, _ in rows:
+            assert psi == _printed(["worst-case", "--n", n, "--alpha", "0.5", *WORST], capsys)
+            assert ref == limit
+
+    def test_worst_case_alpha_sweep(self, tmp_path, capsys):
+        out = tmp_path / "alpha.csv"
+        sweep = ["sweep", "--mode", "worst-case", "--n", "60", "--alpha", "0:1:0.25", *WORST]
+        _printed(sweep + ["--out", str(out)], capsys)
+        rows = _rows(out)
+        assert [row[0] for row in rows] == ["0", "0.25", "0.5", "0.75", "1"]
+        for alpha, psi, ref, _ in rows:
+            assert psi == _printed(["worst-case", "--n", "60", "--alpha", alpha, *WORST], capsys)
+            assert ref == _printed(["worst-case", "--alpha", alpha, *WORST, "--method", "limit"], capsys)
+
+    def test_common_n_sweep(self, tmp_path, capsys):
+        out = tmp_path / "n.csv"
+        _printed(["sweep", "--mode", "common", "--n", "10:100:30", *COMMON, "--out", str(out)], capsys)
+        bound = _printed(["common", "--n", "10", *COMMON, "--method", "bound"], capsys)
+        rows = _rows(out)
+        assert [row[0] for row in rows] == ["10", "40", "70", "100"]
+        for n, psi, ref, _ in rows:
+            assert psi == _printed(["common", "--n", n, *COMMON], capsys)
+            assert ref == bound
+
+    @pytest.mark.parametrize("mode, params", [("worst-case", ["--alpha", "0.5", *WORST]), ("common", COMMON)])
+    def test_mc_sweep_row_is_the_mc_mean(self, mode, params, tmp_path, capsys):
+        out = tmp_path / "mc.csv"
+        sampling = ["--samples", "3000"]
+        _printed(["sweep", "--mode", mode, "--n", "1000:3000:1000", *params, "--method", "mc", *sampling,
+                  "--seed", "21", "--out", str(out)], capsys)
+        rows = _rows(out)
+        assert len(rows) == 3
+        for i, (n, psi, _, _) in enumerate(rows):
+            single = ["mc", "--mode", mode, "--n", n, *params, *sampling, "--seed", str(mix64(21, i))]
+            printed = _printed(single, capsys)
+            assert printed.split()[0] == f"mean={psi}"
 
 
 class TestSweep:

@@ -43,6 +43,19 @@ class TestMakeDistribution:
         with pytest.raises(ScenarioError):
             make_distribution(DistributionSpec.explicit([0.7, 0.2]))
 
+    @pytest.mark.parametrize("exponent", [float("nan"), -float("inf")])
+    def test_zipf_rejects_nan_and_negative_infinity(self, exponent):
+        with pytest.raises(ScenarioError):
+            make_distribution(DistributionSpec.zipf(exponent, 3))
+
+    def test_zipf_infinite_exponent_is_a_point_mass(self):
+        assert make_distribution(DistributionSpec.zipf(float("inf"), 4)).tolist() == [1.0, 0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("probs", [[float("nan"), 0.5, 0.5], [float("nan")], [float("inf"), 0.0]])
+    def test_explicit_rejects_non_finite_entries(self, probs):
+        with pytest.raises(ScenarioError):
+            make_distribution(DistributionSpec.explicit(probs))
+
 
 class TestParse:
     def test_forms(self):

@@ -218,6 +218,15 @@ class TestCommonExpected:
                 identity = lower_bound(b, 0.3) + b * (1 - 0.3) * (1 - b**n) / n
                 assert common_expected_exact(pop) == pytest.approx(identity, abs=1e-12)
 
+    @pytest.mark.parametrize("p", [(float("nan"), 0.5, 0.5), (float("nan"),), (float("inf"), 0.0)])
+    def test_rejects_a_non_finite_shared_distribution(self, p):
+        with pytest.raises(ScenarioError, match="not stochastic"):
+            CommonPopulation(n=5, b=0.3, p=p, dest=0)
+
+    def test_rejects_nan_b(self):
+        with pytest.raises(ScenarioError, match="b out of range"):
+            CommonPopulation(n=5, b=float("nan"), p=(0.5, 0.5), dest=0)
+
     def test_requires_positive_prior_on_the_destination(self):
         pop = CommonPopulation(n=20, b=0.1, p=(0.0, 0.0, 1.0), dest=0)
         with pytest.raises(ConditioningError):
