@@ -3,7 +3,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ScenarioError
+from .model import check_unit
+from .structured import check_two_group
 
 ERROR_ORDER = "O(sqrt(log n / n))"
 
@@ -17,17 +18,9 @@ class LimitResult:
     error_order: str = ERROR_ORDER
 
 
-def _check_unit(name: str, x: float) -> float:
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise ScenarioError(f"{name} out of range: {x!r}")
-    return x
-
-
 def lower_bound(b: float, p_target: float) -> float:
     """Floor on the expected posterior: b^2 + (1 - b^2) p."""
-    b = _check_unit("b", b)
-    p_target = _check_unit("p_target", p_target)
+    b, p_target = check_unit("b", b), check_unit("p_target", p_target)
     return b * b + (1.0 - b * b) * p_target
 
 
@@ -37,12 +30,8 @@ def worst_case_limit(b: float, p_target: float, p_least: float, alpha: float) ->
     The three regimes are structurally distinct, so the endpoints are
     matched exactly rather than treated as limits of the interior case.
     """
-    b = _check_unit("b", b)
-    p_target = _check_unit("p_target", p_target)
-    p_least = _check_unit("p_least", p_least)
-    alpha = _check_unit("alpha", alpha)
-    if p_target + p_least > 1.0 + 1e-12:
-        raise ScenarioError("p_target + p_least exceeds 1")
+    b, p_target, p_least = check_two_group(b, p_target, p_least)
+    alpha = check_unit("alpha", alpha)
     lead = b * (1.0 - b) * p_target + b * b
     if b == 1.0:
         tail = 0.0
@@ -63,10 +52,10 @@ def worst_alpha(b: float, p_target: float, p_least: float) -> str:
     when the queried user's prior on the least destination clears the
     threshold (1 - b)(1 - p)^2 / (p(1 + b) - b); otherwise, and whenever
     that threshold's denominator is non-positive, ``"alpha_zero"``.
+    Parameters that :class:`WorstCasePopulation` rejects raise
+    :class:`ScenarioError` here too.
     """
-    b = _check_unit("b", b)
-    p_target = _check_unit("p_target", p_target)
-    p_least = _check_unit("p_least", p_least)
+    b, p_target, p_least = check_two_group(b, p_target, p_least)
     denominator = p_target * (1.0 + b) - b
     if denominator <= 0.0:
         return "alpha_zero"
@@ -81,6 +70,5 @@ def worst_case_headline(b: float, p_target: float) -> float:
     population costs as much anonymity as an adversary whose compromised
     fraction is the square root of the actual one.
     """
-    b = _check_unit("b", b)
-    p_target = _check_unit("p_target", p_target)
+    b, p_target = check_unit("b", b), check_unit("p_target", p_target)
     return b + (1.0 - b) * p_target

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from .asymptotics import lower_bound, worst_case_limit
 from .distributions import DistributionSpec, make_distribution
@@ -163,23 +164,22 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
 
 
 def _parse_range(text: str, integer: bool) -> list:
-    """Parse ``lo:hi:step`` (inclusive of hi) or a single value."""
+    """Parse ``lo:hi:step`` (inclusive of hi) or a single value.
+
+    Point i is ``lo + i * step`` taken exactly, then read as its decimal would be.
+    """
     parts = text.split(":")
+    number = int if integer else Fraction
     try:
         if len(parts) == 1:
             return [int(parts[0]) if integer else float(parts[0])]
         if len(parts) != 3:
             raise ValueError
-        if integer:
-            lo, hi, step = (int(x) for x in parts)
-            if step <= 0 or hi < lo:
-                raise ValueError
-            return list(range(lo, hi + 1, step))
-        lo, hi, step = (float(x) for x in parts)
+        lo, hi, step = (number(x) for x in parts)
         if step <= 0 or hi < lo:
             raise ValueError
-        count = int((hi - lo) / step + 1e-9) + 1
-        return [lo + i * step for i in range(count)]
+        points = [lo + i * step for i in range((hi - lo) // step + 1)]
+        return points if integer else [float(x) for x in points]
     except ValueError:
         raise ParseError(f"bad range {text!r}; expected lo:hi:step") from None
 

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, ScenarioError
-from .model import Scenario, validate_scenario
-from .structured import _round_half_up
+from .model import Scenario, check_distribution, validate_scenario
+from .structured import WorstCasePopulation
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,7 @@ def make_distribution(spec: DistributionSpec) -> np.ndarray:
     if spec.kind == "explicit":
         if spec.probs is None:
             raise ScenarioError("explicit spec is missing probabilities")
-        row = np.array(spec.probs, dtype=np.float64)
-        if np.any(row < 0.0) or not abs(float(row.sum()) - 1.0) <= 1e-12:
-            raise ScenarioError("explicit vector is not stochastic")
+        row = check_distribution(spec.probs, "explicit vector")
         return row / row.sum()
     raise ScenarioError(f"unknown distribution kind {spec.kind!r}")
 
@@ -121,24 +119,16 @@ def build_worst_case_scenario(n: int, alpha: float, b: float, u_distribution) ->
     """Explicit scenario for the two-group population.
 
     User 0 carries ``u_distribution`` and index 0 is the queried target
-    destination.  Of the other n-1 users, round(alpha * (n-1)) always
-    visit the target; the rest always visit user 0's least-liked
-    alternative.
+    destination.  Of the other n-1 users, the matching
+    ``WorstCasePopulation.n_target`` always visit the target; the rest
+    always visit user 0's least-liked alternative.
     """
-    row = np.asarray(u_distribution, dtype=np.float64)
-    if n < 1:
-        raise ScenarioError("need at least one user")
-    if not 0.0 <= alpha <= 1.0:
-        raise ScenarioError(f"alpha out of range: {alpha!r}")
-    k = row.shape[0]
-    on_target = _round_half_up(alpha * (n - 1))
+    row = check_distribution(u_distribution, "row", 0)
     least = least_alternative_destination(row)
-    rows = [row]
-    for i in range(n - 1):
-        point = np.zeros(k)
-        point[0 if i < on_target else least] = 1.0
-        rows.append(point)
-    return validate_scenario(np.stack(rows), b)
+    # With one destination there is no other choice, and no p_least.
+    pop = WorstCasePopulation(n, alpha, b, float(row[0]), float(row[least]) if least else 0.0)
+    others = np.eye(len(row))[[0] * pop.n_target + [least] * pop.n_other]
+    return validate_scenario(np.vstack([row, others]), b)
 
 
 def build_common_scenario(n: int, b: float, spec: DistributionSpec) -> Scenario:

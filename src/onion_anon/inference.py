@@ -38,6 +38,7 @@ import numpy as np
 from .errors import (
     ConditioningError,
     ImpossibleObservationError,
+    ObservationError,
     QueryError,
     SizeLimitError,
 )
@@ -46,6 +47,7 @@ from .model import (
     DestMultiset,
     Observation,
     Scenario,
+    _check_outputs,
     check_observation,
     configuration_prior_exact,
     iter_configurations,
@@ -90,6 +92,14 @@ def _check_query(scenario: Scenario, query: PosteriorQuery) -> None:
         raise QueryError(f"user {query.user} out of range")
     if not 0 <= query.dest < scenario.dest_count:
         raise QueryError(f"destination {query.dest} out of range")
+
+
+def _queried_prior(scenario: Scenario, query: PosteriorQuery) -> float:
+    """The prior the expectation conditions on; :class:`ConditioningError` when it is 0."""
+    prior = float(scenario.p[query.user, query.dest])
+    if prior <= 0.0:
+        raise ConditioningError(f"user {query.user} never visits destination {query.dest}")
+    return prior
 
 
 def duplicate_orderings(multiset: DestMultiset) -> int:
@@ -308,8 +318,12 @@ def crowd_posteriors(
 
 
 def _crowd_mask(n: int, users) -> np.ndarray:
+    """One crowd as a ``(1, n)`` mask; a user outside the population is an ObservationError."""
     mask = np.zeros((1, n), dtype=bool)
-    mask[0, list(users)] = True
+    for v in users:
+        if not 0 <= v < n:
+            raise ObservationError(f"crowd user {v} out of range")
+        mask[0, v] = True
     return mask
 
 
@@ -347,6 +361,7 @@ def view_probability_split(
     float range reads 0, not the ``nan`` of ``0 * inf``.
     """
     _check_query(scenario, query)
+    _check_outputs(scenario, view.outputs)
     users = tuple(view.users)
     if query.user not in users:
         raise QueryError("queried user does not have an unobserved input in this view")
@@ -431,20 +446,12 @@ def expected_posterior_formula(
     the simplex of count vectors with total at most k, and each term
     ``prefactor * p_ud * matched^2 / with_u`` is read off its entry.
     """
-    limits = limits or current_limits()
     _check_query(scenario, query)
-    if scenario.n > limits.formula_users or scenario.dest_count > limits.formula_dests:
-        raise SizeLimitError(
-            f"formula limited to {limits.formula_users} users and "
-            f"{limits.formula_dests} destinations (got {scenario.n}, {scenario.dest_count})"
-        )
-    u, d = query.user, query.dest
-    p_ud = float(scenario.p[u, d])
-    if p_ud <= 0.0:
-        raise ConditioningError(f"user {u} never visits destination {d}")
+    (limits or current_limits()).check("formula", "formula", scenario.n, scenario.dest_count)
+    p_ud = _queried_prior(scenario, query)
     n = scenario.n
     b = scenario.b
-    others = [v for v in range(n) if v != u]
+    others = [v for v in range(n) if v != query.user]
     terms = [np.array([b * (1.0 - b) * p_ud, b * b])]
     for crowd_size in range(1, n + 1):
         index = _simplex(scenario.dest_count, crowd_size)
@@ -604,11 +611,7 @@ def posterior_oracle(
     limits = limits or current_limits()
     _check_query(scenario, query)
     check_observation(scenario, observation)
-    if scenario.n > limits.oracle_users or scenario.dest_count > limits.oracle_dests:
-        raise SizeLimitError(
-            f"oracle limited to {limits.oracle_users} users and "
-            f"{limits.oracle_dests} destinations (got {scenario.n}, {scenario.dest_count})"
-        )
+    limits.check("oracle", "oracle", scenario.n, scenario.dest_count)
     if exact:
         _check_exact_budget(scenario, limits)
         masses = _mass_by_view_exact(scenario, query.user, query.dest)
@@ -640,9 +643,7 @@ def expected_posterior_oracle(
     limits = limits or current_limits()
     _check_query(scenario, query)
     u, d = query.user, query.dest
-    p_ud = float(scenario.p[u, d])
-    if p_ud <= 0.0:
-        raise ConditioningError(f"user {u} never visits destination {d}")
+    p_ud = _queried_prior(scenario, query)
     cost = _effective_config_count(scenario)
     if cost > limits.oracle_budget:
         raise SizeLimitError(

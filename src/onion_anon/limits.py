@@ -1,4 +1,4 @@
-"""Size limits for the exact computations.
+"""Size limits for the exact computations and generic sampling.
 
 The exact formula and the enumeration oracles have exponential cost, so
 each carries a default ceiling.  The ceilings are knobs, not constants:
@@ -6,6 +6,8 @@ the ``ONION_ANON_SIZE_LIMITS`` environment variable accepts a
 comma-separated list of ``name=value`` overrides, e.g.::
 
     ONION_ANON_SIZE_LIMITS="formula_users=12,oracle_budget=2000000"
+
+Every users/destinations ceiling is enforced by :meth:`SizeLimits.check`.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import dataclasses
 import os
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import ParseError, SizeLimitError
 
 ENV_VAR = "ONION_ANON_SIZE_LIMITS"
 
@@ -30,6 +32,16 @@ class SizeLimits:
     structured_users: int = 300
     mc_users: int = 40
     mc_dests: int = 6
+
+    def check(self, kind: str, what: str, users: int, dests: int | None = None) -> None:
+        """SizeLimitError naming ``what`` past ``{kind}_users``, or past ``{kind}_dests`` if ``dests`` is given."""
+        sizes = [(users, getattr(self, f"{kind}_users"), "users")]
+        if dests is not None:
+            sizes.append((dests, getattr(self, f"{kind}_dests"), "destinations"))
+        if any(size > cap for size, cap, _ in sizes):
+            caps = " and ".join(f"{cap} {unit}" for _, cap, unit in sizes)
+            got = ", ".join(str(size) for size, _, _ in sizes)
+            raise SizeLimitError(f"{what} limited to {caps} (got {got})")
 
 
 _FIELD_NAMES = {f.name for f in dataclasses.fields(SizeLimits)}

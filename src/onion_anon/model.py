@@ -77,6 +77,33 @@ class Scenario:
     p: np.ndarray  # (n, dest_count), rows sum to 1, marked read-only
 
 
+def check_unit(name: str, x) -> float:
+    """``x`` (``b``, a prior or ``alpha``) as a float in [0, 1], or ScenarioError naming ``name``; NaN fails."""
+    try:
+        x = float(x)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{name} must be a number, got {x!r}") from None
+    if not 0.0 <= x <= 1.0:
+        raise ScenarioError(f"{name} out of range: {x!r}")
+    return x
+
+
+def check_distribution(row, what: str, index: int | None = None) -> np.ndarray:
+    """``row`` as a float array: finite, non-negative, summing to 1 within ``STOCHASTIC_TOL``.
+
+    Otherwise :class:`ScenarioError` names ``what`` and carries ``index`` as its ``row``.
+    """
+    row = np.asarray(row, dtype=np.float64)
+    if not np.all(np.isfinite(row)):
+        raise ScenarioError(f"{what} is not stochastic: it has a non-finite entry", row=index)
+    if np.any(row < 0.0):
+        raise ScenarioError(f"{what} is not stochastic: it has a negative entry", row=index)
+    total = float(row.sum())
+    if abs(total - 1.0) > STOCHASTIC_TOL:
+        raise ScenarioError(f"{what} is not stochastic: it sums to {total!r}", row=index)
+    return row
+
+
 def validate_scenario(p, b) -> Scenario:
     """Check raw scenario data and return a normalized Scenario.
 
@@ -91,21 +118,9 @@ def validate_scenario(p, b) -> Scenario:
         raise ScenarioError("need at least one user")
     if rows.shape[1] < 1:
         raise ScenarioError("need at least one destination")
-    try:
-        b = float(b)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"b must be a number, got {b!r}") from None
-    if not 0.0 <= b <= 1.0:
-        raise ScenarioError(f"b out of range: {b!r}")
-    for i in range(rows.shape[0]):
-        row = rows[i]
-        if not np.all(np.isfinite(row)):
-            raise ScenarioError("row has a non-finite entry", row=i)
-        if np.any(row < 0.0):
-            raise ScenarioError("row has a negative entry", row=i)
-        total = float(row.sum())
-        if abs(total - 1.0) > STOCHASTIC_TOL:
-            raise ScenarioError(f"row not stochastic: sums to {total!r}", row=i)
+    b = check_unit("b", b)
+    for i, row in enumerate(rows):
+        check_distribution(row, "row", i)
     rows /= rows.sum(axis=1, keepdims=True)
     rows.setflags(write=False)
     return Scenario(n=int(rows.shape[0]), dest_count=int(rows.shape[1]), b=b, p=rows)
@@ -158,11 +173,15 @@ class Observation:
         return (self.linked, self.input_only, self.output_only.counts, self.hidden_count)
 
 
+def _check_outputs(scenario: Scenario, outputs: DestMultiset) -> None:
+    if len(outputs.counts) != scenario.dest_count:
+        raise ObservationError("output multiset has the wrong number of destinations")
+
+
 def check_observation(scenario: Scenario, obs: Observation) -> None:
     """Verify that an observation could have come from this scenario."""
     n = scenario.n
-    if len(obs.output_only.counts) != scenario.dest_count:
-        raise ObservationError("output multiset has the wrong number of destinations")
+    _check_outputs(scenario, obs.output_only)
     for u, d in obs.linked:
         if not 0 <= u < n:
             raise ObservationError(f"linked user {u} out of range")

@@ -28,9 +28,9 @@ from typing import Callable
 import numpy as np
 
 from . import binomial as binom
-from .errors import ConditioningError, ModelError, SizeLimitError
+from .errors import ModelError
 # ``posterior`` stays a module attribute: benchmarks/spans.py wraps it by name.
-from .inference import PosteriorQuery, crowd_posteriors, posterior  # noqa: F401
+from .inference import PosteriorQuery, _check_query, _queried_prior, crowd_posteriors, posterior  # noqa: F401
 from .limits import SizeLimits, current_limits
 from .model import Scenario
 from .seeding import MASK64, uniform_block
@@ -104,8 +104,8 @@ def _generic_sampler(scenario: Scenario, query: PosteriorQuery, seed: int) -> Ca
 
         Such a view is fixed by its crowd (the users with unseen inputs,
         less the queried user) and its bare-output count vector.  Distinct
-        views are grouped by count vector, and each group is one batched
-        kernel call.
+        views are sorted by count vector first, so each run of equal count
+        vectors is one batched kernel call.
         """
         m = len(variates)
         dest = np.empty((m, n), dtype=_small_int(nd))
@@ -120,17 +120,16 @@ def _generic_sampler(scenario: Scenario, query: PosteriorQuery, seed: int) -> Ca
         counts = np.bincount((np.arange(m)[:, None] * nd + dest)[bare], minlength=m * nd)
         counts = counts.reshape(m, nd).astype(_small_int(n))
         unseen[:, u] = False
-        packed = np.hstack([np.packbits(unseen, axis=1), counts.view(np.uint8)])
+        packed = np.hstack([counts.view(np.uint8), np.packbits(unseen, axis=1)])
         _, first, inverse = np.unique(_row_keys(packed), return_index=True, return_inverse=True)
         unseen, counts = unseen[first], counts[first]
-        _, group_first, group = np.unique(_row_keys(counts), return_index=True, return_inverse=True)
+        runs = [0, *(np.flatnonzero(np.any(counts[1:] != counts[:-1], axis=1)) + 1).tolist(), len(first)]
         values = np.empty(len(first))
-        for g, row in enumerate(group_first.tolist()):
-            members = np.flatnonzero(group == g)
-            values[members] = crowd_posteriors(scenario.p, unseen[members], counts[row].tolist(), query)
+        for lo, hi in zip(runs, runs[1:]):
+            values[lo:hi] = crowd_posteriors(scenario.p, unseen[lo:hi], counts[lo].tolist(), query)
         return values[inverse]
 
-    return _sampler(seed, b, 3 * n, (n + u, 2 * n + u), float(scenario.p[u, d]), crowd)
+    return _sampler(seed, b, 3 * n, (n + u, 2 * n + u), _queried_prior(scenario, query), crowd)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -140,7 +139,7 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 
 
 def _worst_case_sampler(pop: WorstCasePopulation, seed: int) -> Callable:
-    b, p = pop.b, pop.p_target
+    b, p = pop.b, pop.queried_prior()
 
     def crowd(variates: np.ndarray, u_out: np.ndarray) -> np.ndarray:
         unobs_target = binom.ppf(variates[:, 2], pop.n_target, 1.0 - b)
@@ -154,7 +153,7 @@ def _worst_case_sampler(pop: WorstCasePopulation, seed: int) -> Callable:
 
 def _common_sampler(pop: CommonPopulation, seed: int) -> Callable:
     b, n = pop.b, pop.n
-    p_d = float(pop.p[pop.dest])
+    p_d = pop.queried_prior()
 
     def crowd(variates: np.ndarray, u_out: np.ndarray) -> np.ndarray:
         unobserved = 1 + binom.ppf(variates[:, 2], n - 1, 1.0 - b)
@@ -173,18 +172,16 @@ def _summary(psi: np.ndarray, seed: int) -> Estimate:
     return Estimate(float(psi.mean()), float(psi.std(ddof=1)) / math.sqrt(samples), samples, seed)
 
 
-def _stratified_estimate(
-    draw: Callable, base_prob: float, b: float, samples: int, seed: int
-) -> Estimate:
+def _stratified_estimate(draw: Callable, b: float, samples: int, seed: int) -> Estimate:
     """Stratify over the queried user's endpoint cases.
 
     The two cases with an observed input contribute constants (1, or the
-    prior), so all samples go to the unobserved-input strata, split by
-    whether the user's own output was seen.
+    prior that one draw of that case returns), so all samples go to the
+    unobserved-input strata, split by whether the user's own output was seen.
     """
     w_hidden = (1.0 - b) ** 2
     w_out_seen = (1.0 - b) * b
-    constant = b * b * 1.0 + b * (1.0 - b) * base_prob
+    constant = b * b * 1.0 + b * (1.0 - b) * float(draw(0, 1, (True, False))[0])
     if b == 1.0:
         return Estimate(1.0, 0.0, samples, seed)
     if b == 0.0:
@@ -220,7 +217,6 @@ def estimate_expected_posterior(
     WorstCasePopulation, or a CommonPopulation.  ``threads`` is accepted
     for interface parity and validated, but results never depend on it.
     """
-    limits = limits or current_limits()
     if samples < 2:
         raise ModelError("need at least 2 samples")
     if threads < 1:
@@ -229,29 +225,19 @@ def estimate_expected_posterior(
     if mode == "generic":
         if not isinstance(subject, Scenario) or query is None:
             raise ModelError("generic mode needs a Scenario and a query")
-        if subject.n > limits.mc_users or subject.dest_count > limits.mc_dests:
-            raise SizeLimitError(
-                f"generic sampling limited to {limits.mc_users} users and "
-                f"{limits.mc_dests} destinations"
-            )
-        prior = float(subject.p[query.user, query.dest])
-        never = f"user {query.user} never visits destination {query.dest}"
+        _check_query(subject, query)
+        (limits or current_limits()).check("mc", "generic sampling", subject.n, subject.dest_count)
         draw = _generic_sampler(subject, query, seed)
     elif mode == "worst_case":
         if not isinstance(subject, WorstCasePopulation):
             raise ModelError("worst_case mode needs a WorstCasePopulation")
-        prior, never = subject.p_target, "p_target must be positive"
         draw = _worst_case_sampler(subject, seed)
     elif mode == "common":
         if not isinstance(subject, CommonPopulation):
             raise ModelError("common mode needs a CommonPopulation")
-        prior = float(subject.p[subject.dest])
-        never = "the shared prior never visits the queried destination"
         draw = _common_sampler(subject, seed)
     else:
         raise ModelError(f"unknown mode {mode!r}")
-    if prior <= 0.0:
-        raise ConditioningError(never)
     if stratify:
-        return _stratified_estimate(draw, prior, subject.b, samples, seed)
+        return _stratified_estimate(draw, subject.b, samples, seed)
     return _summary(draw(0, samples, None), seed)

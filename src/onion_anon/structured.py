@@ -20,14 +20,20 @@ from math import fsum
 import numpy as np
 
 from .binomial import masses
-from .errors import ConditioningError, DegenerateCellError, ScenarioError, SizeLimitError
+from .errors import ConditioningError, DegenerateCellError, ScenarioError
 from .limits import SizeLimits, current_limits
+from .model import STOCHASTIC_TOL, check_distribution, check_unit
 
 _TRUNCATION_MASS = 1e-12
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
+def check_two_group(b: float, p_target: float, p_least: float) -> tuple[float, float, float]:
+    """The two-group parameters as floats: each in [0, 1], the priors summing to at most 1."""
+    b = check_unit("b", b)
+    p_target, p_least = check_unit("p_target", p_target), check_unit("p_least", p_least)
+    if p_target + p_least > 1.0 + STOCHASTIC_TOL:
+        raise ScenarioError("p_target + p_least exceeds 1")
+    return b, p_target, p_least
 
 
 @dataclass(frozen=True)
@@ -49,22 +55,23 @@ class WorstCasePopulation:
     def __post_init__(self):
         if self.n < 1:
             raise ScenarioError("population needs at least one user")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ScenarioError(f"alpha out of range: {self.alpha!r}")
-        if not 0.0 <= self.b <= 1.0:
-            raise ScenarioError(f"b out of range: {self.b!r}")
-        if not 0.0 <= self.p_target <= 1.0 or not 0.0 <= self.p_least <= 1.0:
-            raise ScenarioError("priors must lie in [0, 1]")
-        if self.p_target + self.p_least > 1.0 + 1e-12:
-            raise ScenarioError("p_target + p_least exceeds 1")
+        check_unit("alpha", self.alpha)
+        check_two_group(self.b, self.p_target, self.p_least)
 
     @property
     def n_target(self) -> int:
-        return _round_half_up(self.alpha * (self.n - 1))
+        """How many other users visit the target: alpha (n - 1), halves rounded up."""
+        return int(math.floor(self.alpha * (self.n - 1) + 0.5))
 
     @property
     def n_other(self) -> int:
         return (self.n - 1) - self.n_target
+
+    def queried_prior(self) -> float:
+        """``p_target``; :class:`ConditioningError` when it is 0."""
+        if self.p_target <= 0.0:
+            raise ConditioningError("p_target must be positive to condition on the target choice")
+        return self.p_target
 
 
 @dataclass(frozen=True)
@@ -79,13 +86,17 @@ class CommonPopulation:
     def __post_init__(self):
         if self.n < 1:
             raise ScenarioError("population needs at least one user")
-        if not 0.0 <= self.b <= 1.0:
-            raise ScenarioError(f"b out of range: {self.b!r}")
-        total = fsum(self.p)
-        if any(x < 0 for x in self.p) or not abs(total - 1.0) <= 1e-12:
-            raise ScenarioError("shared distribution is not stochastic")
+        check_unit("b", self.b)
+        check_distribution(self.p, "shared distribution")
         if not 0 <= self.dest < len(self.p):
             raise ScenarioError(f"destination {self.dest} out of range")
+
+    def queried_prior(self) -> float:
+        """The shared prior on ``dest``; :class:`ConditioningError` when it is 0."""
+        prior = float(self.p[self.dest])
+        if prior <= 0.0:
+            raise ConditioningError("the shared prior never visits the queried destination")
+        return prior
 
 
 def two_group_cell(n_target, n_other, seen_other, seen_target, p_target, p_least):
@@ -212,15 +223,9 @@ def worst_case_expected_exact(
     full support is iterated; ``truncate=True`` drops outer tail cells
     carrying at most 1e-12 of total probability.
     """
-    limits = limits or current_limits()
-    if pop.n > limits.structured_users:
-        raise SizeLimitError(
-            f"structured sums limited to {limits.structured_users} users (got {pop.n})"
-        )
-    if pop.p_target <= 0.0:
-        raise ConditioningError("p_target must be positive to condition on the target choice")
+    (limits or current_limits()).check("structured", "structured sums", pop.n)
     b = pop.b
-    p, q = pop.p_target, pop.p_least
+    p, q = pop.queried_prior(), pop.p_least
     lead = b * (1.0 - b) * p + b * b
     if b == 1.0:
         return lead
@@ -252,15 +257,9 @@ def common_expected_exact(pop: CommonPopulation, limits: SizeLimits | None = Non
     observed outputs is linear in the expected matching count, which
     collapses the inner sums.
     """
-    limits = limits or current_limits()
-    if pop.n > limits.structured_users:
-        raise SizeLimitError(
-            f"structured sums limited to {limits.structured_users} users (got {pop.n})"
-        )
+    (limits or current_limits()).check("structured", "structured sums", pop.n)
     b = pop.b
-    p_d = float(pop.p[pop.dest])
-    if p_d <= 0.0:
-        raise ConditioningError("the shared prior never visits the queried destination")
+    p_d = pop.queried_prior()
     weights = _cached_weights(pop.n - 1, 1.0 - b)  # index: unobserved - 1
     unobserved = np.arange(1, pop.n + 1, dtype=np.float64)
     inner = b * (p_d * (unobserved - 1.0) + 1.0) / unobserved + (1.0 - b) * p_d

@@ -380,6 +380,16 @@ class TestSweepRowIsTheSingleCommand:
             assert psi == _printed(["worst-case", "--n", "60", "--alpha", alpha, *WORST], capsys)
             assert ref == _printed(["worst-case", "--alpha", alpha, *WORST, "--method", "limit"], capsys)
 
+    def test_alpha_points_are_their_decimals(self, tmp_path, capsys):
+        # 0 + 7 * 0.1 is 0.7000000000000001, and 0.7 * 45 rounds to 31 target users where it gives 32.
+        out = tmp_path / "alpha.csv"
+        _printed(["sweep", "--mode", "worst-case", "--n", "46", "--alpha", "0:1:0.1", *WORST, "--out", str(out)], capsys)
+        rows = _rows(out)
+        assert [row[0] for row in rows] == ["0", *(f"0.{i}" for i in range(1, 10)), "1"]
+        assert rows[7][1] == "0.286166316375"
+        for alpha, psi, _, _ in rows:
+            assert psi == _printed(["worst-case", "--n", "46", "--alpha", alpha, *WORST], capsys)
+
     def test_common_n_sweep(self, tmp_path, capsys):
         out = tmp_path / "n.csv"
         _printed(["sweep", "--mode", "common", "--n", "10:100:30", *COMMON, "--out", str(out)], capsys)
