@@ -14,10 +14,13 @@ every vector up to its bare outputs c at the corner c, which serves
 all three sums it needs (the whole crowd's weight, and the queried
 user's output seen or hidden); the exact expectation reads the simplex
 of vectors with total at most the crowd size at every entry.  One call
-batches any number of crowds over one set, at O(crowd size x views x
-set size) instead of a factorial.  A view whose table could leave the
-float range (a large crowd, or hundreds of rare bare outputs) runs the
-same recurrence with an integer exponent per entry instead.
+batches any number of crowds, in one of two layouts: every crowd over
+one shared set (the simplex), or every view over its own box, the boxes
+laid end to end, so views with different bare outputs still share a
+call.  Either costs O(crowd size x table entries) instead of a
+factorial.  A view whose table could leave the float range (a large
+crowd, or hundreds of rare bare outputs) runs the same recurrence with
+an integer exponent per entry instead.
 
 Two independent enumeration oracles (one in floats, one in exact
 rationals) are provided for cross-checking the closed computations.
@@ -116,9 +119,9 @@ def duplicate_orderings(multiset: DestMultiset) -> int:
 
 _IMPOSSIBLE = "observation has zero probability under this scenario"
 
-# At most this many table entries (views x box size) per batched kernel call,
-# so memory stays flat however many views a caller hands in at once.
-BATCH_ENTRIES = 1 << 17
+# At most this many table entries per kernel call, so memory stays flat
+# however many views a caller hands in at once.
+BATCH_ENTRIES = 1 << 15
 
 # A view goes through the plain float kernel while log2 of its table's
 # span (see _plain_views) stays under this; the rest take the wide kernel.
@@ -129,24 +132,35 @@ _ZERO_EXPONENT = -(1 << 40)
 
 
 class _IndexSet(NamedTuple):
-    """A downward-closed set of count vectors, the entries of a crowd table.
+    """The count vectors a crowd table covers, in one of two layouts.
 
-    Two sets serve every caller: the box under a bare-output vector (a
-    posterior, a sampled view) and the total-capped simplex (the exact
-    expectation).  Axis i counts outputs on ``dests[i]``; ``keys`` lists
-    the E vectors in lexicographic order.  A table over the set has
-    E + 1 columns, a zero sentinel and then ``keys``; ``pred[i]`` maps
-    each column to that of the vector one lower on axis i, or to the
-    sentinel where that count is 0.
+    Axis i counts outputs on ``dests[i]``.  A table has a zero sentinel
+    column and then one column per entry; ``pred[i]`` maps each column
+    to that of the vector one lower on axis i, or to the sentinel where
+    that count is 0, and ``origins`` are the columns of zero vectors.
+
+    - *Shared* (``owner`` is None): every crowd of a batch runs over the
+      same E vectors ``keys``, one table row per crowd.  This is the
+      total-capped simplex of the exact expectation.
+    - *Ragged*: view v owns a box of every vector up to its bare outputs,
+      and the boxes lie end to end in one table row; ``owner`` maps each
+      column to its view, and ``keys`` is None.
+
+    ``corners`` holds the set's extreme vectors over all destinations,
+    ``(V, K, nd)`` per view or ``(1, K, nd)`` shared: a non-negative
+    linear form peaks at one of them.
     """
 
     dests: tuple[int, ...]
-    keys: np.ndarray
+    keys: np.ndarray | None
     pred: np.ndarray
+    origins: np.ndarray
+    owner: np.ndarray | None
+    corners: np.ndarray
 
 
 def _index_set(dests: Sequence[int], keys: np.ndarray) -> _IndexSet:
-    """Sort ``keys`` and look up each predecessor by binary search on mixed-radix codes."""
+    """A shared set: sort ``keys`` and find each predecessor by binary search on mixed-radix codes."""
     radix = keys.max(axis=0) + 1
     if math.prod(int(x) for x in radix) > 1 << 62:
         raise SizeLimitError("count vectors too large to index in 64 bits")
@@ -155,14 +169,9 @@ def _index_set(dests: Sequence[int], keys: np.ndarray) -> _IndexSet:
     order = np.argsort(codes)
     keys, codes = keys[order], codes[order]
     pred = np.where(keys.T > 0, np.searchsorted(codes, codes - place[:, None]) + 1, 0)
-    return _IndexSet(tuple(dests), keys, np.pad(pred, ((0, 0), (1, 0))))
-
-
-def _box(counts: Sequence[int]) -> _IndexSet:
-    """Every count vector up to ``counts``, over its support; the top corner is last."""
-    dests = [s for s, c in enumerate(counts) if c > 0]
-    shape = tuple(int(counts[s]) + 1 for s in dests)
-    return _index_set(dests, np.indices(shape).reshape(len(shape), math.prod(shape)).T)
+    # The extreme vectors of a simplex are its vertices on the axes.
+    corners = np.diag(radix - 1)[None]
+    return _IndexSet(tuple(dests), keys, np.pad(pred, ((0, 0), (1, 0))), np.array([1]), None, corners)
 
 
 def _simplex(dest_count: int, total: int) -> _IndexSet:
@@ -172,44 +181,87 @@ def _simplex(dest_count: int, total: int) -> _IndexSet:
     return _index_set(range(dest_count), keys)
 
 
-def _plain_views(rows: np.ndarray, masks: np.ndarray, keys: np.ndarray) -> np.ndarray:
+def _boxes(counts: np.ndarray) -> _IndexSet:
+    """A ragged set: one box per row of ``counts``, over the union of their supports.
+
+    Box v holds every vector up to ``counts[v]`` in lexicographic order,
+    so its top corner is its last column.  Within a box, axis i has a
+    mixed-radix place ``place_i``, and the predecessor of a column is
+    that column less ``place_i``.  An axis outside a view's support has
+    radix 1 there, so its predecessor is always the sentinel.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    dests = np.flatnonzero(counts.any(axis=0))
+    radix = counts[:, dests] + 1
+    if np.any(np.log2(radix).sum(axis=1) > 62):
+        raise SizeLimitError("count vectors too large to index in 64 bits")
+    place = np.cumprod(radix[:, ::-1], axis=1)[:, ::-1] // radix
+    sizes = radix.prod(axis=1)
+    origins = np.cumsum(sizes) - sizes + 1
+    owner = np.repeat(np.arange(len(counts)), sizes)
+    column = np.arange(1, len(owner) + 1)
+    local = column - origins[owner]
+    pred = np.zeros((len(dests), len(owner) + 1), dtype=np.int64)
+    for i in range(len(dests)):
+        step = place[owner, i]
+        pred[i, 1:] = np.where(local // step % radix[owner, i] > 0, column - step, 0)
+    return _IndexSet(tuple(dests.tolist()), None, pred, origins, np.pad(owner, (1, 0)), counts[:, None, :])
+
+
+def _per_entry(values: np.ndarray, index: _IndexSet) -> np.ndarray:
+    """Per-view ``values`` in a table's shape: a column per row, or one value per column."""
+    return values[:, None] if index.owner is None else values[index.owner]
+
+
+def _plain_views(p: np.ndarray, masks: np.ndarray, corners: np.ndarray) -> np.ndarray:
     """Which views the plain float kernel computes to full precision.
 
-    With m_v user v's mass on the support and M the crowd's total, an
+    A view's set spans the destinations where its ``corners`` are
+    positive.  With m_v user v's mass there and M the crowd's total, an
     entry ``W[r]`` is at most e_|r|(m) <= M**|r| / |r|!, and at most
     G = prod (1 + m_v); a nonzero one is at least the product of
     ``pmin_i ** r_i``, where ``pmin_i`` is the crowd's smallest positive
     mass on column i.  While log2 of the ratio of these bounds over the
-    index set's ``keys`` is at most ``_PLAIN_SPAN``, nothing needed
-    underflows, and an entry that underflows elsewhere moves a needed one
-    by at most 2**-174 of it per multiply-add.  The test depends on the
-    view alone, never on its batch.
+    set is at most ``_PLAIN_SPAN``, nothing needed underflows, and an
+    entry that underflows elsewhere moves a needed one by at most
+    2**-174 of it per multiply-add.  Every quantity is taken per view
+    over all destinations, so the test depends on the view alone, never
+    on its batch.
     """
-    mass = rows.sum(axis=1)
-    sizes = np.arange(1, keys.sum(axis=1).max() + 1)
+    support = (corners > 0).any(axis=1)
+    mass = np.broadcast_to(support @ p.T, masks.shape)
+    totals = corners.sum(axis=2).max(axis=1)
+    sizes = np.arange(1, totals.max(initial=0) + 1)[:, None]
     with np.errstate(divide="ignore"):
-        powers = sizes * np.log2((masks * mass).sum(axis=1))[:, None] - np.cumsum(np.log2(sizes))
-    span = np.minimum((masks * np.log2(1.0 + mass)).sum(axis=1), powers.max(axis=1, initial=0.0))
-    rare = -np.log2(np.where(rows > 0.0, rows, 1.0))
-    worst = np.zeros((masks.shape[0], keys.shape[1]))
-    for i in range(keys.shape[1]):
-        worst[:, i] = np.where(masks, rare[:, i], 0.0).max(axis=1)
-    return span + (worst @ keys.T).max(axis=1) <= _PLAIN_SPAN
+        powers = sizes * np.log2(np.einsum("vu,vu->v", masks, mass)) - np.cumsum(np.log2(sizes))[:, None]
+    powers = np.where(sizes <= totals, powers, 0.0).max(axis=0, initial=0.0)
+    span = np.minimum(np.einsum("vu,vu->v", masks, np.log2(1.0 + mass)), powers)
+    rare = -np.log2(np.where(p > 0.0, p, 1.0))
+    crowds = np.ascontiguousarray(masks.T)
+    worst = np.zeros((masks.shape[0], p.shape[1]))
+    for i in range(p.shape[1]):
+        worst[:, i] = np.where(crowds, rare[:, i, None], 0.0).max(axis=0, initial=0.0)
+    return span + (worst[:, None, :] * corners).sum(axis=2).max(axis=1) <= _PLAIN_SPAN
 
 
-def _plain_table(rows: np.ndarray, masks: np.ndarray, pred: np.ndarray) -> np.ndarray:
-    table = np.zeros((masks.shape[0], pred.shape[1]))
-    table[:, 1] = 1.0
+def _table_shape(masks: np.ndarray, index: _IndexSet) -> tuple[int, ...]:
+    columns = index.pred.shape[1]
+    return (masks.shape[0], columns) if index.owner is None else (columns,)
+
+
+def _plain_table(rows: np.ndarray, masks: np.ndarray, index: _IndexSet) -> np.ndarray:
+    table = np.zeros(_table_shape(masks, index))
+    table[..., index.origins] = 1.0
     for v in np.flatnonzero(masks.any(axis=0) & (rows > 0.0).any(axis=1)):
-        step = rows[v] * masks[:, v, None]
+        source = table * _per_entry(masks[:, v], index)
         grown = table.copy()
-        for i, below in enumerate(pred):
-            grown += step[:, i, None] * table.take(below, axis=1)
+        for weight, below in zip(rows[v], index.pred):
+            grown += weight * source.take(below, axis=-1)
         table = grown
     return table
 
 
-def _wide_table(rows: np.ndarray, masks: np.ndarray, pred: np.ndarray):
+def _wide_table(rows: np.ndarray, masks: np.ndarray, index: _IndexSet):
     """The plain recurrence with an integer exponent per entry.
 
     Entry ``r`` is ``ldexp(table[r], exponent[r])``; each step adds the
@@ -217,15 +269,16 @@ def _wide_table(rows: np.ndarray, masks: np.ndarray, pred: np.ndarray):
     renormalises every mantissa into [0.5, 1).  Nothing leaves the
     float range, so no view is too large or too skewed for it.
     """
-    table = np.zeros((masks.shape[0], pred.shape[1]))
+    table = np.zeros(_table_shape(masks, index))
     exponent = np.full(table.shape, _ZERO_EXPONENT, dtype=np.int64)
-    table[:, 1], exponent[:, 1] = 0.5, 1
+    table[..., index.origins], exponent[..., index.origins] = 0.5, 1
+    mantissa, power = np.frexp(rows)
     for v in np.flatnonzero(masks.any(axis=0) & (rows > 0.0).any(axis=1)):
-        mantissa, power = np.frexp(rows[v] * masks[:, v, None])
+        source = table * _per_entry(masks[:, v], index)
         grown, raised = table.copy(), exponent.copy()
-        for i, below in enumerate(pred):
-            part = mantissa[:, i, None] * table.take(below, axis=1)
-            part_exp = np.where(part > 0.0, exponent.take(below, axis=1) + power[:, i, None], _ZERO_EXPONENT)
+        for i, below in enumerate(index.pred):
+            part = mantissa[v, i] * source.take(below, axis=-1)
+            part_exp = np.where(part > 0.0, exponent.take(below, axis=-1) + power[v, i], _ZERO_EXPONENT)
             common = np.maximum(raised, part_exp)
             grown = np.ldexp(grown, raised - common) + np.ldexp(part, part_exp - common)
             raised = common
@@ -234,103 +287,131 @@ def _wide_table(rows: np.ndarray, masks: np.ndarray, pred: np.ndarray):
     return table, exponent
 
 
-def _crowd_table(p: np.ndarray, masks: np.ndarray, index: _IndexSet):
-    """Crowd-matching tables of V crowds over one index set.
+def _crowd_table(p: np.ndarray, masks: np.ndarray, index: _IndexSet, plain: np.ndarray):
+    """Crowd-matching tables of V crowds over an index set.
 
-    ``masks`` is a ``(V, n)`` boolean array of crowds.  Entry ``[v, r]``
-    of the returned ``(V, E + 1)`` table is the summed weight of the ways
-    crowd ``v`` covers each ``index.dests[i]`` exactly ``r_i`` times,
-    each covering user contributing ``p[user, dests[i]]``.  One crowd
-    user is one step, ``new = W + sum_i a_i * W[pred_i]``.
+    ``masks`` is a ``(V, n)`` boolean array of crowds.  Entry r of view
+    v's table is the summed weight of the ways crowd v covers each
+    ``index.dests[i]`` exactly ``r_i`` times, each covering user
+    contributing ``p[user, dests[i]]``.  One crowd user u is one step
+    over the whole table: with ``source`` the table masked to the views
+    whose crowd holds u, ``new = W + sum_i p[u, dests[i]] * source[pred_i]``.
+    A view's predecessors lie in its own row or box, so masking the
+    source masks the step, and multiplying by 0 or 1 is exact.
 
-    Views whose entries fit the float range run that recurrence in plain
-    floats; the others run it with an exponent per entry.  Returns
-    ``(table, exponent)``: the weight is ``ldexp(table, exponent)``, and
-    ``exponent`` is 0 on the plain views.  A view's entries do not
-    depend on which other views share the batch.
+    The views flagged in ``plain`` (see :func:`_plain_views`) run that
+    recurrence in plain floats; the others run it with an exponent per
+    entry.  Returns ``(table, exponent)`` in the layout's shape
+    (``(V, E + 1)`` shared, ``(E + 1,)`` ragged): the weight is
+    ``ldexp(table, exponent)``, and ``exponent`` is 0 on the plain views.
+    A view's entries do not depend on which other views share the batch.
     """
     rows = p[:, list(index.dests)]
-    plain = _plain_views(rows, masks, index.keys)
-    table = np.zeros((masks.shape[0], index.pred.shape[1]))
-    exponent = np.zeros(table.shape, dtype=np.int64)
+    if plain.all():
+        return _plain_table(rows, masks, index), np.zeros(_table_shape(masks, index), dtype=np.int64)
+    table, exponent = _wide_table(rows, masks & ~plain[:, None], index)
     if plain.any():
-        table[plain] = _plain_table(rows, masks[plain], index.pred)
-    if not plain.all():
-        table[~plain], exponent[~plain] = _wide_table(rows, masks[~plain], index.pred)
+        keep = _per_entry(plain, index)
+        table = np.where(keep, _plain_table(rows, masks & plain[:, None], index), table)
+        exponent = np.where(keep, 0, exponent)
     return table, exponent
 
 
-def _view_sums(p: np.ndarray, masks: np.ndarray, index, query: PosteriorQuery, at=-1):
-    """The three crowd sums of V views, read off one table per view.
-
-    ``masks`` holds each view's crowd *without* the queried user u, and
-    ``index`` is an :class:`_IndexSet` or a bare-output vector c, which
-    stands for its box.  For the entry r at column ``at`` (by default the
-    last, the top corner c of a box) the sums are, with W the crowd's
-    table: ``any_dest = W[r] + sum_i p[u, s_i] W[r - e_i]`` (the whole
-    crowd's weight, u included), ``seen = W[r - e_d]`` (0 if d is not
-    among the outputs) and ``hidden = W[r]``.  They share a per-entry
-    scale: the true values are ``ldexp(x, exponent)``.  A slice ``at``
-    reads every entry it covers at once.
-    """
-    if not isinstance(index, _IndexSet):
-        index = _box(index)
-    table, exponent = _crowd_table(p, masks, index)
+def _read_sums(p: np.ndarray, table: np.ndarray, exponent: np.ndarray, index: _IndexSet, at, query):
     columns = [at] + [below[at] for below in index.pred]
-    common = functools.reduce(np.maximum, (exponent[:, c] for c in columns))
-    hidden = np.ldexp(table[:, at], exponent[:, at] - common)
+    common = functools.reduce(np.maximum, (exponent[..., c] for c in columns))
+    hidden = np.ldexp(table[..., at], exponent[..., at] - common)
     any_dest = hidden.copy()
     seen = np.zeros_like(hidden)
     for s, c in zip(index.dests, columns[1:]):
-        below = np.ldexp(table[:, c], exponent[:, c] - common)
+        below = np.ldexp(table[..., c], exponent[..., c] - common)
         any_dest += p[query.user, s] * below
         if s == query.dest:
             seen = below
     return any_dest, seen, hidden, common
 
 
-def _batches(views: int, index: _IndexSet) -> Iterator[slice]:
-    """Slices of at most ``BATCH_ENTRIES`` table entries' worth of views."""
-    step = max(1, BATCH_ENTRIES // len(index.keys))
-    return (slice(lo, lo + step) for lo in range(0, views, step))
+def _view_sums(p: np.ndarray, masks: np.ndarray, index, query: PosteriorQuery, at=None):
+    """The three crowd sums of V views, read off one table per view.
+
+    ``masks`` holds each view's crowd *without* the queried user u.  For
+    the entry r of a view's table (see :func:`_crowd_table`) the sums
+    are, with W the crowd's table: ``any_dest = W[r] + sum_i p[u, s_i]
+    W[r - e_i]`` (the whole crowd's weight, u included), ``seen =
+    W[r - e_d]`` (0 if d is not among the outputs) and ``hidden = W[r]``.
+    They share a per-entry scale: the true values are
+    ``ldexp(x, exponent)``.
+
+    ``index`` is either a shared :class:`_IndexSet`, read at the columns
+    ``at`` (a slice reads every entry it covers at once), or bare-output
+    counts, one vector for every view or one row per view, read at each
+    view's vector c.  Counts go through the kernel as ragged boxes, plain
+    and wide views apart, in batches of whole views holding at most
+    ``BATCH_ENTRIES`` table entries.
+    """
+    if isinstance(index, _IndexSet):
+        table = _crowd_table(p, masks, index, _plain_views(p, masks, index.corners))
+        return _read_sums(p, *table, index, at, query)
+    counts = np.broadcast_to(np.asarray(index, dtype=np.int64), (masks.shape[0], p.shape[1]))
+    plain = np.zeros(masks.shape[0], dtype=bool)
+    # The plain test's (views, users) arrays stay within the same cap.
+    for s in _batches(np.full(masks.shape[0], masks.shape[1])):
+        plain[s] = _plain_views(p, masks[s], counts[s, None, :])
+    sums = np.zeros((3, masks.shape[0]))
+    common = np.zeros(masks.shape[0], dtype=np.int64)
+    sizes = (counts + 1).prod(axis=1)
+    for group in (np.flatnonzero(plain), np.flatnonzero(~plain)):
+        for batch in _batches(sizes[group]):
+            views = group[batch]
+            boxes = _boxes(counts[views])
+            tops = np.append(boxes.origins[1:], boxes.pred.shape[1]) - 1
+            table = _crowd_table(p, masks[views], boxes, plain[views])
+            *sums[:, views], common[views] = _read_sums(p, *table, boxes, tops, query)
+    return (*sums, common)
 
 
-def crowd_posteriors(
-    p: np.ndarray, masks: np.ndarray, counts: Sequence[int], query: PosteriorQuery
-) -> np.ndarray:
-    """Posteriors of the query for V views with the same bare outputs.
+def _batches(sizes: np.ndarray) -> Iterator[slice]:
+    """Runs of whole views holding at most ``BATCH_ENTRIES`` table entries (or one view)."""
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < len(sizes):
+        base = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + BATCH_ENTRIES, side="right")))
+        yield slice(lo, hi)
+        lo = hi
+
+
+def crowd_posteriors(p: np.ndarray, masks: np.ndarray, counts, query: PosteriorQuery) -> np.ndarray:
+    """Posteriors of the query for V views, each with its own bare outputs.
 
     Each row of ``masks`` is one view's crowd of unseen inputs, without
-    the queried user (whose input is unseen too); ``counts`` is the
-    shared bare-output vector.  Views go through the kernel in batches
-    of at most ``BATCH_ENTRIES`` table entries; a view's value is the
-    same bit for bit in any batch.
+    the queried user (whose input is unseen too); ``counts`` holds each
+    view's bare-output vector as a ``(V, nd)`` array, or one vector for
+    every view.  A view's value is the same bit for bit in any batch.
     """
-    index = _box(counts)
-    p_ud = float(p[query.user, query.dest])
-    out = np.empty(masks.shape[0])
-    for batch in _batches(masks.shape[0], index):
-        any_dest, seen, hidden, _ = _view_sums(p, masks[batch], index, query)
-        if not np.all(any_dest > 0.0):
-            raise ImpossibleObservationError(_IMPOSSIBLE)
-        out[batch] = p_ud * (seen + hidden) / any_dest
-    return out
+    any_dest, seen, hidden, _ = _view_sums(p, masks, counts, query)
+    if not np.all(any_dest > 0.0):
+        raise ImpossibleObservationError(_IMPOSSIBLE)
+    return float(p[query.user, query.dest]) * (seen + hidden) / any_dest
 
 
 def _crowd_mask(n: int, users) -> np.ndarray:
-    """One crowd as a ``(1, n)`` mask; a user outside the population is an ObservationError."""
+    """One crowd as a ``(1, n)`` mask; a user outside the population or listed twice is an ObservationError."""
     mask = np.zeros((1, n), dtype=bool)
     for v in users:
         if not 0 <= v < n:
             raise ObservationError(f"crowd user {v} out of range")
+        if mask[0, v]:
+            raise ObservationError(f"crowd user {v} listed twice")
         mask[0, v] = True
     return mask
 
 
 def _crowd_weight(p: np.ndarray, mask: np.ndarray, counts: Sequence[int]) -> tuple[float, int]:
     """W[c] of one crowd as ``(x, e)``; the weight is ``ldexp(x, e)``."""
-    table, exponent = _crowd_table(p, mask, _box(counts))
-    return float(table[0, -1]), int(exponent[0, -1])
+    boxes = _boxes(np.array([counts]))
+    table, exponent = _crowd_table(p, mask, boxes, _plain_views(p, mask, boxes.corners))
+    return float(table[-1]), int(exponent[-1])
 
 
 def injection_sum(users: Sequence[int], outputs: DestMultiset, p: np.ndarray) -> float:
@@ -343,6 +424,7 @@ def injection_sum(users: Sequence[int], outputs: DestMultiset, p: np.ndarray) ->
     Read off the crowd-matching table and returned unscaled, so a weight
     above the float range is ``inf`` and one below it is 0.
     """
+    _check_outputs(p.shape[1], outputs)
     x, e = _crowd_weight(p, _crowd_mask(p.shape[0], users), outputs.counts)
     with np.errstate(over="ignore"):
         return float(np.ldexp(x, e))
@@ -361,19 +443,19 @@ def view_probability_split(
     float range reads 0, not the ``nan`` of ``0 * inf``.
     """
     _check_query(scenario, query)
-    _check_outputs(scenario, view.outputs)
-    users = tuple(view.users)
-    if query.user not in users:
-        raise QueryError("queried user does not have an unobserved input in this view")
+    _check_outputs(scenario.dest_count, view.outputs)
     n = scenario.n
     b = scenario.b
-    size = len(users)
+    rest = _crowd_mask(n, view.users)
+    if not rest[0, query.user]:
+        raise QueryError("queried user does not have an unobserved input in this view")
+    rest[0, query.user] = False
+    size = len(view.users)
     out_size = view.outputs.size
     seen_x, seen_e = _scaled_power(b, n - size + out_size)
     hidden_x, hidden_e = _scaled_power(1.0 - b, 2 * size - out_size)
     prefactor = seen_x * hidden_x
     p_ud = float(scenario.p[query.user, query.dest])
-    rest = _crowd_mask(n, (v for v in users if v != query.user))
     *sums, exponent = _view_sums(scenario.p, rest, view.outputs.counts, query)
     scale = seen_e + hidden_e + int(exponent[0])
     weights = (prefactor, prefactor * p_ud, prefactor * p_ud)
@@ -461,7 +543,7 @@ def expected_posterior_formula(
         rests = np.array(list(itertools.combinations(others, crowd_size - 1)), dtype=np.int64)
         masks = np.zeros((len(rests), n), dtype=bool)
         masks[np.arange(len(rests))[:, None], rests] = True
-        for batch in _batches(len(masks), index):
+        for batch in _batches(np.full(len(masks), len(index.keys))):
             with_u, seen, without_u, exponent = _view_sums(
                 scenario.p, masks[batch], index, query, at=slice(1, None)
             )

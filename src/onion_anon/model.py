@@ -88,6 +88,13 @@ def check_unit(name: str, x) -> float:
     return x
 
 
+def check_integer(name: str, x) -> int:
+    """``x`` (a population size or a destination index) as an int, or ScenarioError naming ``name``; bools fail."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ScenarioError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
 def check_distribution(row, what: str, index: int | None = None) -> np.ndarray:
     """``row`` as a float array: finite, non-negative, summing to 1 within ``STOCHASTIC_TOL``.
 
@@ -173,15 +180,15 @@ class Observation:
         return (self.linked, self.input_only, self.output_only.counts, self.hidden_count)
 
 
-def _check_outputs(scenario: Scenario, outputs: DestMultiset) -> None:
-    if len(outputs.counts) != scenario.dest_count:
+def _check_outputs(dest_count: int, outputs: DestMultiset) -> None:
+    if len(outputs.counts) != dest_count:
         raise ObservationError("output multiset has the wrong number of destinations")
 
 
 def check_observation(scenario: Scenario, obs: Observation) -> None:
     """Verify that an observation could have come from this scenario."""
     n = scenario.n
-    _check_outputs(scenario, obs.output_only)
+    _check_outputs(scenario.dest_count, obs.output_only)
     for u, d in obs.linked:
         if not 0 <= u < n:
             raise ObservationError(f"linked user {u} out of range")

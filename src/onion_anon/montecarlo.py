@@ -11,13 +11,13 @@ endpoint flags; with the input seen the posterior is 1 (the output is
 seen too) or the prior, whatever the population.  Only the unseen-input
 "crowd" case depends on the population, and each mode supplies just
 that.  The generic mode reduces its crowd samples to distinct views,
-each fixed by its crowd and its bare-output multiset; views with the
-same multiset share one batched call of the crowd-matching kernel.  The
-structured modes evaluate the closed-form cells of
-:mod:`onion_anon.structured` on binomially sampled counts without
-materializing users.  Those counts come from the package's own exact
-inverse CDF (:func:`onion_anon.binomial.ppf`), so a seeded estimate
-depends on nothing but this package and numpy.
+each fixed by its crowd and its bare-output multiset, and passes all of
+a chunk's distinct views to the crowd-matching kernel together, each
+with its own multiset.  The structured modes evaluate the closed-form
+cells of :mod:`onion_anon.structured` on binomially sampled counts
+without materializing users.  Those counts come from the package's own
+exact inverse CDF (:func:`onion_anon.binomial.ppf`), so a seeded
+estimate depends on nothing but this package and numpy.
 """
 from __future__ import annotations
 
@@ -103,9 +103,9 @@ def _generic_sampler(scenario: Scenario, query: PosteriorQuery, seed: int) -> Ca
         """Posteriors of sampled views in which the queried user's input is unseen.
 
         Such a view is fixed by its crowd (the users with unseen inputs,
-        less the queried user) and its bare-output count vector.  Distinct
-        views are sorted by count vector first, so each run of equal count
-        vectors is one batched kernel call.
+        less the queried user) and its bare-output count vector.  The
+        distinct views go to the crowd-matching kernel together, each
+        with its own count vector.
         """
         m = len(variates)
         dest = np.empty((m, n), dtype=_small_int(nd))
@@ -122,12 +122,7 @@ def _generic_sampler(scenario: Scenario, query: PosteriorQuery, seed: int) -> Ca
         unseen[:, u] = False
         packed = np.hstack([counts.view(np.uint8), np.packbits(unseen, axis=1)])
         _, first, inverse = np.unique(_row_keys(packed), return_index=True, return_inverse=True)
-        unseen, counts = unseen[first], counts[first]
-        runs = [0, *(np.flatnonzero(np.any(counts[1:] != counts[:-1], axis=1)) + 1).tolist(), len(first)]
-        values = np.empty(len(first))
-        for lo, hi in zip(runs, runs[1:]):
-            values[lo:hi] = crowd_posteriors(scenario.p, unseen[lo:hi], counts[lo].tolist(), query)
-        return values[inverse]
+        return crowd_posteriors(scenario.p, unseen[first], counts[first], query)[inverse]
 
     return _sampler(seed, b, 3 * n, (n + u, 2 * n + u), _queried_prior(scenario, query), crowd)
 

@@ -22,7 +22,7 @@ import numpy as np
 from .binomial import masses
 from .errors import ConditioningError, DegenerateCellError, ScenarioError
 from .limits import SizeLimits, current_limits
-from .model import STOCHASTIC_TOL, check_distribution, check_unit
+from .model import STOCHASTIC_TOL, check_distribution, check_integer, check_unit
 
 _TRUNCATION_MASS = 1e-12
 
@@ -53,7 +53,7 @@ class WorstCasePopulation:
     p_least: float
 
     def __post_init__(self):
-        if self.n < 1:
+        if check_integer("n", self.n) < 1:
             raise ScenarioError("population needs at least one user")
         check_unit("alpha", self.alpha)
         check_two_group(self.b, self.p_target, self.p_least)
@@ -84,11 +84,11 @@ class CommonPopulation:
     dest: int
 
     def __post_init__(self):
-        if self.n < 1:
+        if check_integer("n", self.n) < 1:
             raise ScenarioError("population needs at least one user")
         check_unit("b", self.b)
         check_distribution(self.p, "shared distribution")
-        if not 0 <= self.dest < len(self.p):
+        if not 0 <= check_integer("dest", self.dest) < len(self.p):
             raise ScenarioError(f"destination {self.dest} out of range")
 
     def queried_prior(self) -> float:

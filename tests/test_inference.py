@@ -570,6 +570,34 @@ def check_batches(s, query, counts, masks, data):
         assert np.array_equal(split, whole)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_ragged_batch_equals_one_call_per_view(data):
+    """Views with different bare outputs share a kernel call and keep their own values."""
+    s = data.draw(small_scenarios())
+    query = PosteriorQuery(data.draw(st.integers(0, s.n - 1)), data.draw(st.integers(0, s.dest_count - 1)))
+    views = data.draw(st.integers(1, 8))
+    cells = st.sampled_from([0, 0, 1, 2, 3])
+    counts = np.array([[data.draw(cells) for _ in range(s.dest_count)] for _ in range(views)])
+    masks = np.array([[data.draw(st.booleans()) for _ in range(s.n)] for _ in range(views)])
+    masks[:, query.user] = False
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inference, "_PLAIN_SPAN", data.draw(SPANS))
+        singles = [_view_sums(s.p, masks[i : i + 1], counts[i], query) for i in range(views)]
+        patch.setattr(inference, "BATCH_ENTRIES", data.draw(st.integers(1, 64)))
+        batch = _view_sums(s.p, masks, counts, query)
+        for i, single in enumerate(singles):
+            for got, want in zip(batch, single):
+                assert np.array_equal(got[i : i + 1], want)
+        if not np.all(batch[0] > 0.0):
+            with pytest.raises(ImpossibleObservationError):
+                crowd_posteriors(s.p, masks, counts, query)
+            return
+        got = crowd_posteriors(s.p, masks, counts, query)
+        want = [crowd_posteriors(s.p, masks[i : i + 1], counts[i], query)[0] for i in range(views)]
+    assert np.array_equal(got, np.array(want))
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_scenarios(max_users=5), st.data())
 def test_formula_matches_oracle(s, data):

@@ -135,6 +135,33 @@ def test_view_split_rejects_outputs_of_the_wrong_length(counts):
         view_probability_split(SCENARIO, view, PosteriorQuery(0, 0))
 
 
+def test_view_split_rejects_a_crowd_user_listed_twice():
+    view = UnobservedView(users=(0, 0, 1), outputs=DestMultiset((1, 0)))
+    with pytest.raises(ObservationError, match="crowd user 0 listed twice"):
+        view_probability_split(SCENARIO, view, PosteriorQuery(0, 0))
+
+
+@pytest.mark.parametrize("counts", [(0, 0, 1), (1,)])
+def test_injection_sum_rejects_outputs_of_the_wrong_length(counts):
+    with pytest.raises(ObservationError, match="wrong number of destinations"):
+        injection_sum((0, 1), DestMultiset(counts), SCENARIO.p)
+
+
+@pytest.mark.parametrize("value", [5.5, 5.0, True, "5", None])
+def test_population_sizes_and_indices_are_integers(value):
+    with pytest.raises(ScenarioError, match=f"n must be an integer, got {value!r}"):
+        WorstCasePopulation(n=value, alpha=0.5, b=0.3, p_target=0.3, p_least=0.1)
+    with pytest.raises(ScenarioError, match=f"n must be an integer, got {value!r}"):
+        CommonPopulation(n=value, b=0.3, p=(0.5, 0.5), dest=0)
+    with pytest.raises(ScenarioError, match=f"dest must be an integer, got {value!r}"):
+        CommonPopulation(n=5, b=0.3, p=(0.5, 0.5), dest=value)
+
+
+def test_numpy_integers_are_integers():
+    assert WorstCasePopulation(np.int64(5), 0.5, 0.3, 0.3, 0.1).n_target == 2
+    assert CommonPopulation(np.int32(5), 0.3, (0.5, 0.5), np.int64(1)).queried_prior() == 0.5
+
+
 @pytest.mark.parametrize("kind, what, sizes, message", [
     ("structured", "structured sums", (301,), "structured sums limited to 300 users (got 301)"),
     ("formula", "formula", (10, 7), "formula limited to 10 users and 6 destinations (got 10, 7)"),

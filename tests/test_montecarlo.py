@@ -22,7 +22,7 @@ from onion_anon import (
     worst_case_expected_exact,
     worst_case_limit,
 )
-from onion_anon import inference
+from onion_anon import inference, montecarlo
 from onion_anon.inference import crowd_posteriors
 from onion_anon.model import DestMultiset, Observation
 from onion_anon.montecarlo import _common_sampler, _generic_sampler, _worst_case_sampler
@@ -136,6 +136,22 @@ class TestBatching:
             shown = tuple(v for v in range(240) if not mask[v] and v != q.user)
             obs = Observation((), shown, DestMultiset(counts), 240 - len(shown) - 60)
             assert posterior(s, obs, q) == value
+
+    @pytest.mark.parametrize("n, dests, b", [(20, 6, 0.37), (40, 4, 0.38)])
+    @pytest.mark.parametrize("force_u", [None, (False, False), (False, True), (True, False), (True, True)])
+    def test_large_crowd_draws_equal_one_view_per_call(self, monkeypatch, n, dests, b, force_u):
+        rng = np.random.default_rng(n + dests)
+        s = validate_scenario(rng.dirichlet(np.ones(dests), size=n), b)
+        q = PosteriorQuery(3, 1)
+        draw = _generic_sampler(s, q, 12)
+        chunked = draw(0, 60, force_u)
+        real = montecarlo.crowd_posteriors
+
+        def one_view_per_call(p, masks, counts, query):
+            return np.array([real(p, m[None], c, query)[0] for m, c in zip(masks, counts)])
+
+        monkeypatch.setattr(montecarlo, "crowd_posteriors", one_view_per_call)
+        assert np.array_equal(chunked, draw(0, 60, force_u))
 
     def test_wide_views_under_raised_limits(self, monkeypatch):
         monkeypatch.setenv("ONION_ANON_SIZE_LIMITS", "mc_users=300")
