@@ -1,11 +1,17 @@
 """Batch front end: scenario files, exact and sampled runs, CSV sweeps.
 
+The parser is built once per process from three tables.  ``_OPTIONS``
+declares each option's argparse keywords once, ``_COMMANDS`` gives each
+sub-command its ``--mode``/``--method`` choices and optional options, and
+``_NEEDS`` lists the options a command needs for its choices.  ``_NEEDS``
+is the only presence rule: a command missing options exits 2 with one
+error naming every missing one.
+
 ``worst-case``, ``common``, ``mc --mode worst-case|common`` and each
 ``sweep`` point build their population through one builder, which reads
-one field table per mode; a missing field exits 2 with an error naming
-every missing field.  A sweep row is the single command's value at that
-point: what ``worst-case``/``common`` print, or with ``--method mc`` the
-mean that ``mc --seed mix64(seed, i)`` prints for row i.
+one field table per mode.  A sweep row is the single command's value at
+that point: what ``worst-case``/``common`` print, or with ``--method mc``
+the mean that ``mc --seed mix64(seed, i)`` prints for row i.
 
 Exit codes: 0 success, 2 parse/usage errors, 3 model errors (bad
 scenario data, conditioning on a never-visited destination, size
@@ -16,6 +22,8 @@ invocation reproduces its output byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -226,7 +234,7 @@ def _cmd_posterior(args) -> int:
     return 0
 
 
-# The fields each mode reads, in the order a missing-field error names them.
+# The fields each population mode reads.
 _FIELDS = {
     "generic": ("scenario", "user", "dest"),
     "worst-case": ("n", "alpha", "b", "p_target", "p_least"),
@@ -234,19 +242,9 @@ _FIELDS = {
 }
 
 
-def _fields(args, mode: str, **point) -> dict:
-    """The mode's fields from ``args``, ``point`` taking precedence; names every missing one."""
-    values = {name: point.get(name, getattr(args, name)) for name in _FIELDS[mode]}
-    missing = [name for name, value in values.items() if value is None]
-    if missing:
-        command = args.command if args.command == mode else f"{args.command} --mode {mode}"
-        raise ParseError(f"{command} is missing: {', '.join(missing)}")
-    return values
-
-
 def _population(args, mode: str, **point):
     """The structured population of ``worst-case``, ``common``, ``mc`` and each sweep point."""
-    fields = _fields(args, mode, **point)
+    fields = {name: point.get(name, getattr(args, name)) for name in _FIELDS[mode]}
     if mode == "worst-case":
         return WorstCasePopulation(**fields)
     try:
@@ -266,7 +264,7 @@ def _exact(args, pop) -> float:
 def _estimate(args, subject, query, seed):
     return estimate_expected_posterior(
         subject, query, args.samples, seed,
-        mode=args.mode.replace("-", "_"), threads=args.threads, stratify=getattr(args, "stratify", False),
+        mode=args.mode.replace("-", "_"), stratify=getattr(args, "stratify", False),
     )
 
 
@@ -279,7 +277,6 @@ def _reference(pop) -> float:
 
 def _cmd_mc(args) -> int:
     if args.mode == "generic":
-        _fields(args, "generic")
         scenario, user_names, dest_names = load_scenario(args.scenario)
         estimate = _estimate(args, scenario, _query_from_args(args, user_names, dest_names), args.seed)
     else:
@@ -309,9 +306,6 @@ def _cmd_common(args) -> int:
 
 def _cmd_sweep(args) -> int:
     """One row per point of the ``--n`` or ``--alpha`` range, each the single command's value."""
-    _fields(args, args.mode)
-    if args.method == "mc" and args.seed is None:
-        raise ParseError("--method mc requires --seed")
     ranges = {"n": _parse_range(args.n, integer=True)}
     if args.mode == "worst-case":
         ranges["alpha"] = _parse_range(args.alpha, integer=False)
@@ -340,95 +334,94 @@ def _cmd_sweep(args) -> int:
 # Parser
 
 
+# Every option's argparse keywords, declared once; its flag is ``--`` and its name with ``-`` for ``_``.
+_OPTIONS = {
+    **dict.fromkeys(("scenario", "observation", "user", "dest", "dist"), {}),
+    **dict.fromkeys(("n", "dests", "samples", "seed"), {"type": int}),
+    **dict.fromkeys(("alpha", "b", "p_target", "p_least"), {"type": float}),
+    "threads": {"type": int, "default": 1},
+    "stratify": {"action": "store_true"},
+    "truncate": {"action": "store_true"},
+    "out": {"help": "write the result to this file"},
+}
+
+# What each command needs, keyed by the command and its --mode/--method choices,
+# in the order a missing-option error names them.  This is the only presence
+# rule: argparse requires nothing but the command and sweep's --mode.
+_NEEDS = {
+    ("exact", "formula"): _FIELDS["generic"],
+    ("exact", "oracle"): _FIELDS["generic"],
+    ("posterior", "formula"): ("scenario", "observation", "user", "dest"),
+    ("posterior", "oracle"): ("scenario", "observation", "user", "dest"),
+    ("mc", "generic"): _FIELDS["generic"] + ("samples", "seed"),
+    ("mc", "worst-case"): _FIELDS["worst-case"] + ("samples", "seed"),
+    ("mc", "common"): _FIELDS["common"] + ("samples", "seed"),
+    ("worst-case", "exact"): _FIELDS["worst-case"],
+    ("worst-case", "limit"): ("alpha", "b", "p_target", "p_least"),
+    ("common", "exact"): _FIELDS["common"],
+    ("common", "bound"): _FIELDS["common"],
+    ("sweep", "common", "exact"): _FIELDS["common"] + ("out",),
+    ("sweep", "common", "mc"): _FIELDS["common"] + ("seed", "out"),
+    ("sweep", "worst-case", "exact"): _FIELDS["worst-case"] + ("out",),
+    ("sweep", "worst-case", "mc"): _FIELDS["worst-case"] + ("seed", "out"),
+}
+
+# command: (function, help, --mode/--method choices with the default first, options
+# it takes besides those it needs).
+_COMMANDS = {
+    "validate": (_cmd_validate, "check a scenario file", {}, ("out",)),
+    "exact": (_cmd_exact, "exact expected posterior for a query", {"method": ("formula", "oracle")}, ()),
+    "posterior": (_cmd_posterior, "posterior for a recorded observation", {"method": ("formula", "oracle")}, ()),
+    "mc": (_cmd_mc, "Monte Carlo estimate of the expected posterior",
+           {"mode": ("generic", "worst-case", "common")}, ("threads", "stratify", "out")),
+    "worst-case": (_cmd_worst_case, "two-group population expectation or limit",
+                   {"method": ("exact", "limit")}, ("truncate",)),
+    "common": (_cmd_common, "common-distribution population expectation", {"method": ("exact", "bound")}, ()),
+    "sweep": (_cmd_sweep, "parameter sweep written as CSV",
+              {"mode": ("common", "worst-case"), "method": ("exact", "mc")}, ("samples", "threads", "truncate")),
+}
+
+# sweep's own keywords: --n and --alpha are range text for _parse_range.
+_SWEEP = {"mode": {"required": True}, "n": {"type": str}, "alpha": {"type": str, "default": "0"},
+          "samples": {"default": 10000}}
+
+
+def _fields(args) -> None:
+    """Raise one ParseError naming every option that the command's ``_NEEDS`` row lacks."""
+    choices = [(name, getattr(args, name)) for name in _COMMANDS[args.command][2]]
+    needs = _NEEDS.get((args.command, *(value for _, value in choices)), ())
+    missing = [name for name in needs if getattr(args, name) is None]
+    if missing:
+        command = " ".join([args.command, *(f"--{name} {value}" for name, value in choices)])
+        raise ParseError(f"{command} is missing: {', '.join(missing)}")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built from the tables above once per process; every caller shares it."""
     parser = argparse.ArgumentParser(
         prog="onion-anon",
         description="Relationship-anonymity calculator for the black-box onion-routing model",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_validate = sub.add_parser("validate", help="check a scenario file")
-    p_validate.add_argument("scenario")
-    p_validate.add_argument("--out", help="write the normalized scenario here")
-    p_validate.set_defaults(func=_cmd_validate)
-
-    p_exact = sub.add_parser("exact", help="exact expected posterior for a query")
-    p_exact.add_argument("--scenario", required=True)
-    p_exact.add_argument("--user", required=True)
-    p_exact.add_argument("--dest", required=True)
-    p_exact.add_argument("--method", choices=["formula", "oracle"], default="formula")
-    p_exact.set_defaults(func=_cmd_exact)
-
-    p_post = sub.add_parser("posterior", help="posterior for a recorded observation")
-    p_post.add_argument("--scenario", required=True)
-    p_post.add_argument("--observation", required=True)
-    p_post.add_argument("--user", required=True)
-    p_post.add_argument("--dest", required=True)
-    p_post.add_argument("--method", choices=["formula", "oracle"], default="formula")
-    p_post.set_defaults(func=_cmd_posterior)
-
-    p_mc = sub.add_parser("mc", help="Monte Carlo estimate of the expected posterior")
-    p_mc.add_argument("--mode", choices=["generic", "worst-case", "common"], default="generic")
-    p_mc.add_argument("--scenario")
-    p_mc.add_argument("--user")
-    p_mc.add_argument("--dest")
-    p_mc.add_argument("--n", type=int)
-    p_mc.add_argument("--alpha", type=float)
-    p_mc.add_argument("--b", type=float)
-    p_mc.add_argument("--p-target", type=float, dest="p_target")
-    p_mc.add_argument("--p-least", type=float, dest="p_least")
-    p_mc.add_argument("--dist")
-    p_mc.add_argument("--dests", type=int)
-    p_mc.add_argument("--samples", type=int, required=True)
-    p_mc.add_argument("--seed", type=int, required=True)
-    p_mc.add_argument("--threads", type=int, default=1)
-    p_mc.add_argument("--stratify", action="store_true")
-    p_mc.add_argument("--out", help="also write the estimate as CSV")
-    p_mc.set_defaults(func=_cmd_mc)
-
-    p_worst = sub.add_parser("worst-case", help="two-group population expectation or limit")
-    p_worst.add_argument("--n", type=int)
-    p_worst.add_argument("--alpha", type=float, required=True)
-    p_worst.add_argument("--b", type=float, required=True)
-    p_worst.add_argument("--p-target", type=float, dest="p_target", required=True)
-    p_worst.add_argument("--p-least", type=float, dest="p_least", required=True)
-    p_worst.add_argument("--method", choices=["exact", "limit"], default="exact")
-    p_worst.add_argument("--truncate", action="store_true")
-    p_worst.set_defaults(func=_cmd_worst_case)
-
-    p_common = sub.add_parser("common", help="common-distribution population expectation")
-    p_common.add_argument("--n", type=int, required=True)
-    p_common.add_argument("--b", type=float, required=True)
-    p_common.add_argument("--dist", required=True)
-    p_common.add_argument("--dests", type=int, required=True)
-    p_common.add_argument("--dest", required=True)
-    p_common.add_argument("--method", choices=["exact", "bound"], default="exact")
-    p_common.set_defaults(func=_cmd_common)
-
-    p_sweep = sub.add_parser("sweep", help="parameter sweep written as CSV")
-    p_sweep.add_argument("--mode", choices=["common", "worst-case"], required=True)
-    p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--method", choices=["exact", "mc"], default="exact")
-    p_sweep.add_argument("--n")
-    p_sweep.add_argument("--alpha", default="0")
-    p_sweep.add_argument("--b", type=float, required=True)
-    p_sweep.add_argument("--p-target", type=float, dest="p_target")
-    p_sweep.add_argument("--p-least", type=float, dest="p_least")
-    p_sweep.add_argument("--dist")
-    p_sweep.add_argument("--dests", type=int)
-    p_sweep.add_argument("--dest")
-    p_sweep.add_argument("--samples", type=int, default=10000)
-    p_sweep.add_argument("--seed", type=int)
-    p_sweep.add_argument("--threads", type=int, default=1)
-    p_sweep.add_argument("--truncate", action="store_true")
-    p_sweep.set_defaults(func=_cmd_sweep)
-
+    for name, (func, help_text, choices, optional) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        own = _SWEEP if name == "sweep" else {}
+        if name == "validate":
+            p.add_argument("scenario")
+        for option, values in choices.items():
+            p.add_argument(f"--{option}", choices=values, default=values[0], **own.get(option, {}))
+        needs = itertools.chain(*(fields for row, fields in _NEEDS.items() if row[0] == name))
+        for option in dict.fromkeys([*needs, *optional]):
+            p.add_argument("--" + option.replace("_", "-"), dest=option, **{**_OPTIONS[option], **own.get(option, {})})
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _fields(args)
         if getattr(args, "threads", 1) < 1:
             raise ParseError("--threads must be at least 1")
         return args.func(args)

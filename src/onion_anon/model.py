@@ -89,7 +89,7 @@ def check_unit(name: str, x) -> float:
 
 
 def check_integer(name: str, x) -> int:
-    """``x`` (a population size or a destination index) as an int, or ScenarioError naming ``name``; bools fail."""
+    """``x`` (a size, an index, a sample count or a seed) as an int, or ScenarioError naming ``name``; bools fail."""
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
         raise ScenarioError(f"{name} must be an integer, got {x!r}")
     return int(x)

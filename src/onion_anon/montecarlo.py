@@ -1,10 +1,9 @@
 """Seeded Monte Carlo estimation of the expected posterior.
 
 Each sample draws from the child stream ``mix64(seed, sample_index)``,
-so sample ``i`` is the same number no matter how the loop is chunked or
-scheduled; estimates are bit-reproducible for a fixed (seed, samples,
-mode) regardless of the requested thread count.  The posterior is
-computed exactly per sample, never approximated.
+so sample ``i`` is the same number no matter how the loop is chunked;
+estimates are bit-reproducible for a fixed (seed, samples, mode).  The
+posterior is computed exactly per sample, never approximated.
 
 One sampling loop serves every mode.  It reads the queried user's own
 endpoint flags; with the input seen the posterior is 1 (the output is
@@ -32,7 +31,7 @@ from .errors import ModelError
 # ``posterior`` stays a module attribute: benchmarks/spans.py wraps it by name.
 from .inference import PosteriorQuery, _check_query, _queried_prior, crowd_posteriors, posterior  # noqa: F401
 from .limits import SizeLimits, current_limits
-from .model import Scenario
+from .model import Scenario, check_integer
 from .seeding import MASK64, uniform_block
 from .structured import (
     CommonPopulation,
@@ -202,21 +201,19 @@ def estimate_expected_posterior(
     samples: int,
     seed: int,
     mode: str = "generic",
-    threads: int = 1,
     stratify: bool = False,
     limits: SizeLimits | None = None,
 ) -> Estimate:
     """Estimate the expected posterior, conditioned on the queried choice.
 
     ``subject`` is a Scenario (generic mode, with ``query``), a
-    WorstCasePopulation, or a CommonPopulation.  ``threads`` is accepted
-    for interface parity and validated, but results never depend on it.
+    WorstCasePopulation, or a CommonPopulation.  ``samples`` and ``seed``
+    must be integers (ScenarioError otherwise).
     """
+    samples = check_integer("samples", samples)
     if samples < 2:
         raise ModelError("need at least 2 samples")
-    if threads < 1:
-        raise ModelError("threads must be positive")
-    seed = int(seed) & MASK64
+    seed = check_integer("seed", seed) & MASK64
     if mode == "generic":
         if not isinstance(subject, Scenario) or query is None:
             raise ModelError("generic mode needs a Scenario and a query")

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from onion_anon.cli import load_scenario, main, write_scenario
+from onion_anon.cli import build_parser, load_scenario, main, write_scenario
 from onion_anon.seeding import mix64
 
 
@@ -490,3 +490,101 @@ def test_env_var_raises_limits(tmp_path, monkeypatch, scenario_file, capsys):
     assert main(["exact", "--scenario", scenario_file, "--user", "alice", "--dest", "web"]) == 0
     monkeypatch.setenv("ONION_ANON_SIZE_LIMITS", "bogus=1")
     assert main(["exact", "--scenario", scenario_file, "--user", "alice", "--dest", "web"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc", "--mode", "common", "--n", "10", *COMMON, "--samples", "100", "--seed", "1"],
+    ["sweep", "--mode", "common", "--n", "10", *COMMON, "--out", "unused.csv"],
+])
+def test_threads_below_one_names_threads(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--threads", "0"]) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "unused.csv").exists()
+
+
+# Each command and --mode/--method row with every needed option left out (but --out, where taken):
+# the one error names the row and every missing option, in order.
+@pytest.mark.parametrize("argv, named, missing", [
+    (["exact"], "exact --method formula", "scenario, user, dest"),
+    (["posterior"], "posterior --method formula", "scenario, observation, user, dest"),
+    (["mc"], "mc --mode generic", "scenario, user, dest, samples, seed"),
+    (["mc", "--mode", "worst-case"], "mc --mode worst-case", "n, alpha, b, p_target, p_least, samples, seed"),
+    (["mc", "--mode", "common"], "mc --mode common", "n, b, dist, dests, dest, samples, seed"),
+    (["worst-case"], "worst-case --method exact", "n, alpha, b, p_target, p_least"),
+    (["worst-case", "--method", "limit"], "worst-case --method limit", "alpha, b, p_target, p_least"),
+    (["common"], "common --method exact", "n, b, dist, dests, dest"),
+    (["common", "--method", "bound"], "common --method bound", "n, b, dist, dests, dest"),
+    (["sweep", "--mode", "common"], "sweep --mode common --method exact", "n, b, dist, dests, dest"),
+    (["sweep", "--mode", "common", "--method", "mc"], "sweep --mode common --method mc", "n, b, dist, dests, dest, seed"),
+    # sweep's --alpha defaults to 0, so it is never missing.
+    (["sweep", "--mode", "worst-case"], "sweep --mode worst-case --method exact", "n, b, p_target, p_least"),
+    (["sweep", "--mode", "worst-case", "--method", "mc"], "sweep --mode worst-case --method mc",
+     "n, b, p_target, p_least, seed"),
+])
+def test_missing_options_are_named_in_one_error(argv, named, missing, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    out = ["--out", "unused.csv"] if argv[0] in ("mc", "sweep") else []
+    assert main(argv + out) == 2
+    assert capsys.readouterr().err == f"error: {named} is missing: {missing}\n"
+    assert not (tmp_path / "unused.csv").exists()
+
+
+def test_sweep_without_out_names_it(capsys):
+    assert main(["sweep", "--mode", "common", "--n", "10", *COMMON]) == 2
+    assert capsys.readouterr().err == "error: sweep --mode common --method exact is missing: out\n"
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call in a process; no parsed state carries over."""
+
+    MC = ["mc", "--mode", "common", "--n", "50", *COMMON, "--samples", "400", "--seed", "3"]
+    WORST_CASE = ["worst-case", "--n", "40", "--alpha", "0.5", *WORST]
+    SWEEP = ["sweep", "--mode", "common", "--n", "10:30:10", *COMMON, "--out", "s.csv"]
+
+    @pytest.mark.parametrize("first, second", [
+        (MC + ["--stratify"], MC),
+        (WORST_CASE + ["--truncate"], WORST_CASE),
+        (SWEEP + ["--method", "mc", "--samples", "200", "--seed", "4"], SWEEP),
+        (MC + ["--out", "x.csv"], MC),
+    ])
+    def test_second_call_does_what_a_fresh_call_does(self, first, second, tmp_path, monkeypatch, capsys):
+        import onion_anon.cli as cli
+
+        monkeypatch.chdir(tmp_path)
+        truncated = []  # what each exact worst-case sum was asked for; it prints the same either way at n=40
+        real = cli.worst_case_expected_exact
+        monkeypatch.setattr(
+            cli, "worst_case_expected_exact", lambda pop, truncate: truncated.append(truncate) or real(pop, truncate)
+        )
+
+        def run(argv):
+            """What ``argv`` prints, the files it writes (then removed) and the sums it truncates."""
+            assert main(argv) == 0
+            files = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+            for path in tmp_path.iterdir():
+                path.unlink()
+            result = capsys.readouterr().out, files, list(truncated)
+            truncated.clear()
+            return result
+
+        build_parser.cache_clear()
+        fresh = run(second)
+        assert run(first) != fresh
+        assert run(second) == fresh
+
+    def test_second_call_builds_no_parser(self, monkeypatch, capsys):
+        import argparse
+
+        argv = ["worst-case", "--alpha", "0.5", *WORST, "--method", "limit"]
+        _printed(argv, capsys)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        _printed(argv, capsys)
+        assert built == []

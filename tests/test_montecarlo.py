@@ -8,6 +8,7 @@ from onion_anon import (
     ConditioningError,
     ModelError,
     PosteriorQuery,
+    ScenarioError,
     SizeLimitError,
     SizeLimits,
     WorstCasePopulation,
@@ -73,13 +74,6 @@ class TestReproducibility:
         q = PosteriorQuery(1, 0)
         a = estimate_expected_posterior(s, q, 5000, 77)
         b = estimate_expected_posterior(s, q, 5000, 77)
-        assert a == b
-
-    def test_thread_count_is_irrelevant(self):
-        s = fixed_scenario()
-        q = PosteriorQuery(1, 0)
-        a = estimate_expected_posterior(s, q, 5000, 77, threads=1)
-        b = estimate_expected_posterior(s, q, 5000, 77, threads=8)
         assert a == b
 
     def test_vectorized_path_equals_scalar_path(self):
@@ -277,9 +271,19 @@ class TestValidation:
         with pytest.raises(ModelError):
             estimate_expected_posterior(fixed_scenario(), None, 100, 0, mode="worst_case")
 
-    def test_wrong_threads(self):
-        with pytest.raises(ModelError):
-            estimate_expected_posterior(fixed_scenario(), PosteriorQuery(0, 0), 100, 0, threads=0)
+    @pytest.mark.parametrize("samples", [100.0, True, "100", None])
+    def test_samples_must_be_an_integer(self, samples):
+        with pytest.raises(ScenarioError, match="samples must be an integer"):
+            estimate_expected_posterior(fixed_scenario(), PosteriorQuery(0, 0), samples, 0)
+
+    @pytest.mark.parametrize("seed", [1.5, "7", True, None])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ScenarioError, match="seed must be an integer"):
+            estimate_expected_posterior(fixed_scenario(), PosteriorQuery(0, 0), 100, seed)
+
+    def test_numpy_integers_are_integers(self):
+        s, q = fixed_scenario(), PosteriorQuery(0, 0)
+        assert estimate_expected_posterior(s, q, np.int64(100), np.uint64(7)) == estimate_expected_posterior(s, q, 100, 7)
 
 
 def test_quick_coverage_sanity():
