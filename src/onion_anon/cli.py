@@ -5,7 +5,8 @@ declares each option's argparse keywords once, ``_COMMANDS`` gives each
 sub-command its ``--mode``/``--method`` choices and optional options, and
 ``_NEEDS`` lists the options a command needs for its choices.  ``_NEEDS``
 is the only presence rule: a command missing options exits 2 with one
-error naming every missing one.
+error naming every missing one, and so does a command given options
+that only another of its choices reads.
 
 ``worst-case``, ``common``, ``mc --mode worst-case|common`` and each
 ``sweep`` point build their population through one builder, which reads
@@ -386,14 +387,35 @@ _SWEEP = {"mode": {"required": True}, "n": {"type": str}, "alpha": {"type": str,
           "samples": {"default": 10000}}
 
 
+def _keywords(command: str, option: str) -> dict:
+    """The argparse keywords of one of the command's options."""
+    return {**_OPTIONS.get(option, {}), **(_SWEEP if command == "sweep" else {}).get(option, {})}
+
+
+def _needed(command: str) -> dict:
+    """Every option some ``_NEEDS`` row of the command needs, in row order."""
+    return dict.fromkeys(itertools.chain(*(fields for row, fields in _NEEDS.items() if row[0] == command)))
+
+
 def _fields(args) -> None:
-    """Raise one ParseError naming every option that the command's ``_NEEDS`` row lacks."""
+    """Raise one ParseError naming every option that the command's ``_NEEDS`` row lacks.
+
+    An option that another row of the command needs and this row does
+    not is unread here; giving it (a value other than its default) is an
+    error naming every such option.
+    """
     choices = [(name, getattr(args, name)) for name in _COMMANDS[args.command][2]]
     needs = _NEEDS.get((args.command, *(value for _, value in choices)), ())
+    command = " ".join([args.command, *(f"--{name} {value}" for name, value in choices)])
     missing = [name for name in needs if getattr(args, name) is None]
     if missing:
-        command = " ".join([args.command, *(f"--{name} {value}" for name, value in choices)])
         raise ParseError(f"{command} is missing: {', '.join(missing)}")
+    unread = [
+        name for name in _needed(args.command)
+        if name not in needs and getattr(args, name) != _keywords(args.command, name).get("default")
+    ]
+    if unread:
+        raise ParseError(f"{command} does not read: {', '.join(unread)}")
 
 
 @functools.cache
@@ -407,19 +429,21 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (func, help_text, choices, optional) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        own = _SWEEP if name == "sweep" else {}
         if name == "validate":
             p.add_argument("scenario")
         for option, values in choices.items():
-            p.add_argument(f"--{option}", choices=values, default=values[0], **own.get(option, {}))
-        needs = itertools.chain(*(fields for row, fields in _NEEDS.items() if row[0] == name))
-        for option in dict.fromkeys([*needs, *optional]):
-            p.add_argument("--" + option.replace("_", "-"), dest=option, **{**_OPTIONS[option], **own.get(option, {})})
+            p.add_argument(f"--{option}", choices=values, default=values[0], **_keywords(name, option))
+        for option in dict.fromkeys([*_needed(name), *optional]):
+            p.add_argument("--" + option.replace("_", "-"), dest=option, **_keywords(name, option))
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as err:
+        # argparse has printed its usage error (exit 2) or --help (exit 0).
+        return err.code
     try:
         _fields(args)
         if getattr(args, "threads", 1) < 1:

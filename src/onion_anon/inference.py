@@ -20,7 +20,9 @@ laid end to end, so views with different bare outputs still share a
 call.  Either costs O(crowd size x table entries) instead of a
 factorial.  A view whose table could leave the float range (a large
 crowd, or hundreds of rare bare outputs) runs the same recurrence with
-an integer exponent per entry instead.
+an integer exponent per entry instead.  One driver makes every kernel
+call: it sorts views into plain and wide and cuts batches of whole
+views, so no batch mixes the two.
 
 Two independent enumeration oracles (one in floats, one in exact
 rationals) are provided for cross-checking the closed computations.
@@ -145,10 +147,6 @@ class _IndexSet(NamedTuple):
     - *Ragged*: view v owns a box of every vector up to its bare outputs,
       and the boxes lie end to end in one table row; ``owner`` maps each
       column to its view, and ``keys`` is None.
-
-    ``corners`` holds the set's extreme vectors over all destinations,
-    ``(V, K, nd)`` per view or ``(1, K, nd)`` shared: a non-negative
-    linear form peaks at one of them.
     """
 
     dests: tuple[int, ...]
@@ -156,29 +154,25 @@ class _IndexSet(NamedTuple):
     pred: np.ndarray
     origins: np.ndarray
     owner: np.ndarray | None
-    corners: np.ndarray
 
 
-def _index_set(dests: Sequence[int], keys: np.ndarray) -> _IndexSet:
-    """A shared set: sort ``keys`` and find each predecessor by binary search on mixed-radix codes."""
-    radix = keys.max(axis=0) + 1
-    if math.prod(int(x) for x in radix) > 1 << 62:
+def _simplex(dest_count: int, total: int) -> _IndexSet:
+    """A shared set: every count vector over all destinations with at most ``total`` outputs.
+
+    The vectors are sorted by mixed-radix code, and each predecessor is
+    found by binary search on the codes.
+    """
+    radix = total + 1
+    if radix**dest_count > 1 << 62:
         raise SizeLimitError("count vectors too large to index in 64 bits")
-    place = np.cumprod(radix[::-1])[::-1] // radix
+    picks = np.array(list(itertools.combinations_with_replacement(range(dest_count + 1), total)))
+    keys = (picks.reshape(len(picks), total, 1) == np.arange(dest_count)).sum(axis=1)
+    place = radix ** np.arange(dest_count - 1, -1, -1, dtype=np.int64)
     codes = keys @ place
     order = np.argsort(codes)
     keys, codes = keys[order], codes[order]
     pred = np.where(keys.T > 0, np.searchsorted(codes, codes - place[:, None]) + 1, 0)
-    # The extreme vectors of a simplex are its vertices on the axes.
-    corners = np.diag(radix - 1)[None]
-    return _IndexSet(tuple(dests), keys, np.pad(pred, ((0, 0), (1, 0))), np.array([1]), None, corners)
-
-
-def _simplex(dest_count: int, total: int) -> _IndexSet:
-    """Every count vector over all destinations with at most ``total`` outputs."""
-    picks = np.array(list(itertools.combinations_with_replacement(range(dest_count + 1), total)))
-    keys = (picks.reshape(len(picks), total, 1) == np.arange(dest_count)).sum(axis=1)
-    return _index_set(range(dest_count), keys)
+    return _IndexSet(tuple(range(dest_count)), keys, np.pad(pred, ((0, 0), (1, 0))), np.array([1]), None)
 
 
 def _boxes(counts: np.ndarray) -> _IndexSet:
@@ -205,7 +199,7 @@ def _boxes(counts: np.ndarray) -> _IndexSet:
     for i in range(len(dests)):
         step = place[owner, i]
         pred[i, 1:] = np.where(local // step % radix[owner, i] > 0, column - step, 0)
-    return _IndexSet(tuple(dests.tolist()), None, pred, origins, np.pad(owner, (1, 0)), counts[:, None, :])
+    return _IndexSet(tuple(dests.tolist()), None, pred, origins, np.pad(owner, (1, 0)))
 
 
 def _per_entry(values: np.ndarray, index: _IndexSet) -> np.ndarray:
@@ -216,9 +210,10 @@ def _per_entry(values: np.ndarray, index: _IndexSet) -> np.ndarray:
 def _plain_views(p: np.ndarray, masks: np.ndarray, corners: np.ndarray) -> np.ndarray:
     """Which views the plain float kernel computes to full precision.
 
-    A view's set spans the destinations where its ``corners`` are
-    positive.  With m_v user v's mass there and M the crowd's total, an
-    entry ``W[r]`` is at most e_|r|(m) <= M**|r| / |r|!, and at most
+    ``corners`` holds each view's extreme count vectors, ``(V, K, nd)``:
+    a non-negative linear form peaks at one of them.  A view's set spans
+    the destinations where its corners are positive.  With m_v user v's
+    mass there and M the crowd's total, an entry ``W[r]`` is at most e_|r|(m) <= M**|r| / |r|!, and at most
     G = prod (1 + m_v); a nonzero one is at least the product of
     ``pmin_i ** r_i``, where ``pmin_i`` is the crowd's smallest positive
     mass on column i.  While log2 of the ratio of these bounds over the
@@ -249,7 +244,9 @@ def _table_shape(masks: np.ndarray, index: _IndexSet) -> tuple[int, ...]:
     return (masks.shape[0], columns) if index.owner is None else (columns,)
 
 
-def _plain_table(rows: np.ndarray, masks: np.ndarray, index: _IndexSet) -> np.ndarray:
+def _plain_table(p: np.ndarray, masks: np.ndarray, index: _IndexSet):
+    """The recurrence in plain floats; the exponent is 0 everywhere."""
+    rows = p[:, list(index.dests)]
     table = np.zeros(_table_shape(masks, index))
     table[..., index.origins] = 1.0
     for v in np.flatnonzero(masks.any(axis=0) & (rows > 0.0).any(axis=1)):
@@ -258,10 +255,10 @@ def _plain_table(rows: np.ndarray, masks: np.ndarray, index: _IndexSet) -> np.nd
         for weight, below in zip(rows[v], index.pred):
             grown += weight * source.take(below, axis=-1)
         table = grown
-    return table
+    return table, np.zeros(table.shape, dtype=np.int64)
 
 
-def _wide_table(rows: np.ndarray, masks: np.ndarray, index: _IndexSet):
+def _wide_table(p: np.ndarray, masks: np.ndarray, index: _IndexSet):
     """The plain recurrence with an integer exponent per entry.
 
     Entry ``r`` is ``ldexp(table[r], exponent[r])``; each step adds the
@@ -269,6 +266,7 @@ def _wide_table(rows: np.ndarray, masks: np.ndarray, index: _IndexSet):
     renormalises every mantissa into [0.5, 1).  Nothing leaves the
     float range, so no view is too large or too skewed for it.
     """
+    rows = p[:, list(index.dests)]
     table = np.zeros(_table_shape(masks, index))
     exponent = np.full(table.shape, _ZERO_EXPONENT, dtype=np.int64)
     table[..., index.origins], exponent[..., index.origins] = 0.5, 1
@@ -287,37 +285,64 @@ def _wide_table(rows: np.ndarray, masks: np.ndarray, index: _IndexSet):
     return table, exponent
 
 
-def _crowd_table(p: np.ndarray, masks: np.ndarray, index: _IndexSet, plain: np.ndarray):
-    """Crowd-matching tables of V crowds over an index set.
+def _kernel_batches(p: np.ndarray, masks: np.ndarray, index):
+    """Every crowd-kernel call for V crowds: the one driver of the kernel.
 
     ``masks`` is a ``(V, n)`` boolean array of crowds.  Entry r of view
     v's table is the summed weight of the ways crowd v covers each
-    ``index.dests[i]`` exactly ``r_i`` times, each covering user
-    contributing ``p[user, dests[i]]``.  One crowd user u is one step
-    over the whole table: with ``source`` the table masked to the views
-    whose crowd holds u, ``new = W + sum_i p[u, dests[i]] * source[pred_i]``.
-    A view's predecessors lie in its own row or box, so masking the
-    source masks the step, and multiplying by 0 or 1 is exact.
+    ``dests[i]`` exactly ``r_i`` times, each covering user contributing
+    ``p[user, dests[i]]``.  One crowd user u is one step over the whole
+    table: with ``source`` the table masked to the views whose crowd
+    holds u, ``new = W + sum_i p[u, dests[i]] * source[pred_i]``.  A
+    view's predecessors lie in its own row or box, so masking the source
+    masks the step, and multiplying by 0 or 1 is exact.
 
-    The views flagged in ``plain`` (see :func:`_plain_views`) run that
-    recurrence in plain floats; the others run it with an exponent per
-    entry.  Returns ``(table, exponent)`` in the layout's shape
-    (``(V, E + 1)`` shared, ``(E + 1,)`` ragged): the weight is
-    ``ldexp(table, exponent)``, and ``exponent`` is 0 on the plain views.
-    A view's entries do not depend on which other views share the batch.
+    ``index`` is either the shared simplex, whose corners are ``total``
+    on each axis, or bare-output counts (one vector for every view, or
+    one row per view), each view's count vector its corner and its box.
+    Each view goes to the plain kernel or, where :func:`_plain_views`
+    says its table could leave the float range, to the wide one; plain
+    and wide views never share a call.  Each call takes whole views
+    holding at most ``BATCH_ENTRIES`` table entries (or one view), and
+    yields ``(views, index, at, table, exponent)``: the rows of
+    ``masks`` it ran, its index set, the columns of each view's corner
+    (every entry of the simplex), and the weights ``ldexp(table,
+    exponent)`` in the layout's shape (``(len(views), E + 1)`` shared,
+    ``(E + 1,)`` ragged).  A view's entries do not depend on its batch.
     """
-    rows = p[:, list(index.dests)]
-    if plain.all():
-        return _plain_table(rows, masks, index), np.zeros(_table_shape(masks, index), dtype=np.int64)
-    table, exponent = _wide_table(rows, masks & ~plain[:, None], index)
-    if plain.any():
-        keep = _per_entry(plain, index)
-        table = np.where(keep, _plain_table(rows, masks & plain[:, None], index), table)
-        exponent = np.where(keep, 0, exponent)
-    return table, exponent
+    views, nd = masks.shape[0], p.shape[1]
+    shared = isinstance(index, _IndexSet)
+    if shared:
+        corners = np.broadcast_to(int(index.keys.max()) * np.eye(nd, dtype=np.int64), (views, nd, nd))
+        sizes = np.full(views, len(index.keys))
+    else:
+        counts = np.broadcast_to(np.asarray(index, dtype=np.int64), (views, nd))
+        corners = counts[:, None, :]
+        sizes = (counts + 1).prod(axis=1)
+    plain = np.zeros(views, dtype=bool)
+    # The plain test's (views, users) arrays stay within the same cap.
+    for s in _batches(np.full(views, masks.shape[1])):
+        plain[s] = _plain_views(p, masks[s], corners[s])
+    for kernel, group in ((_plain_table, np.flatnonzero(plain)), (_wide_table, np.flatnonzero(~plain))):
+        for batch in _batches(sizes[group]):
+            chosen = group[batch]
+            if shared:
+                batch_index, at = index, slice(1, None)
+            else:
+                batch_index, at = _boxes(counts[chosen]), np.cumsum(sizes[chosen])
+            yield (chosen, batch_index, at, *kernel(p, masks[chosen], batch_index))
 
 
-def _read_sums(p: np.ndarray, table: np.ndarray, exponent: np.ndarray, index: _IndexSet, at, query):
+def _read_sums(p: np.ndarray, index: _IndexSet, at, table: np.ndarray, exponent: np.ndarray, query):
+    """The three crowd sums of each view, read at the columns ``at``.
+
+    Each table is of a crowd *without* the queried user u.  At entry r
+    of a view's table W the sums are ``any_dest = W[r] + sum_i
+    p[u, s_i] W[r - e_i]`` (the whole crowd's weight, u included),
+    ``seen = W[r - e_d]`` (0 if d is not among the outputs) and
+    ``hidden = W[r]``.  They share a per-entry scale, returned last: the
+    true values are ``ldexp(x, common)``.
+    """
     columns = [at] + [below[at] for below in index.pred]
     common = functools.reduce(np.maximum, (exponent[..., c] for c in columns))
     hidden = np.ldexp(table[..., at], exponent[..., at] - common)
@@ -331,42 +356,15 @@ def _read_sums(p: np.ndarray, table: np.ndarray, exponent: np.ndarray, index: _I
     return any_dest, seen, hidden, common
 
 
-def _view_sums(p: np.ndarray, masks: np.ndarray, index, query: PosteriorQuery, at=None):
-    """The three crowd sums of V views, read off one table per view.
+def _view_sums(p: np.ndarray, masks: np.ndarray, counts, query: PosteriorQuery):
+    """The three crowd sums of V views (see :func:`_read_sums`), each at its bare outputs.
 
-    ``masks`` holds each view's crowd *without* the queried user u.  For
-    the entry r of a view's table (see :func:`_crowd_table`) the sums
-    are, with W the crowd's table: ``any_dest = W[r] + sum_i p[u, s_i]
-    W[r - e_i]`` (the whole crowd's weight, u included), ``seen =
-    W[r - e_d]`` (0 if d is not among the outputs) and ``hidden = W[r]``.
-    They share a per-entry scale: the true values are
-    ``ldexp(x, exponent)``.
-
-    ``index`` is either a shared :class:`_IndexSet`, read at the columns
-    ``at`` (a slice reads every entry it covers at once), or bare-output
-    counts, one vector for every view or one row per view, read at each
-    view's vector c.  Counts go through the kernel as ragged boxes, plain
-    and wide views apart, in batches of whole views holding at most
-    ``BATCH_ENTRIES`` table entries.
+    ``counts`` is one vector for every view or one row per view.
     """
-    if isinstance(index, _IndexSet):
-        table = _crowd_table(p, masks, index, _plain_views(p, masks, index.corners))
-        return _read_sums(p, *table, index, at, query)
-    counts = np.broadcast_to(np.asarray(index, dtype=np.int64), (masks.shape[0], p.shape[1]))
-    plain = np.zeros(masks.shape[0], dtype=bool)
-    # The plain test's (views, users) arrays stay within the same cap.
-    for s in _batches(np.full(masks.shape[0], masks.shape[1])):
-        plain[s] = _plain_views(p, masks[s], counts[s, None, :])
     sums = np.zeros((3, masks.shape[0]))
     common = np.zeros(masks.shape[0], dtype=np.int64)
-    sizes = (counts + 1).prod(axis=1)
-    for group in (np.flatnonzero(plain), np.flatnonzero(~plain)):
-        for batch in _batches(sizes[group]):
-            views = group[batch]
-            boxes = _boxes(counts[views])
-            tops = np.append(boxes.origins[1:], boxes.pred.shape[1]) - 1
-            table = _crowd_table(p, masks[views], boxes, plain[views])
-            *sums[:, views], common[views] = _read_sums(p, *table, boxes, tops, query)
+    for views, *kernel in _kernel_batches(p, masks, counts):
+        *sums[:, views], common[views] = _read_sums(p, *kernel, query)
     return (*sums, common)
 
 
@@ -409,9 +407,8 @@ def _crowd_mask(n: int, users) -> np.ndarray:
 
 def _crowd_weight(p: np.ndarray, mask: np.ndarray, counts: Sequence[int]) -> tuple[float, int]:
     """W[c] of one crowd as ``(x, e)``; the weight is ``ldexp(x, e)``."""
-    boxes = _boxes(np.array([counts]))
-    table, exponent = _crowd_table(p, mask, boxes, _plain_views(p, mask, boxes.corners))
-    return float(table[-1]), int(exponent[-1])
+    _, _, at, table, exponent = next(_kernel_batches(p, mask, counts))
+    return float(table[at[0]]), int(exponent[at[0]])
 
 
 def injection_sum(users: Sequence[int], outputs: DestMultiset, p: np.ndarray) -> float:
@@ -543,10 +540,8 @@ def expected_posterior_formula(
         rests = np.array(list(itertools.combinations(others, crowd_size - 1)), dtype=np.int64)
         masks = np.zeros((len(rests), n), dtype=bool)
         masks[np.arange(len(rests))[:, None], rests] = True
-        for batch in _batches(np.full(len(masks), len(index.keys))):
-            with_u, seen, without_u, exponent = _view_sums(
-                scenario.p, masks[batch], index, query, at=slice(1, None)
-            )
+        for _, *kernel in _kernel_batches(scenario.p, masks, index):
+            with_u, seen, without_u, exponent = _read_sums(scenario.p, *kernel, query)
             matched = seen + without_u
             term = prefactor * p_ud * matched * matched
             live = with_u > 0.0

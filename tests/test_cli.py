@@ -189,9 +189,7 @@ def test_threads_only_on_sampling_commands(command, scenario_file, observation_f
         ],
     }[command]
     assert main(argv) == 0
-    with pytest.raises(SystemExit) as exit_info:
-        main(argv + ["--threads", "2"])
-    assert exit_info.value.code == 2
+    assert main(argv + ["--threads", "2"]) == 2
 
 
 class TestWorstCaseAndCommon:
@@ -528,6 +526,43 @@ def test_missing_options_are_named_in_one_error(argv, named, missing, tmp_path, 
     assert main(argv + out) == 2
     assert capsys.readouterr().err == f"error: {named} is missing: {missing}\n"
     assert not (tmp_path / "unused.csv").exists()
+
+
+# An option that another row of the command needs, given to a row that does not read it.
+@pytest.mark.parametrize("argv, named, unread", [
+    (["sweep", "--mode", "common", "--n", "10:20:10", *COMMON, "--alpha", "0:1:0.5", "--out", "unused.csv"],
+     "sweep --mode common --method exact", "alpha"),
+    (["sweep", "--mode", "common", "--n", "10", *COMMON, "--alpha", "garbage", "--p-target", "0.9",
+      "--out", "unused.csv"], "sweep --mode common --method exact", "alpha, p_target"),
+    (["sweep", "--mode", "worst-case", "--n", "10", *WORST, "--dist", "zipf:1", "--dests", "7", "--dest", "3",
+      "--out", "unused.csv"], "sweep --mode worst-case --method exact", "dist, dests, dest"),
+    (["worst-case", "--method", "limit", "--alpha", "0.5", *WORST, "--n", "7"], "worst-case --method limit", "n"),
+    (["mc", "--scenario", "absent.json", "--user", "0", "--dest", "0", "--samples", "10", "--seed", "1",
+      "--n", "5", "--out", "unused.csv"], "mc --mode generic", "n"),
+])
+def test_unread_options_are_named_in_one_error(argv, named, unread, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {named} does not read: {unread}\n"
+    assert not (tmp_path / "unused.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["worst-case", "--bogus"],
+    ["common", "--n", "ten"],
+    ["exact", "--method", "guess"],
+    ["sweep", "--n", "10", *COMMON, "--out", "unused.csv"],
+])
+def test_argparse_usage_errors_return_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "unused.csv").exists()
+
+
+def test_help_returns_0(capsys):
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_sweep_without_out_names_it(capsys):

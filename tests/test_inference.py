@@ -617,7 +617,20 @@ def test_formula_matches_oracle(s, data):
     assert got == pytest.approx(want, rel=0, abs=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_scenarios(max_users=5), st.data())
+def test_formula_is_independent_of_its_batches(s, data):
+    """Span 3 puts plain and wide crowds of one size side by side."""
+    user = data.draw(st.integers(0, s.n - 1))
+    query = PosteriorQuery(user, data.draw(st.sampled_from(np.flatnonzero(s.p[user] > 0.0).tolist())))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inference, "_PLAIN_SPAN", data.draw(SPANS))
+        whole = expected_posterior_formula(s, query)
+        patch.setattr(inference, "BATCH_ENTRIES", data.draw(st.integers(1, 64)))
+        assert expected_posterior_formula(s, query) == whole
+
+
 def test_index_set_refuses_codes_beyond_64_bits():
-    keys = np.array([[0, 0, 0], [1 << 21, 1 << 21, 1 << 21]])
+    # 11**18 codes pass 2**62; the check must come before the 13.1M vectors are listed.
     with pytest.raises(SizeLimitError):
-        inference._index_set(range(3), keys)
+        inference._simplex(18, 10)
