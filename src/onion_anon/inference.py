@@ -24,8 +24,9 @@ an integer exponent per entry instead.  One driver makes every kernel
 call: it sorts views into plain and wide and cuts batches of whole
 views, so no batch mixes the two.
 
-Two independent enumeration oracles (one in floats, one in exact
-rationals) are provided for cross-checking the closed computations.
+Two enumeration oracles, the posterior of a view and its expectation,
+cross-check the closed computations.  Each walks one configuration set,
+in floats or in exact rationals.
 """
 from __future__ import annotations
 
@@ -54,9 +55,6 @@ from .model import (
     Scenario,
     _check_outputs,
     check_observation,
-    configuration_prior_exact,
-    iter_configurations,
-    observe,
 )
 
 
@@ -449,12 +447,15 @@ def view_probability_split(
     rest[0, query.user] = False
     size = len(view.users)
     out_size = view.outputs.size
+    if out_size > size:
+        # Only crowd users leave bare outputs, so no configuration shows this view.
+        return ViewSplit(0.0, 0.0, 0.0)
     seen_x, seen_e = _scaled_power(b, n - size + out_size)
     hidden_x, hidden_e = _scaled_power(1.0 - b, 2 * size - out_size)
     prefactor = seen_x * hidden_x
     p_ud = float(scenario.p[query.user, query.dest])
     *sums, exponent = _view_sums(scenario.p, rest, view.outputs.counts, query)
-    scale = seen_e + hidden_e + int(exponent[0])
+    scale = seen_e + hidden_e + exponent[0]
     weights = (prefactor, prefactor * p_ud, prefactor * p_ud)
     with np.errstate(over="ignore"):
         return ViewSplit(*(float(np.ldexp(w * x[0], scale)) for w, x in zip(weights, sums)))
@@ -553,122 +554,100 @@ def expected_posterior_formula(
 # Enumeration oracles
 
 
-def _encode_observation(scenario: Scenario, obs: Observation) -> int:
-    """Integer form of an observation, matching the vectorized enumerator."""
-    n = scenario.n
-    nd = scenario.dest_count
-    code_base = nd + 2
-    codes = [nd + 1] * n
-    for v, dest in obs.linked:
-        codes[v] = dest
-    for v in obs.input_only:
-        codes[v] = nd
-    key = 0
-    for v in range(n - 1, -1, -1):
-        key = key * code_base + codes[v]
-    count_base = n + 1
-    packed_counts = 0
-    for delta in range(nd - 1, -1, -1):
-        packed_counts = packed_counts * count_base + obs.output_only.counts[delta]
-    return key * count_base**nd + packed_counts
+def _view_keys(codes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Integer key of each view, from ``(..., n)`` per-user codes and ``(..., nd)`` bare outputs.
+
+    User v's code is its destination when linked, nd when only its input
+    was seen, and nd + 1 otherwise; the codes and the bare-output counts
+    are digits in bases nd + 2 and n + 1.  The key fits in 64 bits while
+    ``(nd + 2)**n * (n + 1)**nd`` does.
+    """
+    n, nd = codes.shape[-1], counts.shape[-1]
+    user_place = (nd + 2) ** np.arange(n, dtype=np.int64)
+    count_place = (n + 1) ** np.arange(nd, dtype=np.int64)
+    return codes @ user_place * (n + 1) ** nd + counts @ count_place
 
 
-def _effective_config_count(scenario: Scenario) -> int:
-    assignments = 1
-    for v in range(scenario.n):
-        assignments *= int(np.count_nonzero(scenario.p[v] > 0.0))
-    return assignments * 4**scenario.n
+def _check_oracle_budget(scenario: Scenario, limits: SizeLimits) -> None:
+    """SizeLimitError when the oracles' walk passes ``oracle_budget`` configurations.
 
-
-def _check_exact_budget(scenario: Scenario, limits: SizeLimits) -> None:
-    cost = scenario.dest_count**scenario.n * 4**scenario.n
+    The walk covers every nonzero-prior destination assignment under all
+    4^n endpoint flags.
+    """
+    cost = math.prod(np.count_nonzero(scenario.p > 0.0, axis=1).tolist()) * 4**scenario.n
     if cost > limits.oracle_budget:
         raise SizeLimitError(
-            f"exact enumeration needs {cost} configurations, budget is {limits.oracle_budget}"
+            f"oracle enumeration needs {cost} configurations, budget is {limits.oracle_budget}"
         )
 
 
 def _merge_views(keys, mass, match):
+    """Sum the mass parts by key, in walk order; float and Fraction (object) parts alike."""
     unique_keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-    totals = np.bincount(inverse, weights=np.concatenate(mass), minlength=len(unique_keys))
-    matches = np.bincount(inverse, weights=np.concatenate(match), minlength=len(unique_keys))
+    totals = np.zeros(len(unique_keys), dtype=mass[0].dtype)
+    matches = np.zeros_like(totals)
+    np.add.at(totals, inverse, np.concatenate(mass))
+    np.add.at(matches, inverse, np.concatenate(match))
     return unique_keys, totals, matches
 
 
-def _mass_by_view(scenario: Scenario, u: int, d: int):
-    """Group the full configuration space by view.
+def _mass_by_view(scenario: Scenario, u: int, d: int, exact: bool):
+    """Group the configuration space by view, in floats or in exact rationals.
 
-    Returns three aligned arrays, sorted by encoded view key: the total
-    prior mass per view and the mass of configurations where user ``u``
-    heads to ``d``.  Destination assignments run over nonzero-prior
-    entries only, and the endpoint flag space is handled as one
-    vectorized block per assignment; partial results are compacted
-    periodically to keep memory proportional to the number of distinct
-    views.
+    Returns three aligned arrays, sorted by :func:`_view_keys`: the key
+    of every view some configuration produces, its total prior mass, and
+    the mass of its configurations where user ``u`` heads to ``d``.
+    The walk runs over nonzero-prior destination assignments only, with
+    the 4^n endpoint flags as one vectorized block per assignment; partial
+    results are compacted periodically to keep memory proportional to
+    the number of distinct views.  With ``exact`` the masses are
+    Fractions (float inputs are dyadic rationals, so nothing is lost),
+    summed in the same order.
     """
     n = scenario.n
     nd = scenario.dest_count
-    b = scenario.b
     if (nd + 2) ** n * (n + 1) ** nd > 2**62:
         raise SizeLimitError("view encoding would overflow 64 bits at this size")
-    flag_count = 4**n
-    idx = np.arange(flag_count, dtype=np.int64)
-    in_flags = np.empty((flag_count, n), dtype=bool)
-    out_flags = np.empty((flag_count, n), dtype=bool)
-    for v in range(n):
-        in_flags[:, v] = (idx >> (2 * v)) & 1 == 1
-        out_flags[:, v] = (idx >> (2 * v + 1)) & 1 == 1
-    observed_bits = in_flags.sum(axis=1) + out_flags.sum(axis=1)
-    flag_weight = np.power(b, observed_bits) * np.power(1.0 - b, 2 * n - observed_bits)
+    flags = np.arange(4**n)[:, None] >> np.arange(2 * n) & 1 == 1
+    in_flags, out_flags = flags[:, 0::2], flags[:, 1::2]
+    observed = flags.sum(axis=1)
     both = in_flags & out_flags
-    output_only = (~in_flags & out_flags).astype(np.int64)
-    silent_code = np.where(in_flags & ~out_flags, nd, nd + 1).astype(np.int64)
-    user_place = np.array([(nd + 2) ** v for v in range(n)], dtype=np.int64)
-    count_place = np.array([(n + 1) ** delta for delta in range(nd)], dtype=np.int64)
-    count_shift = np.int64((n + 1) ** nd)
+    # Bare-output counts come from a float product: BLAS runs it, and
+    # sums of at most n ones are exact.
+    bare = (~in_flags & out_flags).astype(float)
+    silent = np.where(in_flags, nd, nd + 1)
+    one_hot = np.eye(nd)
+    # A configuration's prior is its destinations' product times
+    # by_count[k], k the number of its endpoints observed.
+    if exact:
+        rows = [[Fraction(x) for x in row] for row in scenario.p.tolist()]
+        b = Fraction(scenario.b)
+        by_count = np.array([b**k * (1 - b) ** (2 * n - k) for k in range(2 * n + 1)], dtype=object)
+    else:
+        rows = scenario.p.tolist()
+        k = np.arange(2 * n + 1)
+        by_count = np.power(scenario.b, k) * np.power(1.0 - scenario.b, 2 * n - k)
 
-    supports = [np.flatnonzero(scenario.p[v] > 0.0) for v in range(n)]
+    supports = [np.flatnonzero(row > 0.0) for row in scenario.p]
     keys_parts: list[np.ndarray] = []
     mass_parts: list[np.ndarray] = []
     match_parts: list[np.ndarray] = []
     buffered = 0
     for assignment in itertools.product(*supports):
-        dest_prob = 1.0
-        for v in range(n):
-            dest_prob *= float(scenario.p[v, assignment[v]])
-        codes = np.zeros(flag_count, dtype=np.int64)
-        packed_counts = np.zeros(flag_count, dtype=np.int64)
-        for v in range(n):
-            codes += np.where(both[:, v], np.int64(assignment[v]), silent_code[:, v]) * user_place[v]
-            packed_counts += output_only[:, v] * count_place[assignment[v]]
-        keys_parts.append(codes * count_shift + packed_counts)
-        weight = dest_prob * flag_weight
+        counts = (bare @ one_hot[list(assignment)]).astype(np.int64)
+        keys_parts.append(_view_keys(np.where(both, assignment, silent), counts))
+        weight = (math.prod(rows[v][a] for v, a in enumerate(assignment)) * by_count)[observed]
         mass_parts.append(weight)
         match_parts.append(weight if assignment[u] == d else np.zeros_like(weight))
-        buffered += flag_count
+        buffered += len(weight)
         if buffered >= 1 << 21:
             keys_parts, mass_parts, match_parts = (
                 [part] for part in _merge_views(keys_parts, mass_parts, match_parts)
             )
             buffered = len(keys_parts[0])
     unique_keys, totals, matches = _merge_views(keys_parts, mass_parts, match_parts)
-    live = totals > 0.0
+    live = totals > 0
     return unique_keys[live], totals[live], matches[live]
-
-
-def _mass_by_view_exact(scenario: Scenario, u: int, d: int) -> dict[tuple, tuple[Fraction, Fraction]]:
-    """Rational-arithmetic twin of :func:`_mass_by_view`, keyed by view tuples."""
-    masses: dict[tuple, list[Fraction]] = {}
-    for config in iter_configurations(scenario):
-        prior = configuration_prior_exact(scenario, config)
-        if prior == 0:
-            continue
-        key = observe(scenario, config).key()
-        entry = masses.setdefault(key, [Fraction(0), Fraction(0)])
-        entry[0] += prior
-        if config.dest[u] == d:
-            entry[1] += prior
-    return {k: (v[0], v[1]) for k, v in masses.items()}
 
 
 def posterior_oracle(
@@ -678,30 +657,32 @@ def posterior_oracle(
     exact: bool = False,
     limits: SizeLimits | None = None,
 ) -> float | Fraction:
-    """Posterior by brute force: enumerate configurations, match the view.
+    """Posterior by brute force: walk the configurations, match the view.
 
-    With ``exact=True`` the computation runs in rational arithmetic
-    (float inputs are dyadic rationals, so this is lossless) and returns
-    a Fraction; that path enumerates one configuration at a time, so it
-    is additionally held to the enumeration budget.
+    Both arithmetics walk the same configurations (see
+    :func:`_mass_by_view`) under the oracle ceiling on users and
+    destinations.  With ``exact=True`` the result is a Fraction; that
+    walk adds one Fraction per configuration, so it is also held to
+    ``oracle_budget``.
     """
     limits = limits or current_limits()
     _check_query(scenario, query)
     check_observation(scenario, observation)
     limits.check("oracle", "oracle", scenario.n, scenario.dest_count)
     if exact:
-        _check_exact_budget(scenario, limits)
-        masses = _mass_by_view_exact(scenario, query.user, query.dest)
-        entry = masses.get(observation.key())
-        if entry is None or entry[0] == 0:
-            raise ImpossibleObservationError("no configuration matches the observation")
-        return entry[1] / entry[0]
-    keys, totals, matches = _mass_by_view(scenario, query.user, query.dest)
-    wanted = _encode_observation(scenario, observation)
+        _check_oracle_budget(scenario, limits)
+    keys, totals, matches = _mass_by_view(scenario, query.user, query.dest, exact)
+    codes = [scenario.dest_count + 1] * scenario.n
+    for v, dest in observation.linked:
+        codes[v] = dest
+    for v in observation.input_only:
+        codes[v] = scenario.dest_count
+    wanted = _view_keys(np.array(codes), np.array(observation.output_only.counts))
     where = int(np.searchsorted(keys, wanted))
-    if where >= len(keys) or int(keys[where]) != wanted:
+    if where >= len(keys) or keys[where] != wanted:
         raise ImpossibleObservationError("no configuration matches the observation")
-    return float(matches[where] / totals[where])
+    value = matches[where] / totals[where]
+    return value if exact else float(value)
 
 
 def expected_posterior_oracle(
@@ -715,24 +696,13 @@ def expected_posterior_oracle(
     Configurations are grouped by view; within a view the posterior is
     the matching mass over the total mass, and each view's contribution
     is weighted by its conditional probability.  The whole expectation
-    collapses to sum(match^2 / total) / p[u, d].
+    collapses to sum(match^2 / total) / p[u, d].  Both arithmetics walk
+    the same configurations and are held to one ``oracle_budget``.
     """
     limits = limits or current_limits()
     _check_query(scenario, query)
-    u, d = query.user, query.dest
     p_ud = _queried_prior(scenario, query)
-    cost = _effective_config_count(scenario)
-    if cost > limits.oracle_budget:
-        raise SizeLimitError(
-            f"oracle enumeration needs {cost} configurations, budget is {limits.oracle_budget}"
-        )
-    if exact:
-        _check_exact_budget(scenario, limits)
-        masses_exact = _mass_by_view_exact(scenario, u, d)
-        acc = Fraction(0)
-        for key in sorted(masses_exact):
-            total, match = masses_exact[key]
-            acc += match * match / total
-        return acc / Fraction(float(scenario.p[u, d]))
-    keys, totals, matches = _mass_by_view(scenario, u, d)
-    return fsum((matches * matches / totals).tolist()) / p_ud
+    _check_oracle_budget(scenario, limits)
+    _, totals, matches = _mass_by_view(scenario, query.user, query.dest, exact)
+    terms = (matches * matches / totals).tolist()
+    return sum(terms) / Fraction(p_ud) if exact else fsum(terms) / p_ud

@@ -26,7 +26,9 @@ class SizeLimits:
     formula_dests: int = 6
     oracle_users: int = 6
     oracle_dests: int = 4
-    # Configuration-count budget for the expected-value oracle; the default
+    # Budget on the configurations an oracle walk covers (nonzero-prior
+    # destinations multiplied over users, times 4^n endpoint flags) for
+    # the expectation oracle and the rational view oracle; the default
     # equals the full count at 5 users and 3 destinations (3^5 * 4^5).
     oracle_budget: int = 248_832
     structured_users: int = 300

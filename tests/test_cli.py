@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from onion_anon.cli import build_parser, load_scenario, main, write_scenario
+from onion_anon.errors import ParseError
+from onion_anon.limits import current_limits
 from onion_anon.seeding import mix64
 
 
@@ -568,6 +570,65 @@ def test_help_returns_0(capsys):
 def test_sweep_without_out_names_it(capsys):
     assert main(["sweep", "--mode", "common", "--n", "10", *COMMON]) == 2
     assert capsys.readouterr().err == "error: sweep --mode common --method exact is missing: out\n"
+
+
+@pytest.mark.parametrize("doc, named", [
+    ([SCENARIO], "scenario file must hold a JSON object"),
+    ({**SCENARIO, "destinations": ["web", "web"], "users": []}, "destination names must be unique"),
+    ({**SCENARIO, "users": SCENARIO["users"] * 2}, "user names must be unique"),
+    ({**SCENARIO, "users": [{"name": "alice"}]}, "user entry 0 needs 'name' and 'dist' fields"),
+    ({**SCENARIO, "users": [{"dist": [0.6, 0.4]}]}, "user entry 0 needs 'name' and 'dist' fields"),
+    ({**SCENARIO, "users": ["alice"]}, "user entry 0 needs 'name' and 'dist' fields"),
+    ({**SCENARIO, "users": [{"name": "alice", "dist": [1.0]}]}, "distribution has 1 entries, expected 2"),
+])
+def test_scenario_file_parse_errors(doc, named, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, named", [
+    ([], "observation file must hold a JSON object"),
+    ({"input_only": ["7"], "hidden_count": 2}, "user index 7 out of range"),
+    ({"output_only": ["2"], "hidden_count": 2}, "destination index 2 out of range"),
+    ({"input_only": ["dave"], "hidden_count": 2}, "unknown user 'dave'"),
+    ({"linked": [["bob"]], "hidden_count": 2}, "linked entries must be [user, destination] pairs"),
+    ({"linked": [["bob", "mail", "web"]], "hidden_count": 1}, "linked entries must be [user, destination] pairs"),
+    ({"linked": ["bob"], "hidden_count": 2}, "linked entries must be [user, destination] pairs"),
+])
+def test_observation_file_parse_errors(doc, named, scenario_file, tmp_path, capsys):
+    path = tmp_path / "observation.json"
+    path.write_text(json.dumps(doc))
+    assert main([
+        "posterior", "--scenario", scenario_file, "--observation", str(path),
+        "--user", "alice", "--dest", "web",
+    ]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_sweep_refuses_two_varying_ranges(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main([
+        "sweep", "--mode", "worst-case", "--b", "0.25", "--p-target", "0.2", "--p-least", "0.05",
+        "--n", "10:20:10", "--alpha", "0:1:0.5", "--out", str(out),
+    ]) == 2
+    assert "sweep varies either --n or --alpha, not both" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, named", [
+    ("formula_users=ten", "formula_users needs an integer, got 'ten'"),
+    ("formula_users=1.5", "formula_users needs an integer, got '1.5'"),
+    ("oracle_budget=0", "oracle_budget must be positive"),
+    ("mc_users=-3", "mc_users must be positive"),
+])
+def test_env_var_needs_positive_integers(value, named, monkeypatch, scenario_file, capsys):
+    monkeypatch.setenv("ONION_ANON_SIZE_LIMITS", value)
+    with pytest.raises(ParseError, match=named):
+        current_limits()
+    assert main(["exact", "--scenario", scenario_file, "--user", "alice", "--dest", "web"]) == 2
+    assert named in capsys.readouterr().err
 
 
 class TestParserReuse:

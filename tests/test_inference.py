@@ -207,6 +207,23 @@ class TestViewSplit:
         with pytest.raises(QueryError):
             view_probability_split(s, view, PosteriorQuery(0, 0))
 
+    @pytest.mark.parametrize("b", [0.5, 1.0])
+    def test_more_bare_outputs_than_crowd_users_is_zero(self, b):
+        s = validate_scenario([[0.5, 0.5]] * 3, b)
+        view = UnobservedView(users=(0,), outputs=DestMultiset((2, 1)))
+        assert view_probability_split(s, view, PosteriorQuery(0, 0)) == (0.0, 0.0, 0.0)
+
+    def test_wide_view_of_zero_weight_is_zero(self, monkeypatch):
+        # Nobody visits destination 2, so the corner and every predecessor
+        # weigh 0; the wide kernel keeps them at its zero exponent.
+        s = validate_scenario(np.tile([0.5, 0.5, 0.0], (1200, 1)), 0.5)
+        view = UnobservedView(users=tuple(range(1200)), outputs=DestMultiset((600, 0, 2)))
+        assert view_probability_split(s, view, PosteriorQuery(0, 0)) == (0.0, 0.0, 0.0)
+        monkeypatch.setattr(inference, "_PLAIN_SPAN", -1.0)
+        s = validate_scenario(np.tile([0.5, 0.5, 0.0], (3, 1)), 0.5)
+        view = UnobservedView(users=(0, 1, 2), outputs=DestMultiset((1, 0, 2)))
+        assert view_probability_split(s, view, PosteriorQuery(0, 0)) == (0.0, 0.0, 0.0)
+
 
 class TestPosterior:
     def test_linked_user_is_an_indicator(self):
@@ -373,6 +390,50 @@ class TestPosteriorOracle:
         obs = Observation((), (), DestMultiset((0, 0)), 8)
         with pytest.raises(SizeLimitError):
             posterior_oracle(s, obs, PosteriorQuery(0, 0))
+
+    def test_impossible_view_raises_in_both_arithmetics(self):
+        s = validate_scenario([[1.0, 0.0], [0.5, 0.5]], 0.5)
+        linked_to_zero_prior = Observation(((0, 1),), (), DestMultiset((0, 0)), 1)
+        two_outputs_one_taker = Observation((), (), DestMultiset((0, 2)), 0)
+        for obs in (linked_to_zero_prior, two_outputs_one_taker):
+            for exact in (False, True):
+                with pytest.raises(ImpossibleObservationError):
+                    posterior_oracle(s, obs, PosteriorQuery(1, 0), exact=exact)
+
+    def test_walk_that_merges_its_partial_views(self, monkeypatch):
+        # 3**6 * 4**6 = 2 985 984 configurations: past 2**21 the walk merges
+        # what it has buffered before it goes on.
+        rng = np.random.default_rng(21)
+        s = random_scenario(rng, 6, 3, 0.4)
+        obs = Observation(((0, 1),), (2,), DestMultiset((1, 0, 1)), 2)
+        merges = []
+        merge = inference._merge_views
+        monkeypatch.setattr(inference, "_merge_views", lambda *parts: merges.append(1) or merge(*parts))
+        query = PosteriorQuery(1, 0)
+        assert posterior_oracle(s, obs, query) == pytest.approx(posterior(s, obs, query), rel=0, abs=1e-12)
+        assert len(merges) == 2
+
+
+# Three users, the first on two destinations and the others on one each:
+# the oracles walk 2 * 1 * 1 * 4**3 = 128 configurations.
+TYPED = validate_scenario([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]], 0.5)
+ALL_HIDDEN = Observation((), (), DestMultiset((0, 0)), 3)
+
+
+@pytest.mark.parametrize("oracle", [
+    lambda limits: posterior_oracle(TYPED, ALL_HIDDEN, PosteriorQuery(0, 0), exact=True, limits=limits),
+    lambda limits: expected_posterior_oracle(TYPED, PosteriorQuery(0, 0), limits=limits),
+    lambda limits: expected_posterior_oracle(TYPED, PosteriorQuery(0, 0), exact=True, limits=limits),
+], ids=["view-exact", "expectation-float", "expectation-exact"])
+def test_oracle_budget_counts_the_configurations_walked(oracle):
+    oracle(SizeLimits(oracle_budget=128))
+    with pytest.raises(SizeLimitError, match=r"^oracle enumeration needs 128 configurations, budget is 127$"):
+        oracle(SizeLimits(oracle_budget=127))
+
+
+def test_float_view_oracle_is_held_only_to_its_ceiling():
+    value = posterior_oracle(TYPED, ALL_HIDDEN, PosteriorQuery(0, 0), limits=SizeLimits(oracle_budget=1))
+    assert value == pytest.approx(0.5, abs=1e-15)
 
 
 class TestExpectedPosterior:
@@ -602,10 +663,10 @@ def test_ragged_batch_equals_one_call_per_view(data):
 @given(small_scenarios(max_users=5), st.data())
 def test_formula_matches_oracle(s, data):
     query = PosteriorQuery(data.draw(st.integers(0, s.n - 1)), data.draw(st.integers(0, s.dest_count - 1)))
-    # The rational oracle enumerates one configuration at a time; past
-    # 4096 configurations (27 s at 5 users and 3 destinations) the float
-    # oracle stands in for it.
-    exact = s.dest_count**s.n * 4**s.n <= 4096
+    # The rational oracle adds one Fraction per configuration it walks
+    # (4 s at 5 users and 3 destinations); past 4096 configurations the
+    # float oracle stands in for it.
+    exact = math.prod(np.count_nonzero(s.p > 0.0, axis=1).tolist()) * 4**s.n <= 4096
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(inference, "_PLAIN_SPAN", data.draw(SPANS))
         if s.p[query.user, query.dest] == 0.0:
@@ -634,3 +695,10 @@ def test_index_set_refuses_codes_beyond_64_bits():
     # 11**18 codes pass 2**62; the check must come before the 13.1M vectors are listed.
     with pytest.raises(SizeLimitError):
         inference._simplex(18, 10)
+
+
+def test_boxes_refuse_codes_beyond_64_bits():
+    # A box of 2**31 * (2**31 + 1) vectors passes 2**62; the check must come
+    # before its columns are allocated.
+    with pytest.raises(SizeLimitError):
+        inference._boxes(np.array([[0, 0], [(1 << 31) - 1, 1 << 31]]))

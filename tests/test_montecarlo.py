@@ -215,6 +215,21 @@ class TestStratified:
         with pytest.raises(ModelError):
             estimate_expected_posterior(s, PosteriorQuery(0, 0), 3, 1, stratify=True)
 
+    @pytest.mark.parametrize("mode", ["generic", "worst_case", "common"])
+    def test_boundary_b(self, mode):
+        def estimate(b, stratify):
+            subject, query = {
+                "generic": (fixed_scenario(b), PosteriorQuery(0, 0)),
+                "worst_case": (WorstCasePopulation(n=30, alpha=0.5, b=b, p_target=0.3, p_least=0.1), None),
+                "common": (CommonPopulation(n=30, b=b, p=(0.5, 0.3, 0.2), dest=0), None),
+            }[mode]
+            return estimate_expected_posterior(subject, query, 500, 12, mode=mode, stratify=stratify)
+
+        # No endpoint is ever seen at b = 0, so every stratum is the hidden one.
+        assert estimate(0.0, True) == estimate(0.0, False)
+        certain = estimate(1.0, True)
+        assert (certain.mean, certain.std_error) == (1.0, 0.0)
+
     def test_structured_modes_support_it(self):
         pop = CommonPopulation(n=60, b=0.25, p=(0.5, 0.3, 0.2), dest=0)
         exact = common_expected_exact(pop)

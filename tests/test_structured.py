@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -161,6 +162,16 @@ class TestWorstCaseExpected:
         scenario = build_worst_case_scenario(3, alpha, b, u_dist)
         oracle = expected_posterior_oracle(scenario, PosteriorQuery(0, 0))
         assert worst_case_expected_exact(pop) == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("alpha, b, u_dist", [(0.4, 0.3, [0.5, 0.3, 0.2]), (0.8, 0.6, [0.25, 0.5, 0.25])])
+    def test_matches_the_rational_oracle_at_six_users(self, alpha, b, u_dist):
+        # The other five users each visit one destination, so the oracle
+        # walks 3 * 4**6 configurations, within its default budget.
+        pop = WorstCasePopulation(n=6, alpha=alpha, b=b, p_target=u_dist[0], p_least=min(u_dist[1:]))
+        scenario = build_worst_case_scenario(6, alpha, b, u_dist)
+        oracle = expected_posterior_oracle(scenario, PosteriorQuery(0, 0), exact=True)
+        assert isinstance(oracle, Fraction)
+        assert worst_case_expected_exact(pop) == pytest.approx(float(oracle), rel=0, abs=1e-14)
 
     def test_truncation_changes_nothing_measurable(self):
         pop = WorstCasePopulation(n=150, alpha=0.4, b=0.35, p_target=0.3, p_least=0.1)
