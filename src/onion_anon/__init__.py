@@ -14,7 +14,6 @@ from .asymptotics import (
     worst_case_limit,
 )
 from .distributions import (
-    DistributionSpec,
     build_common_scenario,
     build_worst_case_scenario,
     least_alternative_destination,
@@ -77,7 +76,6 @@ __all__ = [
     "Configuration",
     "DegenerateCellError",
     "DestMultiset",
-    "DistributionSpec",
     "Estimate",
     "ImpossibleObservationError",
     "LimitResult",

@@ -30,7 +30,7 @@ import sys
 from fractions import Fraction
 
 from .asymptotics import lower_bound, worst_case_limit
-from .distributions import DistributionSpec, make_distribution
+from .distributions import make_distribution
 from .errors import ModelError, ParseError, ScenarioError
 from .inference import (
     PosteriorQuery,
@@ -86,7 +86,10 @@ def load_scenario(path: str) -> tuple[Scenario, list[str], list[str]]:
         user_names.append(str(entry["name"]))
         dist = entry["dist"]
         if isinstance(dist, str):
-            rows.append(make_distribution(DistributionSpec.parse(dist, len(dest_names))))
+            try:
+                rows.append(make_distribution(dist, len(dest_names)))
+            except ParseError as err:
+                raise ParseError(f"user {user_names[-1]!r}: {err}") from None
         elif not isinstance(dist, list) or not all(_is_number(x) for x in dist):
             raise ParseError(
                 f"user {user_names[-1]!r}: 'dist' must be a distribution string or a list of numbers"
@@ -252,7 +255,7 @@ def _population(args, mode: str, **point):
         dest = int(fields["dest"])
     except ValueError:
         raise ParseError(f"--dest must be a destination index, got {fields['dest']!r}") from None
-    row = make_distribution(DistributionSpec.parse(fields["dist"], fields["dests"]))
+    row = make_distribution(fields["dist"], fields["dests"])
     return CommonPopulation(n=fields["n"], b=fields["b"], p=tuple(float(x) for x in row), dest=dest)
 
 

@@ -1,102 +1,65 @@
-"""Destination distributions and population-to-scenario builders."""
-from __future__ import annotations
+"""Destination rows from spec text, and population-to-scenario builders.
 
-from dataclasses import dataclass
+:func:`make_distribution` is the one reader of the spec grammar
+(``zipf:s``, ``uniform``, ``point:i``, ``explicit:p0,p1,...``) that
+scenario files, ``common``, ``mc --mode common`` and ``sweep`` share.
+The caller always gives the destination count, and an explicit row
+must have exactly that many entries.
+"""
+from __future__ import annotations
 
 import numpy as np
 
 from .errors import ParseError, ScenarioError
-from .model import Scenario, check_distribution, validate_scenario
+from .model import Scenario, check_distribution, check_integer, validate_scenario
 from .structured import WorstCasePopulation
 
 
-@dataclass(frozen=True)
-class DistributionSpec:
-    """How to build one user's destination distribution.
+def make_distribution(text: str, dest_count: int) -> np.ndarray:
+    """The row over ``dest_count`` destinations that spec text names.
 
-    Kinds: ``zipf`` (rank r gets weight 1/r^exponent), ``uniform``,
-    ``point`` (all mass on one destination), ``explicit`` (a literal
-    probability vector).  Text syntax, as used by the CLI: ``zipf:1.0``,
-    ``uniform``, ``point:2``, ``explicit:0.7,0.3``.
+    Kinds: ``zipf:s`` (rank r gets weight 1/r^s, s > 0; index 0 is the
+    most popular destination and probabilities never increase along the
+    row), ``uniform``, ``point:i`` (all mass on destination i) and
+    ``explicit:p0,p1,...`` (a literal row with one entry per
+    destination).  Malformed text, or an explicit row of the wrong
+    length, is a :class:`ParseError`; a valid text with values the row
+    cannot take is a :class:`ScenarioError`.
     """
-
-    kind: str
-    dest_count: int
-    exponent: float | None = None
-    dest: int | None = None
-    probs: tuple[float, ...] | None = None
-
-    @classmethod
-    def zipf(cls, exponent: float, dest_count: int) -> "DistributionSpec":
-        return cls(kind="zipf", dest_count=dest_count, exponent=float(exponent))
-
-    @classmethod
-    def uniform(cls, dest_count: int) -> "DistributionSpec":
-        return cls(kind="uniform", dest_count=dest_count)
-
-    @classmethod
-    def point(cls, dest: int, dest_count: int) -> "DistributionSpec":
-        return cls(kind="point", dest_count=dest_count, dest=int(dest))
-
-    @classmethod
-    def explicit(cls, probs) -> "DistributionSpec":
-        probs = tuple(float(x) for x in probs)
-        return cls(kind="explicit", dest_count=len(probs), probs=probs)
-
-    @classmethod
-    def parse(cls, text: str, dest_count: int | None = None) -> "DistributionSpec":
-        """Parse the text syntax; ``dest_count`` is required except for explicit."""
-        head, sep, rest = text.strip().partition(":")
-        head = head.strip().lower()
-        try:
-            if head == "explicit":
-                if not sep:
-                    raise ParseError("explicit distribution needs probabilities")
-                return cls.explicit(float(x) for x in rest.split(","))
-            if dest_count is None:
-                raise ParseError(f"distribution {text!r} needs a destination count")
-            if head == "uniform":
-                if sep:
-                    raise ParseError("uniform takes no parameter")
-                return cls.uniform(dest_count)
-            if head == "zipf":
-                return cls.zipf(float(rest), dest_count)
-            if head == "point":
-                return cls.point(int(rest), dest_count)
-        except ValueError:
-            raise ParseError(f"bad distribution parameter in {text!r}") from None
-        raise ParseError(f"unknown distribution kind {head!r}")
-
-
-def make_distribution(spec: DistributionSpec) -> np.ndarray:
-    """Materialize a spec as a stochastic vector over destination indices.
-
-    Zipf identifies ranks with indices: index 0 is the most popular
-    destination and probabilities never increase along the vector.
-    """
-    k = spec.dest_count
+    k = check_integer("dest_count", dest_count)
     if k < 1:
         raise ScenarioError("need at least one destination")
-    if spec.kind == "uniform":
-        return np.full(k, 1.0 / k)
-    if spec.kind == "point":
-        if spec.dest is None or not 0 <= spec.dest < k:
-            raise ScenarioError(f"point destination {spec.dest!r} out of range")
-        out = np.zeros(k)
-        out[spec.dest] = 1.0
-        return out
-    if spec.kind == "zipf":
-        if spec.exponent is None or not spec.exponent > 0.0:
-            raise ScenarioError(f"zipf exponent must be positive, got {spec.exponent!r}")
-        ranks = np.arange(1, k + 1, dtype=np.float64)
-        weights = ranks ** -spec.exponent
-        return weights / weights.sum()
-    if spec.kind == "explicit":
-        if spec.probs is None:
-            raise ScenarioError("explicit spec is missing probabilities")
-        row = check_distribution(spec.probs, "explicit vector")
-        return row / row.sum()
-    raise ScenarioError(f"unknown distribution kind {spec.kind!r}")
+    head, sep, rest = text.strip().partition(":")
+    head = head.strip().lower()
+    try:
+        if head == "uniform":
+            if sep:
+                raise ParseError("uniform takes no parameter")
+            return np.full(k, 1.0 / k)
+        if head == "zipf":
+            exponent = float(rest)
+            if not exponent > 0.0:
+                raise ScenarioError(f"zipf exponent must be positive, got {exponent!r}")
+            weights = np.arange(1, k + 1, dtype=np.float64) ** -exponent
+            return weights / weights.sum()
+        if head == "point":
+            dest = int(rest)
+            if not 0 <= dest < k:
+                raise ScenarioError(f"point destination {dest!r} out of range")
+            row = np.zeros(k)
+            row[dest] = 1.0
+            return row
+        if head == "explicit":
+            if not sep:
+                raise ParseError("explicit distribution needs probabilities")
+            probs = [float(x) for x in rest.split(",")]
+            if len(probs) != k:
+                raise ParseError(f"explicit distribution has {len(probs)} entries, expected {k}")
+            row = check_distribution(probs, "explicit vector")
+            return row / row.sum()
+    except ValueError:
+        raise ParseError(f"bad distribution parameter in {text!r}") from None
+    raise ParseError(f"unknown distribution kind {head!r}")
 
 
 def least_alternative_destination(u_distribution) -> int:
@@ -131,9 +94,8 @@ def build_worst_case_scenario(n: int, alpha: float, b: float, u_distribution) ->
     return validate_scenario(np.vstack([row, others]), b)
 
 
-def build_common_scenario(n: int, b: float, spec: DistributionSpec) -> Scenario:
-    """Scenario in which all n users share the spec's distribution."""
-    if n < 1:
+def build_common_scenario(n: int, b: float, row) -> Scenario:
+    """Scenario in which all n users share the destination distribution ``row``."""
+    if check_integer("n", n) < 1:
         raise ScenarioError("need at least one user")
-    row = make_distribution(spec)
     return validate_scenario(np.tile(row, (n, 1)), b)

@@ -591,16 +591,23 @@ def _merge_views(keys, mass, match):
     return unique_keys, totals, matches
 
 
+# Endpoint-flag rows per block of the oracles' walk (every flag set at
+# n <= 8), and buffered rows that trigger a merge of the partial sums.
+_FLAG_BLOCK = 1 << 16
+_COMPACT_AT = 1 << 21
+
+
 def _mass_by_view(scenario: Scenario, u: int, d: int, exact: bool):
     """Group the configuration space by view, in floats or in exact rationals.
 
     Returns three aligned arrays, sorted by :func:`_view_keys`: the key
     of every view some configuration produces, its total prior mass, and
     the mass of its configurations where user ``u`` heads to ``d``.
-    The walk runs over nonzero-prior destination assignments only, with
-    the 4^n endpoint flags as one vectorized block per assignment; partial
-    results are compacted periodically to keep memory proportional to
-    the number of distinct views.  With ``exact`` the masses are
+    The walk runs over the 4^n endpoint flags in blocks of ``_FLAG_BLOCK``
+    rows and, within a block, over the nonzero-prior destination
+    assignments, one vectorized block per assignment; partial results are
+    compacted every ``_COMPACT_AT`` rows, so memory is bounded by those two
+    sizes and the number of distinct views, not by 4^n.  With ``exact`` the masses are
     Fractions (float inputs are dyadic rationals, so nothing is lost),
     summed in the same order.
     """
@@ -608,14 +615,6 @@ def _mass_by_view(scenario: Scenario, u: int, d: int, exact: bool):
     nd = scenario.dest_count
     if (nd + 2) ** n * (n + 1) ** nd > 2**62:
         raise SizeLimitError("view encoding would overflow 64 bits at this size")
-    flags = np.arange(4**n)[:, None] >> np.arange(2 * n) & 1 == 1
-    in_flags, out_flags = flags[:, 0::2], flags[:, 1::2]
-    observed = flags.sum(axis=1)
-    both = in_flags & out_flags
-    # Bare-output counts come from a float product: BLAS runs it, and
-    # sums of at most n ones are exact.
-    bare = (~in_flags & out_flags).astype(float)
-    silent = np.where(in_flags, nd, nd + 1)
     one_hot = np.eye(nd)
     # A configuration's prior is its destinations' product times
     # by_count[k], k the number of its endpoints observed.
@@ -633,18 +632,27 @@ def _mass_by_view(scenario: Scenario, u: int, d: int, exact: bool):
     mass_parts: list[np.ndarray] = []
     match_parts: list[np.ndarray] = []
     buffered = 0
-    for assignment in itertools.product(*supports):
-        counts = (bare @ one_hot[list(assignment)]).astype(np.int64)
-        keys_parts.append(_view_keys(np.where(both, assignment, silent), counts))
-        weight = (math.prod(rows[v][a] for v, a in enumerate(assignment)) * by_count)[observed]
-        mass_parts.append(weight)
-        match_parts.append(weight if assignment[u] == d else np.zeros_like(weight))
-        buffered += len(weight)
-        if buffered >= 1 << 21:
-            keys_parts, mass_parts, match_parts = (
-                [part] for part in _merge_views(keys_parts, mass_parts, match_parts)
-            )
-            buffered = len(keys_parts[0])
+    for start in range(0, 4**n, _FLAG_BLOCK):
+        flags = np.arange(start, min(start + _FLAG_BLOCK, 4**n))[:, None] >> np.arange(2 * n) & 1 == 1
+        in_flags, out_flags = flags[:, 0::2], flags[:, 1::2]
+        observed = flags.sum(axis=1)
+        both = in_flags & out_flags
+        # Bare-output counts come from a float product: BLAS runs it, and
+        # sums of at most n ones are exact.
+        bare = (~in_flags & out_flags).astype(float)
+        silent = np.where(in_flags, nd, nd + 1)
+        for assignment in itertools.product(*supports):
+            counts = (bare @ one_hot[list(assignment)]).astype(np.int64)
+            keys_parts.append(_view_keys(np.where(both, assignment, silent), counts))
+            weight = (math.prod(rows[v][a] for v, a in enumerate(assignment)) * by_count)[observed]
+            mass_parts.append(weight)
+            match_parts.append(weight if assignment[u] == d else np.zeros_like(weight))
+            buffered += len(weight)
+            if buffered >= _COMPACT_AT:
+                keys_parts, mass_parts, match_parts = (
+                    [part] for part in _merge_views(keys_parts, mass_parts, match_parts)
+                )
+                buffered = len(keys_parts[0])
     unique_keys, totals, matches = _merge_views(keys_parts, mass_parts, match_parts)
     live = totals > 0
     return unique_keys[live], totals[live], matches[live]

@@ -28,7 +28,6 @@ from onion_anon import (
     worst_case_limit,
 )
 from onion_anon.cli import main
-from onion_anon.distributions import DistributionSpec
 from onion_anon.seeding import mix64
 
 
@@ -121,8 +120,7 @@ def test_criterion_04_vertex_structure():
 
 def test_criterion_05_structured_sum_consistency():
     u_dist = [0.5, 0.3, 0.2]
-    spec = DistributionSpec.zipf(1.0, 3)
-    shared = tuple(float(x) for x in make_distribution(spec))
+    shared = tuple(float(x) for x in make_distribution("zipf:1.0", 3))
     query = PosteriorQuery(0, 0)
     for n in (2, 3, 4, 5):
         for b in (0.3, 0.6):
@@ -133,7 +131,7 @@ def test_criterion_05_structured_sum_consistency():
                 )
                 oracle = expected_posterior_oracle(scenario, query)
                 assert worst_case_expected_exact(pop) == pytest.approx(oracle, rel=1e-9)
-            scenario = build_common_scenario(n, b, spec)
+            scenario = build_common_scenario(n, b, shared)
             pop = CommonPopulation(n=n, b=b, p=shared, dest=0)
             oracle = expected_posterior_oracle(scenario, query)
             assert common_expected_exact(pop) == pytest.approx(oracle, rel=1e-9)
@@ -179,8 +177,7 @@ def test_criterion_07_endpoint_maximality():
 
 
 def test_criterion_08_common_distribution_convergence():
-    spec = DistributionSpec.zipf(1.0, 100)
-    row = tuple(float(x) for x in make_distribution(spec))
+    row = tuple(float(x) for x in make_distribution("zipf:1.0", 100))
     floor = lower_bound(0.1, row[0])
     errors = {}
     for n in (50, 100, 200):

@@ -270,6 +270,19 @@ def test_nan_distribution_is_a_model_error(argv, tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["common"],
+    ["common", "--method", "bound"],
+    ["mc", "--mode", "common", "--samples", "100", "--seed", "1"],
+    ["sweep", "--mode", "common", "--out", "unused.csv"],
+])
+def test_explicit_distribution_must_match_dests(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--n", "5", "--b", "0.2", "--dist", "explicit:0.5,0.5", "--dests", "3", "--dest", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: explicit distribution has 2 entries, expected 3\n")
+    assert not (tmp_path / "unused.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["common", "--dist", "uniform", "--dests", "5"],
     ["mc", "--mode", "common", "--dist", "uniform", "--dests", "5", "--samples", "100", "--seed", "1"],
     ["sweep", "--mode", "common", "--dist", "uniform", "--dests", "5", "--out", "unused.csv"],
@@ -580,6 +593,13 @@ def test_sweep_without_out_names_it(capsys):
     ({**SCENARIO, "users": [{"dist": [0.6, 0.4]}]}, "user entry 0 needs 'name' and 'dist' fields"),
     ({**SCENARIO, "users": ["alice"]}, "user entry 0 needs 'name' and 'dist' fields"),
     ({**SCENARIO, "users": [{"name": "alice", "dist": [1.0]}]}, "distribution has 1 entries, expected 2"),
+    ({**SCENARIO, "users": [{"name": "alice", "dist": "explicit:0.2,0.3,0.5"}, {"name": "bob", "dist": "uniform"}]},
+     "user 'alice': explicit distribution has 3 entries, expected 2"),
+    ({**SCENARIO, "users": [{"name": "alice", "dist": "uniform"}, {"name": "bob", "dist": "explicit:0.2,0.3,0.5"}]},
+     "user 'bob': explicit distribution has 3 entries, expected 2"),
+    ({**SCENARIO, "users": [{"name": "alice", "dist": "explicit:0.2,0.3,0.5"}]},
+     "user 'alice': explicit distribution has 3 entries, expected 2"),
+    ({**SCENARIO, "users": [{"name": "alice", "dist": "gauss:1"}]}, "user 'alice': unknown distribution kind 'gauss'"),
 ])
 def test_scenario_file_parse_errors(doc, named, tmp_path, capsys):
     path = tmp_path / "scenario.json"

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from onion_anon import (
-    DistributionSpec,
     ParseError,
     ScenarioError,
     build_common_scenario,
@@ -14,71 +13,91 @@ from onion_anon import (
 
 class TestMakeDistribution:
     def test_zipf_three_destinations(self):
-        row = make_distribution(DistributionSpec.zipf(1.0, 3))
+        row = make_distribution("zipf:1.0", 3)
         assert np.allclose(row, [6 / 11, 3 / 11, 2 / 11], rtol=1e-14)
 
     def test_zipf_ranks_never_increase(self):
         for s in (0.4, 1.0, 2.5):
-            row = make_distribution(DistributionSpec.zipf(s, 50))
+            row = make_distribution(f"zipf:{s}", 50)
             assert np.all(np.diff(row) <= 0)
             assert abs(float(row.sum()) - 1.0) < 1e-12
 
     def test_point(self):
-        row = make_distribution(DistributionSpec.point(2, 3))
+        row = make_distribution("point:2", 3)
         assert row.tolist() == [0.0, 0.0, 1.0]
 
     def test_uniform(self):
-        row = make_distribution(DistributionSpec.uniform(4))
+        row = make_distribution("uniform", 4)
         assert row.tolist() == [0.25] * 4
 
     def test_explicit(self):
-        row = make_distribution(DistributionSpec.explicit([0.7, 0.3]))
+        row = make_distribution("explicit:0.7,0.3", 2)
         assert np.allclose(row, [0.7, 0.3])
 
     def test_zipf_requires_positive_exponent(self):
         with pytest.raises(ScenarioError):
-            make_distribution(DistributionSpec.zipf(0.0, 3))
+            make_distribution("zipf:0.0", 3)
 
     def test_explicit_must_be_stochastic(self):
         with pytest.raises(ScenarioError):
-            make_distribution(DistributionSpec.explicit([0.7, 0.2]))
+            make_distribution("explicit:0.7,0.2", 2)
 
     @pytest.mark.parametrize("exponent", [float("nan"), -float("inf")])
     def test_zipf_rejects_nan_and_negative_infinity(self, exponent):
         with pytest.raises(ScenarioError):
-            make_distribution(DistributionSpec.zipf(exponent, 3))
+            make_distribution(f"zipf:{exponent}", 3)
 
     def test_zipf_infinite_exponent_is_a_point_mass(self):
-        assert make_distribution(DistributionSpec.zipf(float("inf"), 4)).tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert make_distribution("zipf:inf", 4).tolist() == [1.0, 0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("probs", [[float("nan"), 0.5, 0.5], [float("nan")], [float("inf"), 0.0]])
     def test_explicit_rejects_non_finite_entries(self, probs):
         with pytest.raises(ScenarioError):
-            make_distribution(DistributionSpec.explicit(probs))
+            make_distribution("explicit:" + ",".join(map(repr, probs)), len(probs))
 
 
 class TestParse:
     def test_forms(self):
-        assert DistributionSpec.parse("zipf:1.5", 4) == DistributionSpec.zipf(1.5, 4)
-        assert DistributionSpec.parse("uniform", 3) == DistributionSpec.uniform(3)
-        assert DistributionSpec.parse("point:2", 3) == DistributionSpec.point(2, 3)
-        assert DistributionSpec.parse("explicit:0.7,0.3") == DistributionSpec.explicit([0.7, 0.3])
+        ranks = np.arange(1, 5, dtype=np.float64) ** -1.5
+        assert make_distribution(" Zipf:1.5 ", 4).tolist() == (ranks / ranks.sum()).tolist()
+        assert make_distribution("uniform", 3).tolist() == [1 / 3] * 3
+        assert make_distribution("point:0", 1).tolist() == [1.0]
+        assert make_distribution("explicit:0.7,0.3", 2).tolist() == [0.7, 0.3]
 
-    def test_explicit_infers_size(self):
-        spec = DistributionSpec.parse("explicit:0.2,0.3,0.5")
-        assert spec.dest_count == 3
+    def test_explicit_must_match_the_dest_count(self):
+        for text, entries in (("explicit:0.5,0.5", 2), ("explicit:0.2,0.3,0.5,0.0", 4), ("explicit:1", 1)):
+            with pytest.raises(ParseError, match=f"^explicit distribution has {entries} entries, expected 3$"):
+                make_distribution(text, 3)
 
     def test_unknown_kind(self):
-        with pytest.raises(ParseError):
-            DistributionSpec.parse("gauss:1.0", 3)
+        with pytest.raises(ParseError, match="unknown distribution kind 'gauss'"):
+            make_distribution("gauss:1.0", 3)
 
     def test_bad_parameter(self):
-        with pytest.raises(ParseError):
-            DistributionSpec.parse("zipf:abc", 3)
+        for text in ("zipf:abc", "zipf", "point:1.5", "explicit:0.5,x", "explicit:"):
+            with pytest.raises(ParseError, match="bad distribution parameter"):
+                make_distribution(text, 3)
+
+    def test_kinds_that_take_no_parameter_or_need_one(self):
+        with pytest.raises(ParseError, match="uniform takes no parameter"):
+            make_distribution("uniform:3", 3)
+        with pytest.raises(ParseError, match="explicit distribution needs probabilities"):
+            make_distribution("explicit", 3)
+
+    def test_point_destination_in_range(self):
+        for text in ("point:3", "point:-1"):
+            with pytest.raises(ScenarioError, match="out of range"):
+                make_distribution(text, 3)
 
     def test_needs_dest_count(self):
-        with pytest.raises(ParseError):
-            DistributionSpec.parse("uniform")
+        for count in (None, 2.0, True, "3"):
+            with pytest.raises(ScenarioError, match="dest_count must be an integer"):
+                make_distribution("uniform", count)
+
+    @pytest.mark.parametrize("text", ["uniform", "zipf:1.0", "point:0", "explicit:1.0"])
+    def test_needs_one_destination(self, text):
+        with pytest.raises(ScenarioError, match="need at least one destination"):
+            make_distribution(text, 0)
 
 
 class TestLeastAlternative:
@@ -116,13 +135,13 @@ class TestBuilders:
             assert s.p[i, 2] == 1.0
 
     def test_common_rows_identical(self):
-        s = build_common_scenario(5, 0.2, DistributionSpec.explicit([0.7, 0.3]))
+        s = build_common_scenario(5, 0.2, [0.7, 0.3])
         assert s.n == 5
         for i in range(5):
             assert np.allclose(s.p[i], [0.7, 0.3])
 
     def test_common_zipf_rows(self):
-        s = build_common_scenario(3, 0.2, DistributionSpec.zipf(1.0, 3))
+        s = build_common_scenario(3, 0.2, make_distribution("zipf:1.0", 3))
         assert np.allclose(s.p, np.tile([6 / 11, 3 / 11, 2 / 11], (3, 1)))
 
     def test_rows_stochastic(self):

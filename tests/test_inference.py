@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -702,3 +706,21 @@ def test_boxes_refuse_codes_beyond_64_bits():
     # before its columns are allocated.
     with pytest.raises(SizeLimitError):
         inference._boxes(np.array([[0, 0], [(1 << 31) - 1, 1 << 31]]))
+
+
+def test_oracle_memory_is_bounded_by_its_blocks_not_by_four_to_the_n():
+    # 10 users on one destination walk 4**10 endpoint flags, 16 blocks of 2**16.
+    code = (
+        "import resource\n"
+        "from onion_anon import PosteriorQuery, SizeLimits, expected_posterior_oracle, validate_scenario\n"
+        "scenario = validate_scenario([[1.0]] * 10, 0.3)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "value = expected_posterior_oracle(scenario, PosteriorQuery(0, 0), limits=SizeLimits(oracle_budget=4**10))\n"
+        "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "print(value, grown // 1024)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    value, grown_mb = run.stdout.split()
+    assert float(value) == pytest.approx(1.0, abs=1e-12)
+    assert int(grown_mb) < 150, f"the oracle grew the peak RSS by {grown_mb} MB"

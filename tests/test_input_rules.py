@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from onion_anon import (
     CommonPopulation,
     DestMultiset,
-    DistributionSpec,
     ObservationError,
     PosteriorQuery,
     QueryError,
@@ -28,6 +27,7 @@ from onion_anon import (
     SizeLimits,
     UnobservedView,
     WorstCasePopulation,
+    build_common_scenario,
     build_worst_case_scenario,
     estimate_expected_posterior,
     injection_sum,
@@ -83,7 +83,7 @@ ROWS = st.one_of(VALID_ROWS, NEAR_TOLERANCE, st.lists(UNIT_ISH, min_size=1, max_
 def test_a_destination_row_has_one_rule(row):
     verdicts = {
         accepts(validate_scenario, [row], 0.5),
-        accepts(lambda: make_distribution(DistributionSpec.explicit(row))),
+        accepts(make_distribution, "explicit:" + ",".join(map(repr, row)), len(row)),
         accepts(CommonPopulation, 3, 0.5, tuple(row), 0),
     }
     finite = all(math.isfinite(x) for x in row)
@@ -153,6 +153,8 @@ def test_population_sizes_and_indices_are_integers(value):
         WorstCasePopulation(n=value, alpha=0.5, b=0.3, p_target=0.3, p_least=0.1)
     with pytest.raises(ScenarioError, match=f"n must be an integer, got {value!r}"):
         CommonPopulation(n=value, b=0.3, p=(0.5, 0.5), dest=0)
+    with pytest.raises(ScenarioError, match=f"n must be an integer, got {value!r}"):
+        build_common_scenario(value, 0.3, [0.5, 0.5])
     with pytest.raises(ScenarioError, match=f"dest must be an integer, got {value!r}"):
         CommonPopulation(n=5, b=0.3, p=(0.5, 0.5), dest=value)
 

@@ -24,7 +24,6 @@ from onion_anon import (
     two_group_posterior,
     worst_case_expected_exact,
 )
-from onion_anon.distributions import DistributionSpec
 
 
 def binomial_form_posterior(n_target, n_other, seen_other, seen_target, p_target, p_least):
@@ -213,10 +212,9 @@ class TestCommonExpected:
 
     @pytest.mark.parametrize("b", [0.3, 0.6])
     def test_matches_generic_oracle(self, b):
-        spec = DistributionSpec.parse("explicit:0.5,0.3,0.2")
-        row = tuple(float(x) for x in make_distribution(spec))
+        row = tuple(float(x) for x in make_distribution("explicit:0.5,0.3,0.2", 3))
         pop = CommonPopulation(n=4, b=b, p=row, dest=0)
-        scenario = build_common_scenario(4, b, spec)
+        scenario = build_common_scenario(4, b, row)
         oracle = expected_posterior_oracle(scenario, PosteriorQuery(0, 0))
         assert common_expected_exact(pop) == pytest.approx(oracle, rel=1e-9)
 
@@ -244,8 +242,7 @@ class TestCommonExpected:
             common_expected_exact(pop)
 
     def test_error_shrinks_like_one_over_n(self):
-        spec = DistributionSpec.zipf(1.0, 100)
-        row = tuple(float(x) for x in make_distribution(spec))
+        row = tuple(float(x) for x in make_distribution("zipf:1.0", 100))
         bound = lower_bound(0.1, row[0])
         errors = {}
         for n in (100, 200):
@@ -265,9 +262,8 @@ class TestFormulaAtTheCeiling:
         assert formula == pytest.approx(worst_case_expected_exact(pop), rel=0, abs=1e-9)
 
     def test_common_scenario(self):
-        spec = DistributionSpec.parse("zipf:1.0", 4)
-        row = tuple(float(x) for x in make_distribution(spec))
-        scenario = build_common_scenario(10, 0.35, spec)
+        row = tuple(float(x) for x in make_distribution("zipf:1.0", 4))
+        scenario = build_common_scenario(10, 0.35, row)
         pop = CommonPopulation(n=10, b=0.35, p=row, dest=2)
         formula = expected_posterior_formula(scenario, PosteriorQuery(3, 2))
         assert formula == pytest.approx(common_expected_exact(pop), rel=0, abs=1e-9)
