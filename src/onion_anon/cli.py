@@ -39,7 +39,7 @@ from .inference import (
     posterior,
     posterior_oracle,
 )
-from .model import DestMultiset, Observation, Scenario, check_observation, validate_scenario
+from .model import DestMultiset, Observation, Scenario, check_distribution, check_observation, validate_scenario
 from .montecarlo import estimate_expected_posterior
 from .seeding import mix64
 from .structured import CommonPopulation, WorstCasePopulation, worst_case_expected_exact, common_expected_exact
@@ -64,8 +64,19 @@ def _list_field(doc: dict, field: str, kind: str) -> list:
     return value
 
 
+def _user_row(dist, dest_count: int):
+    """One user's ``dist`` as a checked row over ``dest_count`` destinations."""
+    if isinstance(dist, str):
+        return make_distribution(dist, dest_count)
+    if not isinstance(dist, list) or not all(_is_number(x) for x in dist):
+        raise ParseError("'dist' must be a distribution string or a list of numbers")
+    if len(dist) != dest_count:
+        raise ParseError(f"distribution has {len(dist)} entries, expected {dest_count}")
+    return check_distribution(dist, "row")
+
+
 def load_scenario(path: str) -> tuple[Scenario, list[str], list[str]]:
-    """Read a scenario file; returns (scenario, user names, destination names)."""
+    """Read a scenario file; returns (scenario, user names, destination names); a bad ``dist`` names its user."""
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
     if not isinstance(doc, dict):
@@ -78,39 +89,21 @@ def load_scenario(path: str) -> tuple[Scenario, list[str], list[str]]:
     dest_names = [str(name) for name in _list_field(doc, "destinations", "scenario")]
     if len(set(dest_names)) != len(dest_names):
         raise ParseError("destination names must be unique")
+    if not dest_names:
+        raise ScenarioError("need at least one destination")
     user_names: list[str] = []
     rows = []
     for i, entry in enumerate(_list_field(doc, "users", "scenario")):
         if not isinstance(entry, dict) or "name" not in entry or "dist" not in entry:
             raise ParseError(f"user entry {i} needs 'name' and 'dist' fields")
         user_names.append(str(entry["name"]))
-        dist = entry["dist"]
-        if isinstance(dist, str):
-            try:
-                rows.append(make_distribution(dist, len(dest_names)))
-            except ParseError as err:
-                raise ParseError(f"user {user_names[-1]!r}: {err}") from None
-        elif not isinstance(dist, list) or not all(_is_number(x) for x in dist):
-            raise ParseError(
-                f"user {user_names[-1]!r}: 'dist' must be a distribution string or a list of numbers"
-            )
-        else:
-            row = [float(x) for x in dist]
-            if len(row) != len(dest_names):
-                raise ParseError(
-                    f"user {user_names[-1]!r}: distribution has {len(row)} entries, "
-                    f"expected {len(dest_names)}"
-                )
-            rows.append(row)
+        try:
+            rows.append(_user_row(entry["dist"], len(dest_names)))
+        except (ParseError, ScenarioError) as err:
+            raise type(err)(f"user {user_names[-1]!r}: {err}") from None
     if len(set(user_names)) != len(user_names):
         raise ParseError("user names must be unique")
-    try:
-        scenario = validate_scenario(rows, doc["b"])
-    except ScenarioError as err:
-        if err.row is not None:
-            raise ScenarioError(f"user {user_names[err.row]!r}: {err}", row=err.row) from None
-        raise
-    return scenario, user_names, dest_names
+    return validate_scenario(rows, doc["b"]), user_names, dest_names
 
 
 def write_scenario(path: str, scenario: Scenario, user_names=None, dest_names=None) -> None:

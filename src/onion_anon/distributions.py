@@ -86,7 +86,7 @@ def build_worst_case_scenario(n: int, alpha: float, b: float, u_distribution) ->
     ``WorstCasePopulation.n_target`` always visit the target; the rest
     always visit user 0's least-liked alternative.
     """
-    row = check_distribution(u_distribution, "row", 0)
+    row = check_distribution(u_distribution, "row 0")
     least = least_alternative_destination(row)
     # With one destination there is no other choice, and no p_least.
     pop = WorstCasePopulation(n, alpha, b, float(row[0]), float(row[least]) if least else 0.0)

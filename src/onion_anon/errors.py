@@ -14,14 +14,7 @@ class ParseError(Exception):
 
 
 class ScenarioError(ModelError):
-    """Scenario data rejected during validation.
-
-    ``row`` identifies the offending user row when one is to blame.
-    """
-
-    def __init__(self, message: str, row: int | None = None):
-        super().__init__(message)
-        self.row = row
+    """Scenario data rejected during validation; the message names the row to blame, if any."""
 
 
 class ObservationError(ModelError):

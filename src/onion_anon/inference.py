@@ -123,6 +123,10 @@ _IMPOSSIBLE = "observation has zero probability under this scenario"
 # however many views a caller hands in at once.
 BATCH_ENTRIES = 1 << 15
 
+# At most this many entries in one view's table; it admits every view the
+# mc limits produce (about 2e5 entries at 40 users and 6 destinations).
+TABLE_ENTRIES = 1 << 22
+
 # A view goes through the plain float kernel while log2 of its table's
 # span (see _plain_views) stays under this; the rest take the wide kernel.
 _PLAIN_SPAN = 900.0
@@ -160,6 +164,7 @@ def _simplex(dest_count: int, total: int) -> _IndexSet:
     The vectors are sorted by mixed-radix code, and each predecessor is
     found by binary search on the codes.
     """
+    _check_table(math.comb(total + dest_count, dest_count))
     radix = total + 1
     if radix**dest_count > 1 << 62:
         raise SizeLimitError("count vectors too large to index in 64 bits")
@@ -173,6 +178,11 @@ def _simplex(dest_count: int, total: int) -> _IndexSet:
     return _IndexSet(tuple(range(dest_count)), keys, np.pad(pred, ((0, 0), (1, 0))), np.array([1]), None)
 
 
+def _check_table(entries: int) -> None:
+    if entries > TABLE_ENTRIES:
+        raise SizeLimitError(f"a crowd table of {entries} entries exceeds the cap of {TABLE_ENTRIES}")
+
+
 def _boxes(counts: np.ndarray) -> _IndexSet:
     """A ragged set: one box per row of ``counts``, over the union of their supports.
 
@@ -182,11 +192,8 @@ def _boxes(counts: np.ndarray) -> _IndexSet:
     that column less ``place_i``.  An axis outside a view's support has
     radix 1 there, so its predecessor is always the sentinel.
     """
-    counts = np.asarray(counts, dtype=np.int64)
     dests = np.flatnonzero(counts.any(axis=0))
     radix = counts[:, dests] + 1
-    if np.any(np.log2(radix).sum(axis=1) > 62):
-        raise SizeLimitError("count vectors too large to index in 64 bits")
     place = np.cumprod(radix[:, ::-1], axis=1)[:, ::-1] // radix
     sizes = radix.prod(axis=1)
     origins = np.cumsum(sizes) - sizes + 1
@@ -300,7 +307,8 @@ def _kernel_batches(p: np.ndarray, masks: np.ndarray, index):
     one row per view), each view's count vector its corner and its box.
     Each view goes to the plain kernel or, where :func:`_plain_views`
     says its table could leave the float range, to the wide one; plain
-    and wide views never share a call.  Each call takes whole views
+    and wide views never share a call; a box past ``TABLE_ENTRIES`` is
+    refused before anything is built.  Each call takes whole views
     holding at most ``BATCH_ENTRIES`` table entries (or one view), and
     yields ``(views, index, at, table, exponent)``: the rows of
     ``masks`` it ran, its index set, the columns of each view's corner
@@ -314,6 +322,10 @@ def _kernel_batches(p: np.ndarray, masks: np.ndarray, index):
         corners = np.broadcast_to(int(index.keys.max()) * np.eye(nd, dtype=np.int64), (views, nd, nd))
         sizes = np.full(views, len(index.keys))
     else:
+        # The largest box, found in log2 and counted in Python integers, so no product wraps.
+        real = np.asarray(index, dtype=np.float64).reshape(-1, nd)
+        largest = real[np.argmax(np.log2(real + 1.0).sum(axis=1))] if len(real) else ()
+        _check_table(math.prod(int(c) + 1 for c in largest))
         counts = np.broadcast_to(np.asarray(index, dtype=np.int64), (views, nd))
         corners = counts[:, None, :]
         sizes = (counts + 1).prod(axis=1)

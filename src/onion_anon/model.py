@@ -24,6 +24,11 @@ from .seeding import uniform
 STOCHASTIC_TOL = 1e-12
 
 
+def _is_integer(x) -> bool:
+    """A Python or numpy integer; bools are not integers here."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class DestMultiset:
     """Multiset over destination indices, stored as a dense count vector."""
@@ -31,12 +36,8 @@ class DestMultiset:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        if any(c < 0 for c in self.counts):
-            raise ObservationError("destination multiset has a negative multiplicity")
-
-    @classmethod
-    def empty(cls, dest_count: int) -> "DestMultiset":
-        return cls((0,) * dest_count)
+        if not all(_is_integer(c) and c >= 0 for c in self.counts):
+            raise ObservationError(f"destination multiset counts must be non-negative integers, got {self.counts!r}")
 
     @classmethod
     def from_items(cls, items: Iterable[int], dest_count: int) -> "DestMultiset":
@@ -78,8 +79,10 @@ class Scenario:
 
 
 def check_unit(name: str, x) -> float:
-    """``x`` (``b``, a prior or ``alpha``) as a float in [0, 1], or ScenarioError naming ``name``; NaN fails."""
+    """``x`` (``b``, a prior or ``alpha``) as a float in [0, 1], or ScenarioError naming ``name``; NaN and bools fail."""
     try:
+        if isinstance(x, (bool, np.bool_)):
+            raise TypeError  # float(True) is 1.0
         x = float(x)
     except (TypeError, ValueError):
         raise ScenarioError(f"{name} must be a number, got {x!r}") from None
@@ -90,24 +93,21 @@ def check_unit(name: str, x) -> float:
 
 def check_integer(name: str, x) -> int:
     """``x`` (a size, an index, a sample count or a seed) as an int, or ScenarioError naming ``name``; bools fail."""
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+    if not _is_integer(x):
         raise ScenarioError(f"{name} must be an integer, got {x!r}")
     return int(x)
 
 
-def check_distribution(row, what: str, index: int | None = None) -> np.ndarray:
-    """``row`` as a float array: finite, non-negative, summing to 1 within ``STOCHASTIC_TOL``.
-
-    Otherwise :class:`ScenarioError` names ``what`` and carries ``index`` as its ``row``.
-    """
+def check_distribution(row, what: str) -> np.ndarray:
+    """``row`` as a finite, non-negative float array summing to 1 within ``STOCHASTIC_TOL``, or ScenarioError naming ``what``."""
     row = np.asarray(row, dtype=np.float64)
     if not np.all(np.isfinite(row)):
-        raise ScenarioError(f"{what} is not stochastic: it has a non-finite entry", row=index)
+        raise ScenarioError(f"{what} is not stochastic: it has a non-finite entry")
     if np.any(row < 0.0):
-        raise ScenarioError(f"{what} is not stochastic: it has a negative entry", row=index)
+        raise ScenarioError(f"{what} is not stochastic: it has a negative entry")
     total = float(row.sum())
     if abs(total - 1.0) > STOCHASTIC_TOL:
-        raise ScenarioError(f"{what} is not stochastic: it sums to {total!r}", row=index)
+        raise ScenarioError(f"{what} is not stochastic: it sums to {total!r}")
     return row
 
 
@@ -119,15 +119,15 @@ def validate_scenario(p, b) -> Scenario:
     to rounding, which keeps text round trips stable.
     """
     rows = np.array(p, dtype=np.float64)
+    if rows.ndim and len(rows) < 1:
+        raise ScenarioError("need at least one user")
     if rows.ndim != 2:
         raise ScenarioError("destination matrix must be two-dimensional")
-    if rows.shape[0] < 1:
-        raise ScenarioError("need at least one user")
     if rows.shape[1] < 1:
         raise ScenarioError("need at least one destination")
     b = check_unit("b", b)
     for i, row in enumerate(rows):
-        check_distribution(row, "row", i)
+        check_distribution(row, f"row {i}")
     rows /= rows.sum(axis=1, keepdims=True)
     rows.setflags(write=False)
     return Scenario(n=int(rows.shape[0]), dest_count=int(rows.shape[1]), b=b, p=rows)
@@ -168,8 +168,8 @@ class Observation:
     def __post_init__(self):
         object.__setattr__(self, "linked", tuple(sorted((int(u), int(d)) for u, d in self.linked)))
         object.__setattr__(self, "input_only", tuple(sorted(int(u) for u in self.input_only)))
-        if self.hidden_count < 0:
-            raise ObservationError("hidden_count cannot be negative")
+        if not _is_integer(self.hidden_count) or self.hidden_count < 0:
+            raise ObservationError(f"hidden_count must be a non-negative integer, got {self.hidden_count!r}")
         seen = [u for u, _ in self.linked]
         users = seen + list(self.input_only)
         if len(set(users)) != len(users):

@@ -608,6 +608,36 @@ def test_scenario_file_parse_errors(doc, named, tmp_path, capsys):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({**SCENARIO, "users": [{"name": "alice", "dist": "point:5"}]}, "user 'alice': point destination 5 out of range"),
+    ({**SCENARIO, "users": [{"name": "alice", "dist": "zipf:0"}]}, "user 'alice': zipf exponent must be positive, got 0.0"),
+    ({**SCENARIO, "users": [{"name": "alice", "dist": [0.6, 0.3]}]}, "user 'alice': row is not stochastic: it sums to 0.8999999999999999"),
+    ({**SCENARIO, "users": [{"name": "alice", "dist": "explicit:0.5,-0.5"}]},
+     "user 'alice': explicit vector is not stochastic: it has a negative entry"),
+    ({**SCENARIO, "users": []}, "need at least one user"),
+    ({**SCENARIO, "destinations": []}, "need at least one destination"),
+    ({**SCENARIO, "destinations": [], "users": [{"name": "alice", "dist": "uniform"}, {"name": "bob", "dist": []}]},
+     "need at least one destination"),
+])
+def test_scenario_file_model_errors(doc, message, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_view_past_the_crowd_table_cap_exits_3(tmp_path, capsys):
+    # 480 uniform users and 60 bare outputs on each of 8 destinations: 61**8 table entries.
+    dests = [f"d{j}" for j in range(8)]
+    scenario = {"b": 0.3, "destinations": dests, "users": [{"name": f"u{i}", "dist": "uniform"} for i in range(480)]}
+    (tmp_path / "big.json").write_text(json.dumps(scenario))
+    (tmp_path / "view.json").write_text(json.dumps({"output_only": dests * 60}))
+    argv = ["posterior", "--scenario", str(tmp_path / "big.json"), "--observation", str(tmp_path / "view.json"),
+            "--user", "u0", "--dest", "d0"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: a crowd table of {61**8} entries exceeds the cap of {1 << 22}\n"
+
+
 @pytest.mark.parametrize("doc, named", [
     ([], "observation file must hold a JSON object"),
     ({"input_only": ["7"], "hidden_count": 2}, "user index 7 out of range"),

@@ -134,6 +134,10 @@ class TestBuilders:
         for i in (1, 2, 3):
             assert s.p[i, 2] == 1.0
 
+    def test_worst_case_names_the_bad_row(self):
+        with pytest.raises(ScenarioError, match="^row 0 is not stochastic: it has a negative entry$"):
+            build_worst_case_scenario(4, 0.5, 0.3, [1.5, -0.5])
+
     def test_common_rows_identical(self):
         s = build_common_scenario(5, 0.2, [0.7, 0.3])
         assert s.n == 5

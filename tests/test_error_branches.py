@@ -49,12 +49,12 @@ def test_observation_rejects_a_user_listed_twice(linked, input_only):
 
 
 def test_observation_rejects_a_negative_hidden_count():
-    with pytest.raises(ObservationError, match="hidden_count cannot be negative"):
+    with pytest.raises(ObservationError, match="hidden_count must be a non-negative integer, got -1"):
         Observation((), (), DestMultiset((0, 0)), -1)
 
 
 def test_dest_multiset_rejects_a_negative_count():
-    with pytest.raises(ObservationError, match="negative multiplicity"):
+    with pytest.raises(ObservationError, match="counts must be non-negative integers, got \\(1, -1\\)"):
         DestMultiset((1, -1))
 
 

@@ -696,16 +696,49 @@ def test_formula_is_independent_of_its_batches(s, data):
 
 
 def test_index_set_refuses_codes_beyond_64_bits():
-    # 11**18 codes pass 2**62; the check must come before the 13.1M vectors are listed.
-    with pytest.raises(SizeLimitError):
+    # One output over 63 destinations is 64 vectors, well under the table
+    # cap, but their 2**63 codes pass 2**62.
+    with pytest.raises(SizeLimitError, match="64 bits"):
+        inference._simplex(63, 1)
+
+
+def test_simplex_is_held_to_the_table_cap():
+    # C(28, 18) = 13 123 110 vectors; the cap must refuse them before they are listed.
+    with pytest.raises(SizeLimitError, match=f"a crowd table of 13123110 entries exceeds the cap of {1 << 22}"):
         inference._simplex(18, 10)
 
 
-def test_boxes_refuse_codes_beyond_64_bits():
-    # A box of 2**31 * (2**31 + 1) vectors passes 2**62; the check must come
-    # before its columns are allocated.
-    with pytest.raises(SizeLimitError):
-        inference._boxes(np.array([[0, 0], [(1 << 31) - 1, 1 << 31]]))
+def test_crowd_posteriors_refuse_a_box_beyond_the_table_cap():
+    # A box of 2**31 * (2**31 + 1) vectors, counted without int64 wraparound;
+    # the cap must refuse it before its columns are allocated.
+    counts = np.array([[0, 0], [(1 << 31) - 1, 1 << 31]])
+    with pytest.raises(SizeLimitError, match=f"of {(1 << 31) * ((1 << 31) + 1)} entries exceeds the cap"):
+        crowd_posteriors(np.full((2, 2), 0.5), np.zeros((2, 2), dtype=bool), counts, PosteriorQuery(0, 0))
+
+
+def test_injection_sum_refuses_a_view_past_the_default_cap():
+    # 480 users with 60 bare outputs on each of 8 destinations: 61**8 entries,
+    # for which numpy used to try to allocate 1.36 PiB.
+    p = np.full((480, 8), 1 / 8)
+    with pytest.raises(SizeLimitError, match=f"of {61**8} entries exceeds the cap of {1 << 22}"):
+        injection_sum(range(480), DestMultiset((60,) * 8), p)
+
+
+def test_a_view_just_over_the_table_cap_is_refused_before_anything_is_built(monkeypatch):
+    p = np.full((7, 2), 0.5)
+    masks = np.ones((2, 7), dtype=bool)
+    masks[:, 0] = False
+    query = PosteriorQuery(0, 0)
+    monkeypatch.setattr(inference, "TABLE_ENTRIES", 12)
+    assert np.all(crowd_posteriors(p, masks, np.array([[1, 1], [2, 3]]), query) > 0.0)  # boxes of 4 and 12
+
+    def unreachable(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(inference, "_plain_views", unreachable)
+    monkeypatch.setattr(inference, "_boxes", unreachable)
+    with pytest.raises(SizeLimitError, match="^a crowd table of 16 entries exceeds the cap of 12$"):
+        crowd_posteriors(p, masks, np.array([[1, 1], [3, 3]]), query)
 
 
 def test_oracle_memory_is_bounded_by_its_blocks_not_by_four_to_the_n():

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from onion_anon import (
     CommonPopulation,
     DestMultiset,
+    Observation,
     ObservationError,
     PosteriorQuery,
     QueryError,
@@ -32,6 +33,7 @@ from onion_anon import (
     estimate_expected_posterior,
     injection_sum,
     least_alternative_destination,
+    lower_bound,
     make_distribution,
     validate_scenario,
     view_probability_split,
@@ -162,6 +164,27 @@ def test_population_sizes_and_indices_are_integers(value):
 def test_numpy_integers_are_integers():
     assert WorstCasePopulation(np.int64(5), 0.5, 0.3, 0.3, 0.1).n_target == 2
     assert CommonPopulation(np.int32(5), 0.3, (0.5, 0.5), np.int64(1)).queried_prior() == 0.5
+    assert Observation((), (), DestMultiset((np.int64(1), 0)), np.int32(2)).hidden_count == 2
+
+
+@pytest.mark.parametrize("counts, hidden", [((1.5, 0.5), 0), ((True, 0), 0), ((1.0, 0), 0), ((1, 0), 0.5), ((1, 0), True)])
+def test_observation_counts_are_integers(counts, hidden):
+    # The kernel used to cast these to int64 and evaluate the view (1, 0) instead.
+    with pytest.raises(ObservationError, match="must be (a )?non-negative integers?, got"):
+        Observation((), (), DestMultiset(counts), hidden)
+
+
+@pytest.mark.parametrize("call, args, name", [
+    (validate_scenario, ([[0.5, 0.5]], True), "b"),
+    (WorstCasePopulation, (7, True, 0.3, 0.3, 0.1), "alpha"),
+    (CommonPopulation, (3, np.True_, (0.5, 0.5), 0), "b"),
+    (worst_case_limit, (0.3, 0.3, 0.1, True), "alpha"),
+    (worst_alpha, (0.3, False, 0.1), "p_target"),
+    (lower_bound, (True, 0.3), "b"),
+])
+def test_unit_values_are_not_bools(call, args, name):
+    with pytest.raises(ScenarioError, match=f"^{name} must be a number, got "):
+        call(*args)
 
 
 @pytest.mark.parametrize("kind, what, sizes, message", [

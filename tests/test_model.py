@@ -32,9 +32,8 @@ class TestValidate:
         assert s.n == 1 and s.dest_count == 1 and s.b == 0.0
 
     def test_rejects_non_stochastic_row(self):
-        with pytest.raises(ScenarioError, match="not stochastic") as info:
+        with pytest.raises(ScenarioError, match="^row 1 is not stochastic: it sums to 0.9"):
             validate_scenario([[0.5, 0.5], [0.5, 0.4]], 0.2)
-        assert info.value.row == 1
 
     def test_rejects_b_out_of_range(self):
         with pytest.raises(ScenarioError, match="out of range"):
@@ -47,6 +46,8 @@ class TestValidate:
     def test_rejects_empty(self):
         with pytest.raises(ScenarioError):
             validate_scenario(np.zeros((0, 2)), 0.5)
+        with pytest.raises(ScenarioError, match="^need at least one user$"):
+            validate_scenario([], 0.5)
 
     def test_rows_renormalized(self):
         s = validate_scenario([[0.3 + 2e-13, 0.7]], 0.5)
