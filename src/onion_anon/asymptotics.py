@@ -6,8 +6,6 @@ from dataclasses import dataclass
 from .model import check_unit
 from .structured import check_two_group
 
-ERROR_ORDER = "O(sqrt(log n / n))"
-
 
 @dataclass(frozen=True)
 class LimitResult:
@@ -15,7 +13,6 @@ class LimitResult:
 
     value: float
     case_tag: str  # alpha_zero | alpha_interior | alpha_one
-    error_order: str = ERROR_ORDER
 
 
 def lower_bound(b: float, p_target: float) -> float:

@@ -161,21 +161,21 @@ class _IndexSet(NamedTuple):
 def _simplex(dest_count: int, total: int) -> _IndexSet:
     """A shared set: every count vector over all destinations with at most ``total`` outputs.
 
-    The vectors are sorted by mixed-radix code, and each predecessor is
-    found by binary search on the codes.
+    Vector r is the subset {S_j + j - 1} of range(total + d), S_j the sum of
+    its first j counts, and sits at that subset's colex rank
+    ``sum_j C(S_j + j - 1, j)``.  Lowering axis i lowers S_j for every
+    j >= i, so r - e_i ranks ``sum_{j >= i} C(S_j + j - 2, j - 1)`` lower.
     """
     _check_table(math.comb(total + dest_count, dest_count))
-    radix = total + 1
-    if radix**dest_count > 1 << 62:
-        raise SizeLimitError("count vectors too large to index in 64 bits")
-    picks = np.array(list(itertools.combinations_with_replacement(range(dest_count + 1), total)))
-    keys = (picks.reshape(len(picks), total, 1) == np.arange(dest_count)).sum(axis=1)
-    place = radix ** np.arange(dest_count - 1, -1, -1, dtype=np.int64)
-    codes = keys @ place
-    order = np.argsort(codes)
-    keys, codes = keys[order], codes[order]
-    pred = np.where(keys.T > 0, np.searchsorted(codes, codes - place[:, None]) + 1, 0)
-    return _IndexSet(tuple(range(dest_count)), keys, np.pad(pred, ((0, 0), (1, 0))), np.array([1]), None)
+    # itertools lists the descending subsets in reverse colex order.
+    flat = itertools.chain.from_iterable(itertools.combinations(range(total + dest_count - 1, -1, -1), dest_count))
+    sums = np.fromiter(flat, np.int64).reshape(-1, dest_count)[::-1, ::-1] - np.arange(dest_count)
+    keys = np.diff(sums, axis=1, prepend=0)
+    # steps[j - 1, s] = C(s + j - 2, j - 1): what lowering S_j from s takes off the rank.
+    steps = np.array([[math.comb(s + j - 1, j) if j else 1 for s in range(total + 1)] for j in range(dest_count)])
+    below = steps[np.arange(dest_count), sums][:, ::-1].cumsum(axis=1)[:, ::-1]
+    pred = np.where(keys > 0, np.arange(1, len(keys) + 1)[:, None] - below, 0)
+    return _IndexSet(tuple(range(dest_count)), keys, np.pad(pred.T, ((0, 0), (1, 0))), np.array([1]), None)
 
 
 def _check_table(entries: int) -> None:

@@ -86,6 +86,8 @@ def check_unit(name: str, x) -> float:
         x = float(x)
     except (TypeError, ValueError):
         raise ScenarioError(f"{name} must be a number, got {x!r}") from None
+    except OverflowError:
+        raise ScenarioError(f"{name} out of range: beyond the float range") from None
     if not 0.0 <= x <= 1.0:
         raise ScenarioError(f"{name} out of range: {x!r}")
     return x
@@ -100,7 +102,10 @@ def check_integer(name: str, x) -> int:
 
 def check_distribution(row, what: str) -> np.ndarray:
     """``row`` as a finite, non-negative float array summing to 1 within ``STOCHASTIC_TOL``, or ScenarioError naming ``what``."""
-    row = np.asarray(row, dtype=np.float64)
+    try:
+        row = np.asarray(row, dtype=np.float64)
+    except OverflowError:
+        raise ScenarioError(f"{what} is not stochastic: it has an entry beyond the float range") from None
     if not np.all(np.isfinite(row)):
         raise ScenarioError(f"{what} is not stochastic: it has a non-finite entry")
     if np.any(row < 0.0):

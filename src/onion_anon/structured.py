@@ -8,7 +8,7 @@ depends only on four counts and the expectation is a quadruple binomial
 sum over them.  In the common population all users share one
 destination distribution; the posterior depends only on how many inputs
 went unobserved and how many bare outputs match, and the expectation
-reduces to a single binomial sum.
+has a closed form.
 """
 from __future__ import annotations
 
@@ -53,8 +53,8 @@ class WorstCasePopulation:
     p_least: float
 
     def __post_init__(self):
-        if check_integer("n", self.n) < 1:
-            raise ScenarioError("population needs at least one user")
+        if not 1 <= check_integer("n", self.n) < 1 << 63:
+            raise ScenarioError("population needs at least one user and fewer than 2**63")
         check_unit("alpha", self.alpha)
         check_two_group(self.b, self.p_target, self.p_least)
 
@@ -84,8 +84,8 @@ class CommonPopulation:
     dest: int
 
     def __post_init__(self):
-        if check_integer("n", self.n) < 1:
-            raise ScenarioError("population needs at least one user")
+        if not 1 <= check_integer("n", self.n) < 1 << 63:
+            raise ScenarioError("population needs at least one user and fewer than 2**63")
         check_unit("b", self.b)
         check_distribution(self.p, "shared distribution")
         if not 0 <= check_integer("dest", self.dest) < len(self.p):
@@ -249,18 +249,12 @@ def worst_case_expected_exact(
     return lead + (1.0 - b) * fsum(terms)
 
 
-def common_expected_exact(pop: CommonPopulation, limits: SizeLimits | None = None) -> float:
-    """Exact expected posterior for the common-distribution population.
+def common_expected_exact(pop: CommonPopulation) -> float:
+    """Exact expected posterior for the common-distribution population, O(1) at any n.
 
-    Reduces to one sum over the number of unseen inputs: conditioned on
-    that count, averaging the shared-distribution posterior over the
-    observed outputs is linear in the expected matching count, which
-    collapses the inner sums.
+    Given the queried input unseen, U - 1 ~ Binomial(n - 1, 1 - b) other inputs are unseen
+    and the posterior averages to p + b (1 - p) / U; E[1 / U] = (1 - b^n) / (n (1 - b)).
     """
-    (limits or current_limits()).check("structured", "structured sums", pop.n)
     b = pop.b
     p_d = pop.queried_prior()
-    weights = _cached_weights(pop.n - 1, 1.0 - b)  # index: unobserved - 1
-    unobserved = np.arange(1, pop.n + 1, dtype=np.float64)
-    inner = b * (p_d * (unobserved - 1.0) + 1.0) / unobserved + (1.0 - b) * p_d
-    return b * b + b * (1.0 - b) * p_d + (1.0 - b) * float(weights @ inner)
+    return b * b + (1.0 - b * b) * p_d + b * (1.0 - p_d) * (1.0 - b**pop.n) / pop.n

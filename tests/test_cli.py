@@ -212,6 +212,30 @@ class TestWorstCaseAndCommon:
         bound = float(capsys.readouterr().out)
         assert exact >= bound - 1e-12
 
+    def test_common_exact_past_the_structured_limit(self, tmp_path, capsys):
+        # The common expectation is a closed form, so no population size limits it.
+        def closed(n):
+            return f"{0.2**2 + (1 - 0.2**2) * 0.25 + 0.2 * 0.75 * (1 - 0.2**n) / n:.12g}"
+
+        args = ["--b", "0.2", "--dist", "uniform", "--dests", "4", "--dest", "1"]
+        assert main(["common", "--n", "100000"] + args) == 0
+        assert capsys.readouterr().out == closed(100000) + "\n"
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--mode", "common", "--out", str(out), "--n", "100000:1000000:900000"] + args) == 0
+        assert [row[:2] for row in _rows(out)] == [["100000", closed(100000)], ["1000000", closed(1000000)]]
+
+    @pytest.mark.parametrize("argv", [
+        ["common", "--b", "0.2", "--dist", "uniform", "--dests", "4", "--dest", "1"],
+        ["mc", "--mode", "common", "--b", "0.2", "--dist", "uniform", "--dests", "4", "--dest", "1",
+         "--samples", "100", "--seed", "1"],
+        ["mc", "--mode", "worst-case", "--alpha", "0.5", "--b", "0.2", "--p-target", "0.3", "--p-least", "0.1",
+         "--samples", "100", "--seed", "1"],
+    ], ids=["common", "mc-common", "mc-worst-case"])
+    @pytest.mark.parametrize("n", [1 << 63, 10**400], ids=["2**63", "10**400"])
+    def test_population_past_64_bits_exits_3(self, argv, n, capsys):
+        assert main(argv + ["--n", str(n)]) == 3
+        assert capsys.readouterr().err == "error: population needs at least one user and fewer than 2**63\n"
+
     def test_structured_size_limit_exit_code(self):
         assert main([
             "worst-case", "--n", "301", "--alpha", "0", "--b", "0.25",
@@ -618,6 +642,9 @@ def test_scenario_file_parse_errors(doc, named, tmp_path, capsys):
     ({**SCENARIO, "destinations": []}, "need at least one destination"),
     ({**SCENARIO, "destinations": [], "users": [{"name": "alice", "dist": "uniform"}, {"name": "bob", "dist": []}]},
      "need at least one destination"),
+    ({**SCENARIO, "b": 10**400}, "b out of range: beyond the float range"),
+    ({**SCENARIO, "users": [{"name": "alice", "dist": [10**400, 0]}]},
+     "user 'alice': row is not stochastic: it has an entry beyond the float range"),
 ])
 def test_scenario_file_model_errors(doc, message, tmp_path, capsys):
     path = tmp_path / "scenario.json"

@@ -695,11 +695,38 @@ def test_formula_is_independent_of_its_batches(s, data):
         assert expected_posterior_formula(s, query) == whole
 
 
-def test_index_set_refuses_codes_beyond_64_bits():
-    # One output over 63 destinations is 64 vectors, well under the table
-    # cap, but their 2**63 codes pass 2**62.
-    with pytest.raises(SizeLimitError, match="64 bits"):
-        inference._simplex(63, 1)
+@pytest.mark.parametrize("dests, total", [(1, 0), (1, 4), (2, 3), (3, 4), (4, 2), (6, 3), (9, 2)])
+def test_simplex_lists_every_vector_once_with_its_predecessors(dests, total):
+    index = inference._simplex(dests, total)
+    vectors = [tuple(key) for key in index.keys.tolist()]
+    assert len(set(vectors)) == len(vectors) == math.comb(total + dests, dests)
+    assert all(sum(key) <= total for key in vectors)
+    column = {key: c for c, key in enumerate(vectors, start=1)}
+    for i, below in enumerate(index.pred):
+        lowered = [key[:i] + (key[i] - 1,) + key[i + 1 :] for key in vectors]
+        assert below.tolist() == [0] + [column[low] if low[i] >= 0 else 0 for low in lowered]
+
+
+def test_simplex_of_one_output_over_63_destinations():
+    # 64 vectors: the zero vector and the 63 unit vectors, each one step above it.
+    index = inference._simplex(63, 1)
+    assert len(index.keys) == 64
+    zero = 1 + index.keys.sum(axis=1).tolist().index(0)
+    assert np.array_equal(index.pred[:, 1:], np.where(index.keys.T > 0, zero, 0))
+
+
+def test_formula_over_63_destinations_equals_it_over_the_used_ones():
+    # Each row lives on 3 of the destinations 1, 30, 40 and 62; the other 59
+    # only add zero terms.  Dyadic rows sum to 1 exactly, so both scenarios
+    # hold the same masses.
+    used = [1, 30, 40, 62]
+    rows = np.array([[0.5, 0.3125, 0.0, 0.1875], [0.0, 0.625, 0.125, 0.25], [0.375, 0.0, 0.1875, 0.4375]])
+    wide = np.zeros((3, 63))
+    wide[:, used] = rows
+    whole = expected_posterior_formula(
+        validate_scenario(wide, 0.35), PosteriorQuery(0, 30), SizeLimits(formula_dests=63)
+    )
+    assert whole == expected_posterior_formula(validate_scenario(rows, 0.35), PosteriorQuery(0, 1))
 
 
 def test_simplex_is_held_to_the_table_cap():

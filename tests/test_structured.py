@@ -227,6 +227,21 @@ class TestCommonExpected:
                 identity = lower_bound(b, 0.3) + b * (1 - 0.3) * (1 - b**n) / n
                 assert common_expected_exact(pop) == pytest.approx(identity, abs=1e-12)
 
+    @pytest.mark.parametrize("b, p", [(0.3, 0.2), (0.1, 0.19)])
+    @pytest.mark.parametrize("n", [1, 2, 50, 300])
+    def test_matches_the_binomial_sum_in_rationals(self, n, b, p):
+        # The expectation as a sum over the U - 1 ~ Binomial(n - 1, 1 - b) other
+        # unseen inputs, with the posterior averaging p + b (1 - p) / U given U,
+        # evaluated exactly in rationals.
+        b_, p_ = Fraction(b), Fraction(p)
+        unseen = sum(
+            math.comb(n - 1, u - 1) * (1 - b_) ** (u - 1) * b_ ** (n - u) * (b_ * (p_ * (u - 1) + 1) / u + (1 - b_) * p_)
+            for u in range(1, n + 1)
+        )
+        want = b_ * b_ + b_ * (1 - b_) * p_ + (1 - b_) * unseen
+        got = common_expected_exact(CommonPopulation(n=n, b=b, p=(p, 1 - p), dest=0))
+        assert abs(Fraction(got) - want) <= Fraction(1, 10**15) * want
+
     @pytest.mark.parametrize("p", [(float("nan"), 0.5, 0.5), (float("nan"),), (float("inf"), 0.0)])
     def test_rejects_a_non_finite_shared_distribution(self, p):
         with pytest.raises(ScenarioError, match="not stochastic"):
