@@ -33,6 +33,8 @@ import math
 
 import numpy as np
 
+from .errors import SizeLimitError
+
 # Each CDF window leaves out at most exp(-_TAIL_LOG) ~ 2e-22 per tail.
 _TAIL_LOG = 50.0
 # Varying-n draws are resolved from tables at multiples of this stride.
@@ -41,6 +43,8 @@ _STRIDE = 16
 _DIRECT_BELOW = 4096
 # Bound on the CDF entries held at once while resolving varying-n draws.
 _BATCH_ENTRIES = 1 << 17
+# Largest CDF window built; it grows as sqrt(n), passing this near n = 1.8e11 at q = 1/2.
+WINDOW_ENTRIES = 1 << 22
 
 
 def masses(n: int, q: float, lo: int, hi: int) -> np.ndarray:
@@ -84,6 +88,8 @@ def _window(n: int, q: float) -> tuple[int, int]:
 
     Bernstein's inequality bounds each tail beyond ``t`` from the mean by
     ``exp(-t^2 / (2 (var + t / 3)))``; ``t`` solves that for _TAIL_LOG.
+    :class:`SizeLimitError` when the window holds more than
+    ``WINDOW_ENTRIES`` outcomes, before any table is allocated.
     """
     if n == 0 or q == 0.0:
         return 0, 0
@@ -91,7 +97,12 @@ def _window(n: int, q: float) -> tuple[int, int]:
         return n, n
     mean = n * q
     t = _TAIL_LOG / 3.0 + math.sqrt(_TAIL_LOG**2 / 9.0 + 2.0 * _TAIL_LOG * mean * (1.0 - q))
-    return max(0, math.floor(mean - t)), min(n, math.ceil(mean + t))
+    lo, hi = max(0, math.floor(mean - t)), min(n, math.ceil(mean + t))
+    if hi - lo + 1 > WINDOW_ENTRIES:
+        raise SizeLimitError(
+            f"Binomial(n={n}, q={q!r}) needs a CDF table of {hi - lo + 1} entries, over the cap of {WINDOW_ENTRIES}"
+        )
+    return lo, hi
 
 
 def _cdf_table(n: int, q: float) -> tuple[int, np.ndarray]:

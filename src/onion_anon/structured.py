@@ -4,11 +4,11 @@ Two populations admit closed forms.  In the worst-case population every
 user other than the queried one deterministically visits either the
 queried destination ("target" group) or the destination the queried
 user is least likely to visit ("other" group); the posterior then
-depends only on four counts and the expectation is a quadruple binomial
-sum over them.  In the common population all users share one
-destination distribution; the posterior depends only on how many inputs
-went unobserved and how many bare outputs match, and the expectation
-has a closed form.
+depends only on two ratios, one per group, and the expectation is a sum
+over the two groups' independent ratio distributions.  In the common
+population all users share one destination distribution; the posterior
+depends only on how many inputs went unobserved and how many bare
+outputs match, and the expectation has a closed form.
 """
 from __future__ import annotations
 
@@ -24,7 +24,10 @@ from .errors import ConditioningError, DegenerateCellError, ScenarioError
 from .limits import SizeLimits, current_limits
 from .model import STOCHASTIC_TOL, check_distribution, check_integer, check_unit
 
-_TRUNCATION_MASS = 1e-12
+# With truncation, each group's table drops at most this much probability.
+_TRUNCATION_MASS = 2.5e-13
+# Products the two-group kernel holds at once: 512 KiB of float64.
+_KERNEL_PRODUCTS = 1 << 16
 
 
 def check_two_group(b: float, p_target: float, p_least: float) -> tuple[float, float, float]:
@@ -175,40 +178,70 @@ def binomial_weights(n: int, q: float) -> np.ndarray:
     return masses(n, q, 0, n)
 
 
-@lru_cache(maxsize=4096)
-def _cached_weights(n: int, q: float) -> np.ndarray:
-    w = binomial_weights(n, q)
-    w.setflags(write=False)
-    return w
+@lru_cache(maxsize=32)
+def _group_ratios(members: int, b: float, own_output: bool) -> tuple[np.ndarray, np.ndarray, float]:
+    """One group's distinct ratios seen / spare with their masses, and the mass where spare is 0.
 
-
-@lru_cache(maxsize=2_000_000)
-def _seen_counts_mean(
-    unobs_target: int, unobs_other: int, b: float, p_target: float, p_least: float
-) -> float:
-    """Inner double sum: average the posterior over the observed-output counts.
-
-    For fixed group sizes with unseen inputs, the bare-output counts on
-    each destination are binomial, and the queried user's own output is
-    observed with probability b (adding one to the target count).
+    Of the group's ``members`` users, U ~ Binomial(members, 1 - b) have
+    unseen inputs and S ~ Binomial(U, b) of their outputs are seen; with
+    ``own_output`` the queried user's output joins S with probability b.
+    The ratio is S / (U - S + 1), infinite only where S = U + 1, whose
+    mass is returned apart.  Equal ratios are merged on their float
+    quotient: two distinct fractions with denominators below N differ by
+    at least 1/N^2, so they stay distinct while N^3 < 2^53.
     """
-    w_other = _cached_weights(unobs_other, b)  # index: seen_other
-    w_target = _cached_weights(unobs_target, b)  # index: seen_target
-    seen_t = np.arange(unobs_target + 2, dtype=np.float64)  # includes the +1 slot
-    seen_o = np.arange(unobs_other + 1, dtype=np.float64)[:, None]
-    # (unobs_other + 1, unobs_target + 2)
-    grid = two_group_cell(unobs_target, unobs_other, seen_o, seen_t, p_target, p_least)
-    mixed = b * grid[:, 1:] + (1.0 - b) * grid[:, :-1]
-    return float(w_other @ mixed @ w_target)
+    ratios, weights = [], []
+    spare_zero = 0.0
+    for unseen, weight in enumerate(binomial_weights(members, 1.0 - b)):
+        if weight == 0.0:
+            continue
+        mass = weight * binomial_weights(unseen, b)
+        if own_output:
+            spare_zero += b * mass[-1]
+            mass = np.concatenate(((1.0 - b) * mass[:1], (1.0 - b) * mass[1:] + b * mass[:-1]))
+        seen = np.arange(unseen + 1, dtype=np.float64)
+        ratios.append(seen / (unseen + 1.0 - seen))
+        weights.append(mass)
+    ratio, mass = np.concatenate(ratios), np.concatenate(weights)
+    nonzero = mass > 0.0
+    values, where = np.unique(ratio[nonzero], return_inverse=True)
+    merged = np.bincount(where, weights=mass[nonzero])
+    values.setflags(write=False)
+    merged.setflags(write=False)
+    return values, merged, spare_zero
 
 
-def _support_window(weights: np.ndarray, tail_mass: float) -> tuple[int, int]:
-    """Smallest index window whose complement carries at most ``tail_mass``."""
-    sums = np.cumsum(weights)
-    lo = int(np.searchsorted(sums, tail_mass / 2.0))
-    hi_from_end = np.cumsum(weights[::-1])
-    hi = len(weights) - 1 - int(np.searchsorted(hi_from_end, tail_mass / 2.0))
-    return lo, max(hi, lo)
+# benchmarks/worker.py reads this name's cache_info(); ROADMAP direction 1 removes that dependency.
+_seen_counts_mean = _group_ratios
+
+
+def _truncated(values: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drop the least-likely ratios while their total mass stays at most ``_TRUNCATION_MASS``."""
+    order = np.argsort(mass, kind="stable")
+    dropped = int(np.searchsorted(np.cumsum(mass[order]), _TRUNCATION_MASS, side="right"))
+    keep = np.sort(order[dropped:])
+    return values[keep], mass[keep]
+
+
+def _two_group_mean(x, px, r, pr, p: float, q: float) -> float:
+    """``sum_x P(x) p (1 + x) S(1 + p x)`` with ``S(A) = sum_r P(r) / (A + q r)``, x and r finite.
+
+    The x rows go through one reused buffer of at most ``_KERNEL_PRODUCTS``
+    products (one row when r alone is longer); freeing a fresh temporary
+    per block costs several times the arithmetic.
+    """
+    rows = max(1, _KERNEL_PRODUCTS // len(r))
+    buf = np.empty((min(rows, len(x)), len(r)))
+    base = 1.0 + q * r
+    outer = p * px * (1.0 + x)
+    totals = []
+    for start in range(0, len(x), rows):
+        stop = min(start + rows, len(x))
+        block = buf[: stop - start]
+        np.add(base, p * x[start:stop, None], out=block)
+        np.reciprocal(block, out=block)
+        totals.append(float(outer[start:stop] @ (block @ pr)))
+    return fsum(totals)
 
 
 def worst_case_expected_exact(
@@ -218,10 +251,18 @@ def worst_case_expected_exact(
 ) -> float:
     """Exact expected posterior for the two-group population.
 
-    Sums the two-group posterior over the binomially distributed counts
-    of unseen inputs and observed outputs in each group.  By default the
-    full support is iterated; ``truncate=True`` drops outer tail cells
-    carrying at most 1e-12 of total probability.
+    With the queried input seen (probability b) the posterior averages
+    to ``b + (1 - b) p``; otherwise it is :func:`two_group_cell` over the
+    two groups' counts.  Divided through by ``spare_target * spare_other``
+    that cell is ``f = p (1 + x) / (1 + p x + q r)``, with
+    ``x = seen_target / spare_target`` and ``r = seen_other / spare_other``,
+    and ``f = 1`` where ``spare_target = 0``.  The groups are independent,
+    so ``E[f] = P(x = inf) + sum_x P(x) p (1 + x) S(1 + p x)`` with
+    ``S(A) = sum_r P(r) / (A + q r)`` over each group's distinct ratios.
+
+    ``truncate=True`` drops each group's least-likely ratios while their
+    total mass stays at most 2.5e-13; since ``0 <= f <= 1`` the result
+    then moves by at most ``(1 - b) * 5e-13`` from the full sum.
     """
     (limits or current_limits()).check("structured", "structured sums", pop.n)
     b = pop.b
@@ -229,24 +270,12 @@ def worst_case_expected_exact(
     lead = b * (1.0 - b) * p + b * b
     if b == 1.0:
         return lead
-    w_t = _cached_weights(pop.n_target, 1.0 - b)  # unseen inputs in the target group
-    w_o = _cached_weights(pop.n_other, 1.0 - b)
-    t_lo, t_hi = (0, pop.n_target)
-    o_lo, o_hi = (0, pop.n_other)
+    x, px, spare_zero = _group_ratios(pop.n_target, b, True)
+    r, pr, _ = _group_ratios(pop.n_other, b, False)
     if truncate:
-        t_lo, t_hi = _support_window(w_t, _TRUNCATION_MASS / 2.0)
-        o_lo, o_hi = _support_window(w_o, _TRUNCATION_MASS / 2.0)
-    terms: list[float] = []
-    for unobs_target in range(t_lo, t_hi + 1):
-        wt = w_t[unobs_target]
-        if wt == 0.0:
-            continue
-        for unobs_other in range(o_lo, o_hi + 1):
-            wo = w_o[unobs_other]
-            if wo == 0.0:
-                continue
-            terms.append(wt * wo * _seen_counts_mean(unobs_target, unobs_other, b, p, q))
-    return lead + (1.0 - b) * fsum(terms)
+        x, px = _truncated(x, px)
+        r, pr = _truncated(r, pr)
+    return lead + (1.0 - b) * fsum((spare_zero, _two_group_mean(x, px, r, pr, p, q)))
 
 
 def common_expected_exact(pop: CommonPopulation) -> float:

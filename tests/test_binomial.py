@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onion_anon import binomial
+from onion_anon.errors import SizeLimitError
 from onion_anon.seeding import uniform_block
 from onion_anon.structured import binomial_weights
 
@@ -136,6 +137,14 @@ class TestInputs:
             binomial.ppf([0.0], 3, 0.5)
         with pytest.raises(ValueError):
             binomial.ppf([0.5, 0.5], np.array([3, 4, 5]), 0.5)
+
+    def test_refuses_a_window_past_the_cap(self):
+        # The window grows as sqrt(n); it passes 2**22 entries near n = 1.8e11 at q = 1/2.
+        lo, hi = binomial._window(10**8, 0.5)
+        assert hi - lo < 1 << 17
+        for n in (1 << 53, np.array([1 << 53, 10])):
+            with pytest.raises(SizeLimitError, match=f"Binomial\\(n={1 << 53}, q=0.5\\)"):
+                binomial.ppf([0.5] * np.size(n), n, 0.5)
 
     def test_returns_int64(self):
         assert binomial.ppf([0.5], 10, 0.5).dtype == np.int64

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +236,24 @@ class TestWorstCaseAndCommon:
     def test_population_past_64_bits_exits_3(self, argv, n, capsys):
         assert main(argv + ["--n", str(n)]) == 3
         assert capsys.readouterr().err == "error: population needs at least one user and fewer than 2**63\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["mc", "--mode", "common", "--b", "0.2", "--dist", "uniform", "--dests", "4", "--dest", "1",
+         "--samples", "100", "--seed", "1"],
+        ["mc", "--mode", "worst-case", "--alpha", "0.5", "--b", "0.2", "--p-target", "0.3", "--p-least", "0.1",
+         "--samples", "100", "--seed", "1"],
+    ], ids=["mc-common", "mc-worst-case"])
+    def test_mc_past_the_binomial_table_cap_exits_3(self, argv, capsys):
+        # At n = 2**53 an inverse-CDF table would need hundreds of millions of entries.
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--n", str(1 << 53)]) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 26
+        err = capsys.readouterr().err
+        assert err.startswith("error: Binomial(n=") and "needs a CDF table of" in err
 
     def test_structured_size_limit_exit_code(self):
         assert main([

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from onion_anon import (
     CommonPopulation,
@@ -24,6 +26,7 @@ from onion_anon import (
     two_group_posterior,
     worst_case_expected_exact,
 )
+from onion_anon.structured import two_group_cell
 
 
 def binomial_form_posterior(n_target, n_other, seen_other, seen_target, p_target, p_least):
@@ -41,6 +44,26 @@ def binomial_form_posterior(n_target, n_other, seen_other, seen_target, p_target
 
 def comb(n, k):
     return math.comb(n, k) if 0 <= k <= n else 0
+
+
+def quadruple_sum(pop):
+    """The two-group expectation summed over all four counts: the reference for the ratio kernel."""
+    b, p, q = pop.b, pop.p_target, pop.p_least
+    lead = b * (1.0 - b) * p + b * b
+    if b == 1.0:
+        return lead
+    terms = []
+    for unobs_target, wt in enumerate(binomial_weights(pop.n_target, 1.0 - b)):
+        for unobs_other, wo in enumerate(binomial_weights(pop.n_other, 1.0 - b)):
+            if wt == 0.0 or wo == 0.0:
+                continue
+            seen_t = np.arange(unobs_target + 2, dtype=np.float64)  # the last slot holds the own output
+            seen_o = np.arange(unobs_other + 1, dtype=np.float64)[:, None]
+            grid = two_group_cell(unobs_target, unobs_other, seen_o, seen_t, p, q)
+            mixed = b * grid[:, 1:] + (1.0 - b) * grid[:, :-1]
+            inner = binomial_weights(unobs_other, b) @ mixed @ binomial_weights(unobs_target, b)
+            terms.append(wt * wo * float(inner))
+    return lead + (1.0 - b) * math.fsum(terms)
 
 
 class TestTwoGroupPosterior:
@@ -177,6 +200,25 @@ class TestWorstCaseExpected:
         full = worst_case_expected_exact(pop)
         cut = worst_case_expected_exact(pop, truncate=True)
         assert cut == pytest.approx(full, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        alpha=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        b=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        p=st.floats(1e-3, 1.0),
+        q_share=st.floats(0.0, 1.0),
+    )
+    @example(n=1, alpha=0.5, b=0.3, p=0.4, q_share=0.5)
+    @example(n=40, alpha=0.0, b=0.3, p=0.4, q_share=0.5)
+    @example(n=40, alpha=1.0, b=0.3, p=0.4, q_share=0.5)
+    @example(n=40, alpha=0.5, b=0.0, p=0.4, q_share=0.5)
+    @example(n=40, alpha=0.5, b=1.0, p=0.4, q_share=0.5)
+    def test_ratio_kernel_matches_the_quadruple_sum(self, n, alpha, b, p, q_share):
+        pop = WorstCasePopulation(n=n, alpha=alpha, b=b, p_target=p, p_least=q_share * (1.0 - p))
+        full = worst_case_expected_exact(pop)
+        assert full == pytest.approx(quadruple_sum(pop), rel=0, abs=1e-14)
+        assert worst_case_expected_exact(pop, truncate=True) == pytest.approx(full, rel=0, abs=(1 - b) * 1e-12)
 
     def test_group_split_rounding(self):
         pop = WorstCasePopulation(n=4, alpha=0.5, b=0.5, p_target=0.5, p_least=0.5)
