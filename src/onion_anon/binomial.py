@@ -13,19 +13,27 @@ The CDF tables are windows around the mean that leave out at most
 relative error near 1e-9 at n around 1e6, so each window is divided by
 its own sum; that error then cancels instead of moving the quantiles.
 
-When ``n`` varies per draw, tables are built only at anchors
-``n - (n mod _STRIDE)``.  Since Binomial(n) is Binomial(anchor) plus an
-independent Binomial(delta), delta = n mod _STRIDE, the quantile of n
-lies in ``[Q_anchor(u), Q_anchor(u) + delta]``; each draw is resolved
-inside that bracket from the anchor's CDF convolved with the
-Binomial(delta) masses.  Below ``_DIRECT_BELOW`` the tables are short,
-and a table for each distinct n costs less than that search.  Every
-table is a pure function of its (n, q), so a draw never depends on
+When ``n`` varies per draw, each draw has a stride S, a power of two
+near the square root of its window's width that depends on its (n, q)
+alone, and a table is built only at its anchor ``a = n - n mod S``.
+X_{m+1} is X_m plus a Bernoulli(q), so the quantile of m + 1 is that
+of m or one more: from the anchor's quantile k, CDF T and mass f at k,
+one step takes ``T -= q f`` (T_{m+1}(k)), moves f to the mass of m + 1
+at k, and where ``T < u`` still, adds the mass at k + 1 to T and moves
+k up by one.  Each draw walks its own delta = n - a < S steps, so a
+call costs one table per distinct anchor plus O(S) per draw, not a
+table per value of n.  Below ``_DIRECT_BELOW`` the tables are short,
+S = 1, and every n gets a table of its own.  A draw never depends on
 which other draws share its call.
 
-"Exact" is up to the rounding of the CDF tables, a few units in the
-last place: a draw can differ from exact arithmetic only where ``u``
-lies that close to a CDF value.
+"Exact" is up to rounding.  A table's CDF is a running sum, so each
+entry is off exact arithmetic by at most about one unit of 2**-53 per
+entry summed before it (near the square root of that count in
+practice: a few hundred units at n = 1e8).  Each step of a walk adds
+at most about two units more, one per addition to T, so a walked draw
+carries up to about ``2 delta`` units beyond its anchor table's.  A
+draw can differ from exact arithmetic only where ``u`` lies that close
+to a CDF value.
 """
 from __future__ import annotations
 
@@ -37,12 +45,10 @@ from .errors import SizeLimitError
 
 # Each CDF window leaves out at most exp(-_TAIL_LOG) ~ 2e-22 per tail.
 _TAIL_LOG = 50.0
-# Varying-n draws are resolved from tables at multiples of this stride.
-_STRIDE = 16
-# Below this n every draw gets a table of its own n instead.
+# Below this n every varying-n draw gets a table of its own n; from it up
+# the anchors are at least 2**_MIN_STRIDE_BITS apart.
 _DIRECT_BELOW = 4096
-# Bound on the CDF entries held at once while resolving varying-n draws.
-_BATCH_ENTRIES = 1 << 17
+_MIN_STRIDE_BITS = 4
 # Largest CDF window built; it grows as sqrt(n), passing this near n = 1.8e11 at q = 1/2.
 WINDOW_ENTRIES = 1 << 22
 
@@ -105,12 +111,16 @@ def _window(n: int, q: float) -> tuple[int, int]:
     return lo, hi
 
 
-def _cdf_table(n: int, q: float) -> tuple[int, np.ndarray]:
-    """First outcome of the window and the CDF over it, ending at exactly 1."""
+def _cdf_table(n: int, q: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """First outcome of the window, the CDF over it ending at exactly 1,
+    and the masses over it, both divided by the window's sum."""
     lo, hi = _window(n, q)
-    cdf = np.cumsum(masses(n, q, lo, hi))
-    cdf /= cdf[-1]
-    return lo, cdf
+    mass = masses(n, q, lo, hi)
+    cdf = np.cumsum(mass)
+    total = cdf[-1]
+    cdf /= total
+    mass /= total
+    return lo, cdf, mass
 
 
 def ppf(u, n, q: float) -> np.ndarray:
@@ -131,83 +141,84 @@ def ppf(u, n, q: float) -> np.ndarray:
     if n.size and int(n.min()) < 0:
         raise ValueError("n must be non-negative")
     if n.ndim == 0:
-        lo, cdf = _cdf_table(int(n), q)
+        lo, cdf, _ = _cdf_table(int(n), q)
         k = lo + np.searchsorted(cdf, u, side="left")
     else:
         k = _varying_ppf(u, n, q) if n.size else n
     return np.where(u == 1.0, n, k)
 
 
-def _varying_ppf(u: np.ndarray, n: np.ndarray, q: float) -> np.ndarray:
-    """:func:`ppf` for per-draw ``n``, through tables at the anchors.
+def _stride(n: np.ndarray, q: float) -> np.ndarray:
+    """Each draw's anchor spacing, from its (n, q) alone.
 
-    Anchors are taken in sorted runs whose tables together hold about
-    ``_BATCH_ENTRIES`` entries, so memory stays bounded however widely
-    ``n`` spreads.
+    1 below ``_DIRECT_BELOW``; otherwise the largest power of two at most
+    the square root of 20 standard deviations (about the window's width),
+    and at least ``2**_MIN_STRIDE_BITS``, so a narrow binomial at large n
+    does not build a table for every few values of n.
     """
-    anchor = np.where(n < _DIRECT_BELOW, n, n - n % _STRIDE)
-    delta = n - anchor
+    # floor(log2(sqrt(20 sigma))) = floor(log2(400 sigma^2) / 4), read off the float exponent.
+    bits = (np.frexp(n * (400.0 * q * (1.0 - q)))[1] - 1) >> 2
+    return np.where(n < _DIRECT_BELOW, 1, 1 << np.maximum(bits, _MIN_STRIDE_BITS))
+
+
+def _varying_ppf(u: np.ndarray, n: np.ndarray, q: float) -> np.ndarray:
+    """:func:`ppf` for per-draw ``n``: anchor tables, then walks.
+
+    The anchors' tables are built one at a time, so memory is one table
+    plus O(draws) however widely ``n`` spreads.
+    """
+    if q in (0.0, 1.0):
+        return n.copy() if q == 1.0 else np.zeros_like(n)
+    largest = int(n.max())
+    _window(largest, q)  # past the cap, name the largest n rather than its anchor
+    walks = largest >= _DIRECT_BELOW
+    anchor = n & -_stride(n, q) if walks else n
+    k = np.empty_like(n)
+    cdf_at = np.empty(n.shape, dtype=np.float64)
+    mass_at = np.empty(n.shape, dtype=np.float64)
     order = np.argsort(anchor)
     sorted_anchor = anchor[order]
     cuts = (np.flatnonzero(np.diff(sorted_anchor)) + 1).tolist()
-    out = np.empty(n.shape, dtype=np.int64)
-    batch: list[tuple[int, int, int]] = []
-    size = 0
     for start, end in zip([0] + cuts, cuts + [len(order)]):
         a = int(sorted_anchor[start])
-        lo, hi = _window(a, q)
-        batch.append((a, start, end))
-        size += hi - lo + 2 * _STRIDE - 1
-        if size >= _BATCH_ENTRIES or end == len(order):
-            flat, where = _anchor_batch(batch, size, u, q, order, out)
-            rows = order[batch[0][1] : end]
-            if delta[rows].any():
-                _resolve(flat, where, u[rows], delta[rows], rows, out, q)
-            batch, size = [], 0
-    return out
-
-
-def _anchor_batch(batch, size, u, q, order, out) -> tuple[np.ndarray, np.ndarray]:
-    """Set each draw of a run of anchors to Q_anchor(u).
-
-    Returns the anchors' CDF tables, laid end to end with ``_STRIDE - 1``
-    zeros before and ones after each, and every draw's place in them.
-    """
-    pad = _STRIDE - 1
-    flat = np.zeros(size, dtype=np.float64)
-    first = batch[0][1]
-    where = np.empty(batch[-1][2] - first, dtype=np.int64)
-    offset = pad
-    for a, start, end in batch:
-        lo, cdf = _cdf_table(a, q)
-        flat[offset : offset + len(cdf)] = cdf
-        flat[offset + len(cdf) : offset + len(cdf) + pad] = 1.0
         rows = order[start:end]
+        lo, cdf, mass = _cdf_table(a, q)
         at = np.searchsorted(cdf, u[rows], side="left")
-        out[rows] = lo + at
-        where[start - first : end - first] = offset + at
-        offset += len(cdf) + 2 * pad
-    return flat, where
+        k[rows] = lo + at
+        if a >= _DIRECT_BELOW:  # these draws walk on from here
+            cdf_at[rows] = cdf[at]
+            mass_at[rows] = mass[at]
+    if walks:
+        _walk(u, k, cdf_at, mass_at, anchor, n - anchor, q)
+    return k
 
 
-def _resolve(flat, where, u, delta, rows, out, q: float) -> None:
-    """Move each draw from Q_anchor(u) to the quantile of its own n.
+def _walk(u, k, cdf_at, mass_at, anchor, delta, q: float) -> None:
+    """Move each draw ``delta`` steps from the quantile of its anchor to that of its own n.
 
-    With T the anchor's CDF and f the Binomial(delta, q) masses,
-    ``P(X_n <= Q + c) = sum_j f[j] T(Q + c - j)``; the draw becomes
-    ``Q + c`` for the smallest c in [0, delta] where that reaches u.
+    ``k``, ``cdf_at`` and ``mass_at`` hold Q_anchor(u) and the anchor's
+    CDF and mass there; ``k`` is updated in place.  Draws are sorted by
+    delta, largest first, so step s touches only the prefix still
+    walking.  No step divides by zero: k + 1 >= 1 and m + 1 - k >= 1,
+    since k never passes m.
     """
-    windows = np.lib.stride_tricks.sliding_window_view
-    for d in range(1, _STRIDE):
-        pick = np.flatnonzero(delta == d)
-        if not len(pick):
-            continue
-        f = masses(d, q, 0, d)
-        f /= f.sum()
-        cdf = windows(flat, 2 * d + 1)[where[pick] - d]  # T(Q - d) .. T(Q + d)
-        acc = f[0] * cdf[:, d:]
-        for j in range(1, d + 1):
-            acc += f[j] * cdf[:, d - j : 2 * d + 1 - j]
-        reached = acc >= u[pick, None]
-        reached[:, d] = True
-        out[rows[pick]] += reached.argmax(axis=1)
+    if not delta.any():
+        return
+    order = np.argsort(-delta)
+    steps = delta[order]
+    live = np.searchsorted(-steps, -np.arange(int(steps[0])), side="left").tolist()
+    u = u[order]
+    t = cdf_at[order]
+    f = mass_at[order]
+    walked = k[order]
+    top = anchor[order] + 1.0  # m + 1
+    stay = 1.0 - q
+    for c in live:
+        kc, tc, fc, mc = walked[:c], t[:c], f[:c], top[:c]
+        tc -= q * fc
+        up = tc < u[:c]
+        fc *= mc * np.where(up, q / (kc + 1.0), stay / (mc - kc))
+        np.add(tc, fc, out=tc, where=up)
+        kc += up
+        mc += 1.0
+    k[order] = walked

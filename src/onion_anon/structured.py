@@ -178,6 +178,10 @@ def binomial_weights(n: int, q: float) -> np.ndarray:
     return masses(n, q, 0, n)
 
 
+def _normalised(weights: np.ndarray) -> np.ndarray:
+    return weights / weights.sum()
+
+
 @lru_cache(maxsize=32)
 def _group_ratios(members: int, b: float, own_output: bool) -> tuple[np.ndarray, np.ndarray, float]:
     """One group's distinct ratios seen / spare with their masses, and the mass where spare is 0.
@@ -188,14 +192,17 @@ def _group_ratios(members: int, b: float, own_output: bool) -> tuple[np.ndarray,
     The ratio is S / (U - S + 1), infinite only where S = U + 1, whose
     mass is returned apart.  Equal ratios are merged on their float
     quotient: two distinct fractions with denominators below N differ by
-    at least 1/N^2, so they stay distinct while N^3 < 2^53.
+    at least 1/N^2, so they stay distinct while N^3 < 2^53.  Each
+    binomial vector is divided by its own sum: its log-gamma anchor is off
+    by up to ~1e-13 relative at a few hundred users, and that error would
+    otherwise carry into every expectation built on these masses.
     """
     ratios, weights = [], []
     spare_zero = 0.0
-    for unseen, weight in enumerate(binomial_weights(members, 1.0 - b)):
+    for unseen, weight in enumerate(_normalised(binomial_weights(members, 1.0 - b))):
         if weight == 0.0:
             continue
-        mass = weight * binomial_weights(unseen, b)
+        mass = weight * _normalised(binomial_weights(unseen, b))
         if own_output:
             spare_zero += b * mass[-1]
             mass = np.concatenate(((1.0 - b) * mass[:1], (1.0 - b) * mass[1:] + b * mass[:-1]))

@@ -118,13 +118,34 @@ class TestAgainstBruteForce:
             want = [brute_force_ppf(x, k, p) for x, k in zip(u.tolist(), n.tolist())]
             assert binomial.ppf(u, n, p).tolist() == want, p
 
-    def test_batches_of_anchors(self, monkeypatch):
-        # Tiny batches must give the same draws as one batch.
+    def test_a_draw_ignores_the_draws_beside_it(self):
+        # Strides, anchors and walks are per draw: the whole array, each
+        # half and each single draw give the same draws.
         u = uniform_block(29, np.arange(3000), 2)
         n = 100_000 + (u[:, 0] * 4000).astype(np.int64)
         whole = binomial.ppf(u[:, 1], n, 0.3)
-        monkeypatch.setattr(binomial, "_BATCH_ENTRIES", 1)
-        assert np.array_equal(binomial.ppf(u[:, 1], n, 0.3), whole)
+        halves = [binomial.ppf(u[part, 1], n[part], 0.3) for part in (slice(0, 1500), slice(1500, None))]
+        assert np.array_equal(np.concatenate(halves), whole)
+        singles = [int(binomial.ppf(u[i : i + 1, 1], n[i : i + 1], 0.3)[0]) for i in range(len(n))]
+        assert singles == whole.tolist()
+
+    @pytest.mark.parametrize("q", [1.0 - 1e-6, 1e-6])
+    def test_walks_near_certainty(self, q):
+        # Nearly all mass on one end: u just below 1 (or just above 0) sits
+        # at the edge of each anchor's window, and the walk must neither
+        # pass n nor divide by zero.
+        u = np.repeat(EDGE_U, 40)
+        for base in (binomial._DIRECT_BELOW, 10_000_000):
+            n = base + np.tile(np.arange(40), len(EDGE_U))
+            assert (binomial._stride(n, q) > 1).all()
+            got = binomial.ppf(u, n, q)
+            assert (got <= n).all()
+            if q > 0.5:
+                assert (got[u == 1.0 - 2.0**-53] == n[u == 1.0 - 2.0**-53]).all()
+            want = [int(binomial.ppf([x], k, q)[0]) for x, k in zip(u.tolist(), n.tolist())]
+            assert got.tolist() == want, (base, q)
+            if base == binomial._DIRECT_BELOW:
+                assert want == [brute_force_ppf(x, k, q) for x, k in zip(u.tolist(), n.tolist())]
 
 
 class TestInputs:
@@ -142,8 +163,8 @@ class TestInputs:
         # The window grows as sqrt(n); it passes 2**22 entries near n = 1.8e11 at q = 1/2.
         lo, hi = binomial._window(10**8, 0.5)
         assert hi - lo < 1 << 17
-        for n in (1 << 53, np.array([1 << 53, 10])):
-            with pytest.raises(SizeLimitError, match=f"Binomial\\(n={1 << 53}, q=0.5\\)"):
+        for n in (1 << 53, np.array([1 << 53, 10]), np.array([10, (1 << 53) + 5])):
+            with pytest.raises(SizeLimitError, match=f"Binomial\\(n={np.max(n)}, q=0.5\\)"):
                 binomial.ppf([0.5] * np.size(n), n, 0.5)
 
     def test_returns_int64(self):
@@ -166,7 +187,8 @@ class TestAgainstScipy:
         u = self.u[:, 0]
         assert np.array_equal(binomial.ppf(u, 1_000_000, 0.75), self.oracle(u, 1_000_000, 0.75))
 
-    @pytest.mark.parametrize("n, p_first, p_second", [(1_000_000, 0.8, 0.2), (300, 0.75, 0.25)])
+    @pytest.mark.parametrize("n, p_first, p_second", [
+        (100_000_000, 0.8, 0.2), (1_000_000, 0.8, 0.2), (300, 0.75, 0.25)])
     def test_nested_draws(self, n, p_first, p_second):
         first = binomial.ppf(self.u[:, 1], n, p_first)
         u = self.u[:, 2]
@@ -185,6 +207,36 @@ def test_draws_in_range_and_monotone_in_u(n, p, u, per_draw):
     k = binomial.ppf(u, np.full(len(u), n) if per_draw else n, p)
     assert k.min() >= 0 and k.max() <= n
     assert (np.diff(k) >= 0).all()
+
+
+def within_rounding_of_the_cdf(u: float, got: int, want: int, n: int, q: float) -> bool:
+    """Whether the CDF of n at every k from min(got, want) up to max(got, want) - 1
+    lies within the module's rounding bound of u: a running sum's error in each
+    of the two tables (n's and its anchor's), plus two units per walk step."""
+    anchor = n - n % int(binomial._stride(np.array([n]), q)[0])
+    entries = sum(hi - lo + 1 for lo, hi in (binomial._window(n, q), binomial._window(anchor, q)))
+    tol = (entries + 2 * (n - anchor)) * 2.0**-53
+    lo, cdf, _ = binomial._cdf_table(n, q)
+    between = cdf[min(got, want) - lo : max(got, want) - lo]
+    return bool(np.all(np.abs(between - u) <= tol))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(binomial._DIRECT_BELOW, 10**8),
+    q=st.one_of(st.sampled_from([1e-6, 0.5, 1.0 - 1e-6]), st.floats(1e-4, 1.0 - 1e-4)),
+    spread=st.integers(1, 2000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_per_draw_n_matches_scalar_n(n, q, spread, seed):
+    # Draws through anchors and walks equal draws from each n's own table,
+    # except where u lies within rounding of a CDF value.
+    u = uniform_block(seed, np.arange(40), 2)
+    counts = n + (u[:, 0] * spread).astype(np.int64)
+    draws = binomial.ppf(u[:, 1], counts, q)
+    for x, k, got in zip(u[:, 1].tolist(), counts.tolist(), draws.tolist()):
+        want = int(binomial.ppf([x], k, q)[0])
+        assert got == want or within_rounding_of_the_cdf(x, got, want, k, q), (x, k, q, got, want)
 
 
 def test_binomial_weights_unchanged():

@@ -161,6 +161,18 @@ class TestMc:
     def test_missing_mode_arguments(self):
         assert main(["mc", "--mode", "worst-case", "--samples", "100", "--seed", "1"]) == 2
 
+    @pytest.mark.parametrize("mode, expected", [
+        (["--mode", "worst-case", "--alpha", "0.5", "--p-target", "0.4", "--p-least", "0.05"],
+         "mean=0.510898209016 std_error=0.00113551804093"),
+        (["--mode", "common", "--dist", "zipf:1", "--dests", "20", "--dest", "3"],
+         "mean=0.156770292418 std_error=0.00191836458925"),
+    ], ids=["worst-case", "common"])
+    def test_seeded_bytes_at_a_hundred_million_users(self, mode, expected, capsys):
+        # Pins the nested per-draw-n binomial draws far above the direct-table range.
+        argv = ["mc", *mode, "--samples", "20000", "--seed", "5", "--b", "0.3", "--n", "100000000"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == f"{expected} samples=20000 seed=5\n"
+
     def test_csv_identical_across_thread_counts(self, tmp_path, capsys):
         args = [
             "mc", "--mode", "common", "--n", "500", "--b", "0.3",

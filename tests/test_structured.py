@@ -66,6 +66,26 @@ def quadruple_sum(pop):
     return lead + (1.0 - b) * math.fsum(terms)
 
 
+def two_group_in_rationals(pop):
+    """The two-group expectation summed over all four counts in exact rationals."""
+    b, p, q = Fraction(pop.b), Fraction(pop.p_target), Fraction(pop.p_least)
+
+    def pmf(n, k, x):
+        return math.comb(n, k) * x**k * (1 - x) ** (n - k)
+
+    total = b * (1 - b) * p + b * b
+    for unobs_target in range(pop.n_target + 1):
+        for unobs_other in range(pop.n_other + 1):
+            w = (1 - b) * pmf(pop.n_target, unobs_target, 1 - b) * pmf(pop.n_other, unobs_other, 1 - b)
+            for seen_t in range(unobs_target + 1):
+                for seen_o in range(unobs_other + 1):
+                    own_seen = two_group_cell(unobs_target, unobs_other, seen_o, seen_t + 1, p, q)
+                    own_bare = two_group_cell(unobs_target, unobs_other, seen_o, seen_t, p, q)
+                    mass = w * pmf(unobs_target, seen_t, b) * pmf(unobs_other, seen_o, b)
+                    total += mass * (b * own_seen + (1 - b) * own_bare)
+    return total
+
+
 class TestTwoGroupPosterior:
     def test_alone_and_unseen_keeps_prior(self):
         assert two_group_posterior(0, 0, 0, 0, 0.37, 0.2) == pytest.approx(0.37, abs=1e-15)
@@ -219,6 +239,13 @@ class TestWorstCaseExpected:
         full = worst_case_expected_exact(pop)
         assert full == pytest.approx(quadruple_sum(pop), rel=0, abs=1e-14)
         assert worst_case_expected_exact(pop, truncate=True) == pytest.approx(full, rel=0, abs=(1 - b) * 1e-12)
+
+    def test_matches_rationals_to_an_ulp(self):
+        # Each binomial vector is divided by its own sum; unnormalised, the
+        # log-gamma anchors' error put this 6e-16 off.
+        pop = WorstCasePopulation(n=40, alpha=0.0, b=0.4, p_target=0.3, p_least=0.1)
+        want = two_group_in_rationals(pop)
+        assert abs(Fraction(worst_case_expected_exact(pop)) - want) <= Fraction(2e-16)
 
     def test_group_split_rounding(self):
         pop = WorstCasePopulation(n=4, alpha=0.5, b=0.5, p_target=0.5, p_least=0.5)
