@@ -110,7 +110,8 @@ def check_distribution(row, what: str) -> np.ndarray:
         raise ScenarioError(f"{what} is not stochastic: it has a non-finite entry")
     if np.any(row < 0.0):
         raise ScenarioError(f"{what} is not stochastic: it has a negative entry")
-    total = float(row.sum())
+    with np.errstate(over="ignore"):  # entries near the float maximum sum to inf, which is rejected
+        total = float(row.sum())
     if abs(total - 1.0) > STOCHASTIC_TOL:
         raise ScenarioError(f"{what} is not stochastic: it sums to {total!r}")
     return row
