@@ -22,9 +22,22 @@ one step takes ``T -= q f`` (T_{m+1}(k)), moves f to the mass of m + 1
 at k, and where ``T < u`` still, adds the mass at k + 1 to T and moves
 k up by one.  Each draw walks its own delta = n - a < S steps, so a
 call costs one table per distinct anchor plus O(S) per draw, not a
-table per value of n.  Below ``_DIRECT_BELOW`` the tables are short,
-S = 1, and every n gets a table of its own.  A draw never depends on
-which other draws share its call.
+table per value of n.  A draw never depends on which other draws share
+its call.
+
+Below ``_DIRECT_BELOW`` the tables are short and every n gets one of
+its own.  Those tables are memoised (:func:`_small_table`, at most 512
+of them, about 7 MB at worst), so a sampler's chunks and strata share
+them.  Each carries a guide index (Chen and Asau's indexed search):
+with G a power of two at least twice the table's width, slot
+``floor(u G)`` names the first entry whose CDF reaches that slot's
+start, so one read and one comparison settle almost every draw, and the
+rest are bisected within their slot.  The answer is exactly that of
+``np.searchsorted(cdf, u, side="left")``.  A per-draw-n call lays the
+tables of its distinct n end to end and looks every draw up in one
+pass; a scalar-n call uses one table's guide at any n.  Anchor tables
+(n from ``_DIRECT_BELOW`` up) are neither memoised nor guided: each
+serves one call, through ``np.searchsorted``.
 
 "Exact" is up to rounding.  A table's CDF is a running sum, so each
 entry is off exact arithmetic by at most about one unit of 2**-53 per
@@ -38,6 +51,7 @@ to a CDF value.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -123,15 +137,72 @@ def _cdf_table(n: int, q: float) -> tuple[int, np.ndarray, np.ndarray]:
     return lo, cdf, mass
 
 
+def _guided_table(n: int, q: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """First outcome of the window, its CDF, and the CDF's guide, read-only.
+
+    With G the smallest power of two at least twice the window's width,
+    ``guide[j]`` is the first index whose CDF reaches ``j / G``, for
+    j = 0..G + 1.  A draw's answer then lies in ``guide[j] ..
+    guide[j + 1]`` with ``j = floor(u G)``; both are exact in floats,
+    since G is a power of two.
+    """
+    lo, cdf = _cdf_table(n, q)[:2]
+    size = 1 << (2 * len(cdf) - 1).bit_length()
+    # Slots floor(cdf G) never fall along the table, so guide[j] is i on the
+    # slots after entry i - 1's up to entry i's own, and the width past the last.
+    slots = np.concatenate(([-1], (cdf * size).astype(np.int64), [size + 1]))
+    guide = np.repeat(np.arange(len(cdf) + 1, dtype=np.int32), np.diff(slots))
+    cdf.setflags(write=False)
+    guide.setflags(write=False)
+    return lo, cdf, guide
+
+
+# At most 512 tables below _DIRECT_BELOW, each at most 677 CDF entries
+# (8 B) and 2050 guide entries (4 B): about 7 MB at worst.
+_small_table = lru_cache(maxsize=512)(_guided_table)
+
+
+def _lookup(cdf: np.ndarray, guide: np.ndarray, bucket: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u, side="left")`` through a guide, as int64.
+
+    ``bucket`` is each draw's guide slot, ``floor(u G)`` plus where its
+    table's guide starts.  Most slots hold at most one CDF entry, so one
+    comparison settles the draw; the rest are bisected within their slot.
+    """
+    first = guide[bucket].astype(np.int64, copy=False)
+    last = guide[1:][bucket]
+    k = first + (cdf[first] < u)
+    wide = np.flatnonzero(last - first > 1)
+    if len(wide):
+        u, lo, hi = u[wide], k[wide], last[wide]
+        # The answer lies in [lo, hi]; each step halves that span.
+        for _ in range(int((hi - lo).max()).bit_length()):
+            mid = (lo + hi) >> 1
+            below = cdf[mid] < u
+            lo = np.where(below, mid + 1, lo)
+            hi = np.where(below, hi, mid)
+        k[wide] = lo
+    return k
+
+
+def _counts(n) -> np.ndarray:
+    """``n`` as int64 counts; ValueError for a fraction, NaN or infinity."""
+    counts = np.asarray(n)
+    if counts.dtype.kind == "f" and not ((counts == np.floor(counts)) & (np.abs(counts) < 2.0**63)).all():
+        raise ValueError("n must hold whole counts")
+    return counts.astype(np.int64, copy=False)
+
+
 def ppf(u, n, q: float) -> np.ndarray:
     """Binomial(n, q) inverse CDF of uniform variates ``u`` in (0, 1].
 
     Returns, elementwise, the smallest ``k`` with ``P(X <= k) >= u`` as
     int64, and ``n`` where ``u == 1``.  ``n`` is one non-negative count
-    or an array of counts shaped like ``u``; ``q`` is one probability.
+    or an array of counts shaped like ``u``, of any shape; ``q`` is one
+    probability.  ValueError for a negative or fractional count.
     """
     u = np.asarray(u, dtype=np.float64)
-    n = np.asarray(n, dtype=np.int64)
+    n = _counts(n)
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q out of range: {q!r}")
     if n.ndim and n.shape != u.shape:
@@ -140,39 +211,81 @@ def ppf(u, n, q: float) -> np.ndarray:
         raise ValueError("uniform variates must lie in (0, 1]")
     if n.size and int(n.min()) < 0:
         raise ValueError("n must be non-negative")
+    draws = u.ravel()
     if n.ndim == 0:
-        lo, cdf, _ = _cdf_table(int(n), q)
-        k = lo + np.searchsorted(cdf, u, side="left")
+        lo, cdf, guide = (_small_table if n < _DIRECT_BELOW else _guided_table)(int(n), q)
+        k = lo + _lookup(cdf, guide, (draws * (len(guide) - 2)).astype(np.int64), draws)
     else:
-        k = _varying_ppf(u, n, q) if n.size else n
-    return np.where(u == 1.0, n, k)
+        k = _varying_ppf(draws, n.ravel(), q) if n.size else n.ravel()
+    return np.where(u == 1.0, n, k.reshape(u.shape))
 
 
 def _stride(n: np.ndarray, q: float) -> np.ndarray:
     """Each draw's anchor spacing, from its (n, q) alone.
 
-    1 below ``_DIRECT_BELOW``; otherwise the largest power of two at most
-    the square root of 20 standard deviations (about the window's width),
-    and at least ``2**_MIN_STRIDE_BITS``, so a narrow binomial at large n
-    does not build a table for every few values of n.
+    The largest power of two at most the square root of 20 standard
+    deviations (about the window's width), and at least
+    ``2**_MIN_STRIDE_BITS``, so a narrow binomial at large n does not
+    build a table for every few values of n.
     """
     # floor(log2(sqrt(20 sigma))) = floor(log2(400 sigma^2) / 4), read off the float exponent.
     bits = (np.frexp(n * (400.0 * q * (1.0 - q)))[1] - 1) >> 2
-    return np.where(n < _DIRECT_BELOW, 1, 1 << np.maximum(bits, _MIN_STRIDE_BITS))
+    return 1 << np.maximum(bits, _MIN_STRIDE_BITS)
 
 
 def _varying_ppf(u: np.ndarray, n: np.ndarray, q: float) -> np.ndarray:
-    """:func:`ppf` for per-draw ``n``: anchor tables, then walks.
+    """:func:`ppf` for per-draw ``n``, one-dimensional: draws below
+    ``_DIRECT_BELOW`` through their own tables, the rest through anchors."""
+    if q in (0.0, 1.0):
+        return n.copy() if q == 1.0 else np.zeros_like(n)
+    _window(int(n.max()), q)  # past the cap, name the largest n rather than its anchor
+    small = n < _DIRECT_BELOW
+    if small.all():
+        return _direct_ppf(u, n, q)
+    if not small.any():
+        return _anchored_ppf(u, n, q)
+    k = np.empty_like(n)
+    k[small] = _direct_ppf(u[small], n[small], q)
+    large = ~small
+    k[large] = _anchored_ppf(u[large], n[large], q)
+    return k
+
+
+def _direct_ppf(u: np.ndarray, n: np.ndarray, q: float) -> np.ndarray:
+    """Draws whose every n is below ``_DIRECT_BELOW``, in one guided pass.
+
+    Each distinct n's memoised table is laid end to end with the others,
+    its guide shifted to index the joint CDF, so one :func:`_lookup`
+    serves every draw with no sort and no loop over n.
+    """
+    present = np.zeros(int(n.max()) + 1, dtype=bool)
+    present[n] = True
+    values = np.flatnonzero(present)
+    tables = [_small_table(v, q) for v in values.tolist()]
+    widths = np.array([len(cdf) for _, cdf, _ in tables])
+    lengths = np.array([len(guide) for _, _, guide in tables])
+    starts = np.cumsum(widths) - widths
+    cdf = np.concatenate([cdf for _, cdf, _ in tables])
+    guide = np.concatenate([guide for _, _, guide in tables]).astype(np.int64)
+    guide += np.repeat(starts, lengths)
+    # Per value of n: where its guide starts, its G, and its outcome at joint index 0.
+    slot = np.zeros(len(present), dtype=np.int64)
+    slot[values] = np.cumsum(lengths) - lengths
+    size = np.zeros(len(present), dtype=np.float64)
+    size[values] = lengths - 2
+    shift = np.zeros(len(present), dtype=np.int64)
+    shift[values] = np.array([lo for lo, _, _ in tables]) - starts
+    bucket = slot[n] + (u * size[n]).astype(np.int64)
+    return shift[n] + _lookup(cdf, guide, bucket, u)
+
+
+def _anchored_ppf(u: np.ndarray, n: np.ndarray, q: float) -> np.ndarray:
+    """Draws whose every n is at least ``_DIRECT_BELOW``: anchor tables, then walks.
 
     The anchors' tables are built one at a time, so memory is one table
     plus O(draws) however widely ``n`` spreads.
     """
-    if q in (0.0, 1.0):
-        return n.copy() if q == 1.0 else np.zeros_like(n)
-    largest = int(n.max())
-    _window(largest, q)  # past the cap, name the largest n rather than its anchor
-    walks = largest >= _DIRECT_BELOW
-    anchor = n & -_stride(n, q) if walks else n
+    anchor = n & -_stride(n, q)
     k = np.empty_like(n)
     cdf_at = np.empty(n.shape, dtype=np.float64)
     mass_at = np.empty(n.shape, dtype=np.float64)
@@ -180,16 +293,13 @@ def _varying_ppf(u: np.ndarray, n: np.ndarray, q: float) -> np.ndarray:
     sorted_anchor = anchor[order]
     cuts = (np.flatnonzero(np.diff(sorted_anchor)) + 1).tolist()
     for start, end in zip([0] + cuts, cuts + [len(order)]):
-        a = int(sorted_anchor[start])
         rows = order[start:end]
-        lo, cdf, mass = _cdf_table(a, q)
+        lo, cdf, mass = _cdf_table(int(sorted_anchor[start]), q)
         at = np.searchsorted(cdf, u[rows], side="left")
         k[rows] = lo + at
-        if a >= _DIRECT_BELOW:  # these draws walk on from here
-            cdf_at[rows] = cdf[at]
-            mass_at[rows] = mass[at]
-    if walks:
-        _walk(u, k, cdf_at, mass_at, anchor, n - anchor, q)
+        cdf_at[rows] = cdf[at]
+        mass_at[rows] = mass[at]
+    _walk(u, k, cdf_at, mass_at, anchor, n - anchor, q)
     return k
 
 

@@ -68,9 +68,11 @@ def _sampler(
 
     Sample ``i`` reads ``width`` variates of stream ``i``.  The queried
     user's input and output are seen where the variates at ``flags`` fall
-    below ``b``, unless ``force_u`` fixes both.  With the input seen the
-    posterior is 1 (the output is linked too) or the prior; otherwise
-    ``crowd(variates, u_out)`` gives it on those rows alone.
+    below ``b``, unless ``force_u`` fixes both: a pair of booleans, each
+    one for all rows or an array with one per row, so one call can draw
+    several strata.  With the input seen the posterior is 1 (the output
+    is linked too) or the prior; otherwise ``crowd(variates, u_out)``
+    gives it on those rows alone, all of a chunk's rows in one call.
     """
     col_in, col_out = flags
 
@@ -82,7 +84,7 @@ def _sampler(
             if force_u is None:
                 u_in, u_out = variates[:, col_in] < b, variates[:, col_out] < b
             else:
-                u_in, u_out = np.full(hi - lo, force_u[0]), np.full(hi - lo, force_u[1])
+                u_in, u_out = (np.broadcast_to(flag, count)[lo:hi] for flag in force_u)
             block = np.where(u_out, 1.0, prior)
             rows = np.flatnonzero(~u_in)
             if len(rows):
@@ -171,7 +173,10 @@ def _stratified_estimate(draw: Callable, b: float, samples: int, seed: int) -> E
 
     The two cases with an observed input contribute constants (1, or the
     prior that one draw of that case returns), so all samples go to the
-    unobserved-input strata, split by whether the user's own output was seen.
+    unobserved-input strata, split by whether the user's own output was
+    seen.  One draw serves both: the input is unseen on every row and the
+    output forced seen on the rows after the hidden stratum's, so each
+    sample index and flag is that of a draw per stratum.
     """
     w_hidden = (1.0 - b) ** 2
     w_out_seen = (1.0 - b) * b
@@ -185,8 +190,8 @@ def _stratified_estimate(draw: Callable, b: float, samples: int, seed: int) -> E
     share = w_hidden / (w_hidden + w_out_seen)
     n_hidden = min(max(int(round(samples * share)), 2), samples - 2)
     n_seen = samples - n_hidden
-    psi_hidden = draw(0, n_hidden, (False, False))
-    psi_seen = draw(n_hidden, n_seen, (False, True))
+    psi = draw(0, samples, (False, np.arange(samples) >= n_hidden))
+    psi_hidden, psi_seen = psi[:n_hidden], psi[n_hidden:]
     mean = constant + w_hidden * float(psi_hidden.mean()) + w_out_seen * float(psi_seen.mean())
     variance = (
         w_hidden**2 * float(psi_hidden.var(ddof=1)) / n_hidden

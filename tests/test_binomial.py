@@ -159,6 +159,23 @@ class TestInputs:
         with pytest.raises(ValueError):
             binomial.ppf([0.5, 0.5], np.array([3, 4, 5]), 0.5)
 
+    def test_per_draw_n_of_any_shape(self):
+        u = uniform_block(37, np.arange(12), 2)
+        n = (300 + u[:, 0] * 5000).astype(np.int64)
+        grid = u[:, 1].reshape(3, 4)
+        assert np.array_equal(binomial.ppf(grid, n.reshape(3, 4), 0.4), binomial.ppf(u[:, 1], n, 0.4).reshape(3, 4))
+        assert np.array_equal(binomial.ppf(grid, 300, 0.4), binomial.ppf(u[:, 1], 300, 0.4).reshape(3, 4))
+        assert binomial.ppf(1.0, 7, 0.4).shape == ()
+
+    @pytest.mark.parametrize("n", [10.7, np.array([10.0, 3.5]), np.array([np.nan]), np.array([np.inf]), 2.0**63])
+    def test_rejects_counts_that_are_not_whole(self, n):
+        with pytest.raises(ValueError, match="whole counts"):
+            binomial.ppf([0.5] * np.size(n), n, 0.3)
+
+    def test_accepts_whole_float_counts(self):
+        u = [0.5, 0.5]
+        assert binomial.ppf(u, np.array([10.0, 3.0]), 0.3).tolist() == binomial.ppf(u, [10, 3], 0.3).tolist()
+
     def test_refuses_a_window_past_the_cap(self):
         # The window grows as sqrt(n); it passes 2**22 entries near n = 1.8e11 at q = 1/2.
         lo, hi = binomial._window(10**8, 0.5)
@@ -250,3 +267,55 @@ def test_window_tables_match_full_support():
     for n, q in [(300, 0.25), (5000, 0.6), (200_000, 0.05)]:
         lo, hi = binomial._window(n, q)
         assert np.array_equal(binomial.masses(n, q, lo, hi), binomial_weights(n, q)[lo : hi + 1])
+
+
+def guide_candidates(cdf: np.ndarray) -> np.ndarray:
+    """A table's own CDF values, their float neighbours, and the ends of (0, 1]."""
+    u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), [2.0**-54, 1.0]])
+    return u[(u > 0.0) & (u <= 1.0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ns=st.lists(
+        st.one_of(st.integers(0, binomial._DIRECT_BELOW - 1), st.integers(binomial._DIRECT_BELOW, 10**7)),
+        min_size=1,
+        max_size=6,
+    ),
+    q=st.one_of(st.sampled_from([1e-6, 0.5, 1.0 - 1e-6]), st.floats(1e-9, 1.0 - 1e-9)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_guided_lookup_matches_searchsorted(ns, q, seed):
+    # Alone: each table's guide, as a scalar-n call uses it.
+    for n in ns:
+        lo, cdf, guide = binomial._guided_table(n, q)
+        u = np.concatenate([guide_candidates(cdf), uniform_block(seed, np.arange(64), 1)[:, 0]])
+        got = binomial._lookup(cdf, guide, (u * (len(guide) - 2)).astype(np.int64), u)
+        assert np.array_equal(got, np.searchsorted(cdf, u, side="left")), (n, q)
+    # End to end: the direct regime's tables laid side by side, draws in mixed order.
+    small = [n for n in ns if n < binomial._DIRECT_BELOW]
+    if small:
+        draws = []
+        for n in small:
+            lo, cdf, _ = binomial._cdf_table(n, q)
+            u = guide_candidates(cdf)
+            draws.append((u, np.full(len(u), n), lo + np.searchsorted(cdf, u, side="left")))
+        u, counts, want = (np.concatenate(part) for part in zip(*draws))
+        order = np.random.default_rng(seed).permutation(len(u))
+        assert np.array_equal(binomial._direct_ppf(u[order], counts[order], q), want[order]), (small, q)
+
+
+def test_small_table_memo_stays_bounded():
+    memo = binomial._small_table
+    memo.cache_clear()
+    n = np.arange(memo.cache_info().maxsize + 100)
+    u = uniform_block(41, n, 1)[:, 0]
+    for q in (0.3, 0.7):
+        first = binomial.ppf(u, n, q)
+        assert np.array_equal(binomial.ppf(u, n, q), first)  # evicted tables rebuild the same
+    info = memo.cache_info()
+    assert info.currsize == info.maxsize
+    lo, cdf, guide = memo(100, 0.3)
+    for table in (cdf, guide):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0

@@ -173,6 +173,33 @@ class TestMc:
         assert main(argv) == 0
         assert capsys.readouterr().out == f"{expected} samples=20000 seed=5\n"
 
+    @pytest.mark.parametrize("mode, n, samples, extra, expected", [
+        ("worst-case", 100_000_000, 20_000, ["--stratify"], "mean=0.509329493855 std_error=1.37159511574e-07"),
+        ("common", 100_000_000, 20_000, ["--stratify"], "mean=0.153234234201 std_error=8.19073885067e-08"),
+        ("worst-case", 300, 70_000, [], "mean=0.510644317508 std_error=0.000602895650258"),
+        ("common", 300, 70_000, [], "mean=0.15595661067 std_error=0.00101543354083"),
+        ("worst-case", 300, 70_000, ["--stratify"], "mean=0.509723542666 std_error=4.22124278389e-05"),
+        ("common", 300, 70_000, ["--stratify"], "mean=0.154165047054 std_error=2.54802759591e-05"),
+    ], ids=["worst-case-1e8-stratified", "common-1e8-stratified", "worst-case-300", "common-300",
+            "worst-case-300-stratified", "common-300-stratified"])
+    def test_seeded_structured_bytes(self, mode, n, samples, extra, expected, capsys):
+        # n = 300 takes the direct-table regime; 70 000 samples span three
+        # sampling chunks, so a stratified run's strata share a chunk.
+        population = {
+            "worst-case": ["--alpha", "0.5", "--p-target", "0.4", "--p-least", "0.05"],
+            "common": ["--dist", "zipf:1", "--dests", "20", "--dest", "3"],
+        }[mode]
+        argv = ["mc", "--mode", mode, *population, "--b", "0.3", "--n", str(n),
+                "--samples", str(samples), "--seed", "5", *extra]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == f"{expected} samples={samples} seed=5\n"
+
+    def test_seeded_generic_stratified_bytes(self, scenario_file, capsys):
+        argv = ["mc", "--scenario", scenario_file, "--user", "alice", "--dest", "web",
+                "--samples", "40000", "--seed", "9", "--stratify"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "mean=0.71669210994 std_error=0.000387680114566 samples=40000 seed=9\n"
+
     def test_csv_identical_across_thread_counts(self, tmp_path, capsys):
         args = [
             "mc", "--mode", "common", "--n", "500", "--b", "0.3",
