@@ -9,20 +9,25 @@ crowd.  The matching weight is a permanent-like sum over injective
 assignments of crowd members to output slots.  One numpy kernel
 evaluates it by dynamic programming instead of enumeration: a table
 over a downward-closed set of count vectors, for the crowd without the
-queried user, built one user at a time.  A posterior reads the box of
-every vector up to its bare outputs c at the corner c, which serves
-all three sums it needs (the whole crowd's weight, and the queried
-user's output seen or hidden); the exact expectation reads the simplex
-of vectors with total at most the crowd size at every entry.  One call
-batches any number of crowds, in one of two layouts: every crowd over
-one shared set (the simplex), or every view over its own box, the boxes
-laid end to end, so views with different bare outputs still share a
-call.  Either costs O(crowd size x table entries) instead of a
-factorial.  A view whose table could leave the float range (a large
-crowd, or hundreds of rare bare outputs) runs the same recurrence with
-an integer exponent per entry instead.  One driver makes every kernel
-call: it sorts views into plain and wide and cuts batches of whole
-views, so no batch mixes the two.
+queried user, built one user at a time.  A table whose entries could
+leave the float range (a large crowd, or hundreds of rare bare outputs)
+runs the same recurrence with an integer exponent per entry instead;
+plain and wide tables never share a call.
+
+A posterior reads the box of every vector up to its bare outputs c at
+the corner c, which serves all three sums it needs (the whole crowd's
+weight, and the queried user's output seen or hidden).  One driver
+batches any number of views, each over its own box, the boxes laid end
+to end, so views with different bare outputs still share a call; it
+costs O(crowd size x table entries) instead of a factorial.
+
+The exact expectation reads every crowd's table at every entry of the
+simplex of vectors with total at most the crowd size.  Its crowds form
+a subset lattice: a crowd's table is its parent's (the crowd less its
+last member) after one more user, and each smaller simplex is a prefix
+of the population's.  The lattice is walked depth first in blocks of
+sibling crowds, each block's terms summed as it is built, so every
+crowd costs one user step and memory holds about one block per level.
 
 Two enumeration oracles, the posterior of a view and its expectation,
 cross-check the closed computations.  Each walks one configuration set,
@@ -136,35 +141,39 @@ _ZERO_EXPONENT = -(1 << 40)
 
 
 class _IndexSet(NamedTuple):
-    """The count vectors a crowd table covers, in one of two layouts.
+    """The count vectors of a batch of views: each view's box, laid end to end.
 
     Axis i counts outputs on ``dests[i]``.  A table has a zero sentinel
     column and then one column per entry; ``pred[i]`` maps each column
     to that of the vector one lower on axis i, or to the sentinel where
-    that count is 0, and ``origins`` are the columns of zero vectors.
-
-    - *Shared* (``owner`` is None): every crowd of a batch runs over the
-      same E vectors ``keys``, one table row per crowd.  This is the
-      total-capped simplex of the exact expectation.
-    - *Ragged*: view v owns a box of every vector up to its bare outputs,
-      and the boxes lie end to end in one table row; ``owner`` maps each
-      column to its view, and ``keys`` is None.
+    that count is 0.  View v's box holds every vector up to its bare
+    outputs and starts at column ``origins[v]``, its zero vector;
+    ``owner`` maps each column to its view.
     """
 
     dests: tuple[int, ...]
-    keys: np.ndarray | None
     pred: np.ndarray
     origins: np.ndarray
-    owner: np.ndarray | None
+    owner: np.ndarray
 
 
-def _simplex(dest_count: int, total: int) -> _IndexSet:
-    """A shared set: every count vector over all destinations with at most ``total`` outputs.
+class _Simplex(NamedTuple):
+    """Count vectors with a capped total: column c is ``keys[c - 1]``, and ``pred`` is as for :class:`_IndexSet`."""
+
+    keys: np.ndarray
+    pred: np.ndarray
+
+
+def _simplex(dest_count: int, total: int) -> _Simplex:
+    """Every count vector over ``dest_count`` destinations with at most ``total`` outputs.
 
     Vector r is the subset {S_j + j - 1} of range(total + d), S_j the sum of
     its first j counts, and sits at that subset's colex rank
     ``sum_j C(S_j + j - 1, j)``.  Lowering axis i lowers S_j for every
     j >= i, so r - e_i ranks ``sum_{j >= i} C(S_j + j - 2, j - 1)`` lower.
+    The rank does not depend on ``total``, and colex order lists smaller
+    totals first, so the simplex of total t is the first C(t + d, d)
+    vectors of any larger one.
     """
     _check_table(math.comb(total + dest_count, dest_count))
     # itertools lists the descending subsets in reverse colex order.
@@ -175,7 +184,7 @@ def _simplex(dest_count: int, total: int) -> _IndexSet:
     steps = np.array([[math.comb(s + j - 1, j) if j else 1 for s in range(total + 1)] for j in range(dest_count)])
     below = steps[np.arange(dest_count), sums][:, ::-1].cumsum(axis=1)[:, ::-1]
     pred = np.where(keys > 0, np.arange(1, len(keys) + 1)[:, None] - below, 0)
-    return _IndexSet(tuple(range(dest_count)), keys, np.pad(pred.T, ((0, 0), (1, 0))), np.array([1]), None)
+    return _Simplex(keys, np.pad(pred.T, ((0, 0), (1, 0))))
 
 
 def _check_table(entries: int) -> None:
@@ -184,7 +193,7 @@ def _check_table(entries: int) -> None:
 
 
 def _boxes(counts: np.ndarray) -> _IndexSet:
-    """A ragged set: one box per row of ``counts``, over the union of their supports.
+    """One box per row of ``counts``, over the union of their supports.
 
     Box v holds every vector up to ``counts[v]`` in lexicographic order,
     so its top corner is its last column.  Within a box, axis i has a
@@ -204,12 +213,7 @@ def _boxes(counts: np.ndarray) -> _IndexSet:
     for i in range(len(dests)):
         step = place[owner, i]
         pred[i, 1:] = np.where(local // step % radix[owner, i] > 0, column - step, 0)
-    return _IndexSet(tuple(dests.tolist()), None, pred, origins, np.pad(owner, (1, 0)))
-
-
-def _per_entry(values: np.ndarray, index: _IndexSet) -> np.ndarray:
-    """Per-view ``values`` in a table's shape: a column per row, or one value per column."""
-    return values[:, None] if index.owner is None else values[index.owner]
+    return _IndexSet(tuple(dests.tolist()), pred, origins, np.pad(owner, (1, 0)))
 
 
 def _plain_views(p: np.ndarray, masks: np.ndarray, corners: np.ndarray) -> np.ndarray:
@@ -244,106 +248,108 @@ def _plain_views(p: np.ndarray, masks: np.ndarray, corners: np.ndarray) -> np.nd
     return span + (worst[:, None, :] * corners).sum(axis=2).max(axis=1) <= _PLAIN_SPAN
 
 
-def _table_shape(masks: np.ndarray, index: _IndexSet) -> tuple[int, ...]:
-    columns = index.pred.shape[1]
-    return (masks.shape[0], columns) if index.owner is None else (columns,)
+def _plain_step(table: np.ndarray, source: np.ndarray, weights, pred: np.ndarray) -> None:
+    """Add one crowd user to ``table``, in place, in plain floats.
 
-
-def _plain_table(p: np.ndarray, masks: np.ndarray, index: _IndexSet):
-    """The recurrence in plain floats; the exponent is 0 everywhere."""
-    rows = p[:, list(index.dests)]
-    table = np.zeros(_table_shape(masks, index))
-    table[..., index.origins] = 1.0
-    for v in np.flatnonzero(masks.any(axis=0) & (rows > 0.0).any(axis=1)):
-        source = table * _per_entry(masks[:, v], index)
-        grown = table.copy()
-        for weight, below in zip(rows[v], index.pred):
-            grown += weight * source.take(below, axis=-1)
-        table = grown
-    return table, np.zeros(table.shape, dtype=np.int64)
-
-
-def _wide_table(p: np.ndarray, masks: np.ndarray, index: _IndexSet):
-    """The plain recurrence with an integer exponent per entry.
-
-    Entry ``r`` is ``ldexp(table[r], exponent[r])``; each step adds the
-    shifted terms after aligning them to the larger exponent and then
-    renormalises every mantissa into [0.5, 1).  Nothing leaves the
-    float range, so no view is too large or too skewed for it.
+    ``table += sum_i weights[i] * source[pred_i]``, one axis at a time.
+    ``source`` is the table before the step, masked to the views whose
+    crowd holds the user (a ragged batch), or a block's parent tables
+    (the lattice); ``weights[i]`` is the user's mass on axis i, a scalar
+    or one value per table row.
     """
+    for weight, below in zip(weights, pred):
+        table += weight * source.take(below, axis=-1)
+
+
+def _wide_step(table, exponent, source, source_exp, mantissas, powers, pred: np.ndarray):
+    """:func:`_plain_step` with an integer exponent per entry; returns the new ``(table, exponent)``.
+
+    Entry ``r`` is ``ldexp(table[r], exponent[r])``, and the user's mass
+    on axis i is ``ldexp(mantissas[i], powers[i])``.  Each axis adds its
+    shifted terms after aligning them to the larger exponent; the sum's
+    mantissas are then renormalised into [0.5, 1).  Nothing leaves the
+    float range, so no crowd is too large or too skewed for it.
+    """
+    for mantissa, power, below in zip(mantissas, powers, pred):
+        part = mantissa * source.take(below, axis=-1)
+        part_exp = np.where(part > 0.0, source_exp.take(below, axis=-1) + power, _ZERO_EXPONENT)
+        common = np.maximum(exponent, part_exp)
+        table = np.ldexp(table, exponent - common) + np.ldexp(part, part_exp - common)
+        exponent = common
+    table, shift = np.frexp(table)
+    return table, exponent + shift
+
+
+def _widen(table: np.ndarray):
+    """A plain table as ``(mantissa, exponent)``, zero entries at ``_ZERO_EXPONENT``."""
+    mantissa, exponent = np.frexp(table)
+    return mantissa, np.where(mantissa > 0.0, exponent.astype(np.int64), _ZERO_EXPONENT)
+
+
+def _ragged_table(p: np.ndarray, masks: np.ndarray, index: _IndexSet, wide: bool):
+    """A ragged batch's ``(table, exponent)``: in plain floats (``exponent`` None), or wide (see :func:`_wide_step`)."""
     rows = p[:, list(index.dests)]
-    table = np.zeros(_table_shape(masks, index))
-    exponent = np.full(table.shape, _ZERO_EXPONENT, dtype=np.int64)
-    table[..., index.origins], exponent[..., index.origins] = 0.5, 1
-    mantissa, power = np.frexp(rows)
+    table = np.zeros(index.pred.shape[1])
+    table[index.origins] = 1.0
+    exponent = None
+    if wide:
+        table, exponent = _widen(table)
+        mantissas, powers = np.frexp(rows)
     for v in np.flatnonzero(masks.any(axis=0) & (rows > 0.0).any(axis=1)):
-        source = table * _per_entry(masks[:, v], index)
-        grown, raised = table.copy(), exponent.copy()
-        for i, below in enumerate(index.pred):
-            part = mantissa[v, i] * source.take(below, axis=-1)
-            part_exp = np.where(part > 0.0, exponent.take(below, axis=-1) + power[v, i], _ZERO_EXPONENT)
-            common = np.maximum(raised, part_exp)
-            grown = np.ldexp(grown, raised - common) + np.ldexp(part, part_exp - common)
-            raised = common
-        table, shift = np.frexp(grown)
-        exponent = raised + shift
+        source = table * masks[:, v][index.owner]
+        if wide:
+            table, exponent = _wide_step(table, exponent, source, exponent, mantissas[v], powers[v], index.pred)
+        else:
+            _plain_step(table, source, rows[v], index.pred)
     return table, exponent
 
 
-def _kernel_batches(p: np.ndarray, masks: np.ndarray, index):
-    """Every crowd-kernel call for V crowds: the one driver of the kernel.
+def _kernel_batches(p: np.ndarray, masks: np.ndarray, counts):
+    """Every crowd-kernel call for V views, each at its own bare outputs.
 
-    ``masks`` is a ``(V, n)`` boolean array of crowds.  Entry r of view
+    ``masks`` is a ``(V, n)`` boolean array of crowds, and ``counts``
+    holds bare-output counts, one vector for every view or one row per
+    view; each view's count vector is its box's corner.  Entry r of view
     v's table is the summed weight of the ways crowd v covers each
     ``dests[i]`` exactly ``r_i`` times, each covering user contributing
     ``p[user, dests[i]]``.  One crowd user u is one step over the whole
-    table: with ``source`` the table masked to the views whose crowd
-    holds u, ``new = W + sum_i p[u, dests[i]] * source[pred_i]``.  A
-    view's predecessors lie in its own row or box, so masking the source
-    masks the step, and multiplying by 0 or 1 is exact.
+    table (:func:`_plain_step`), its source the table masked to the
+    views whose crowd holds u.  A view's predecessors lie in its own
+    box, so masking the source masks the step, and multiplying by 0 or 1
+    is exact.
 
-    ``index`` is either the shared simplex, whose corners are ``total``
-    on each axis, or bare-output counts (one vector for every view, or
-    one row per view), each view's count vector its corner and its box.
     Each view goes to the plain kernel or, where :func:`_plain_views`
     says its table could leave the float range, to the wide one; plain
     and wide views never share a call; a box past ``TABLE_ENTRIES`` is
     refused before anything is built.  Each call takes whole views
     holding at most ``BATCH_ENTRIES`` table entries (or one view), and
-    yields ``(views, index, at, table, exponent)``: the rows of
-    ``masks`` it ran, its index set, the columns of each view's corner
-    (every entry of the simplex), and the weights ``ldexp(table,
-    exponent)`` in the layout's shape (``(len(views), E + 1)`` shared,
-    ``(E + 1,)`` ragged).  A view's entries do not depend on its batch.
+    yields ``(views, dests, pred, at, table, exponent)``: the rows of
+    ``masks`` it ran, the batch's axes and predecessors, the column of
+    each view's corner, and the weights ``ldexp(table, exponent)``,
+    ``exponent`` None for a plain batch.  A view's entries do not depend
+    on its batch.
     """
     views, nd = masks.shape[0], p.shape[1]
-    shared = isinstance(index, _IndexSet)
-    if shared:
-        corners = np.broadcast_to(int(index.keys.max()) * np.eye(nd, dtype=np.int64), (views, nd, nd))
-        sizes = np.full(views, len(index.keys))
-    else:
-        # The largest box, found in log2 and counted in Python integers, so no product wraps.
-        real = np.asarray(index, dtype=np.float64).reshape(-1, nd)
-        largest = real[np.argmax(np.log2(real + 1.0).sum(axis=1))] if len(real) else ()
-        _check_table(math.prod(int(c) + 1 for c in largest))
-        counts = np.broadcast_to(np.asarray(index, dtype=np.int64), (views, nd))
-        corners = counts[:, None, :]
-        sizes = (counts + 1).prod(axis=1)
+    # The largest box, found in log2 and counted in Python integers, so no product wraps.
+    real = np.asarray(counts, dtype=np.float64).reshape(-1, nd)
+    largest = real[np.argmax(np.log2(real + 1.0).sum(axis=1))] if len(real) else ()
+    _check_table(math.prod(int(c) + 1 for c in largest))
+    counts = np.broadcast_to(np.asarray(counts, dtype=np.int64), (views, nd))
+    sizes = (counts + 1).prod(axis=1)
     plain = np.zeros(views, dtype=bool)
     # The plain test's (views, users) arrays stay within the same cap.
     for s in _batches(np.full(views, masks.shape[1])):
-        plain[s] = _plain_views(p, masks[s], corners[s])
-    for kernel, group in ((_plain_table, np.flatnonzero(plain)), (_wide_table, np.flatnonzero(~plain))):
+        plain[s] = _plain_views(p, masks[s], counts[s, None, :])
+    for wide in (False, True):
+        group = np.flatnonzero(plain != wide)
         for batch in _batches(sizes[group]):
             chosen = group[batch]
-            if shared:
-                batch_index, at = index, slice(1, None)
-            else:
-                batch_index, at = _boxes(counts[chosen]), np.cumsum(sizes[chosen])
-            yield (chosen, batch_index, at, *kernel(p, masks[chosen], batch_index))
+            index = _boxes(counts[chosen])
+            table = _ragged_table(p, masks[chosen], index, wide)
+            yield (chosen, index.dests, index.pred, np.cumsum(sizes[chosen]), *table)
 
 
-def _read_sums(p: np.ndarray, index: _IndexSet, at, table: np.ndarray, exponent: np.ndarray, query):
+def _read_sums(p: np.ndarray, dests, pred: np.ndarray, at, table: np.ndarray, exponent, query):
     """The three crowd sums of each view, read at the columns ``at``.
 
     Each table is of a crowd *without* the queried user u.  At entry r
@@ -351,15 +357,20 @@ def _read_sums(p: np.ndarray, index: _IndexSet, at, table: np.ndarray, exponent:
     p[u, s_i] W[r - e_i]`` (the whole crowd's weight, u included),
     ``seen = W[r - e_d]`` (0 if d is not among the outputs) and
     ``hidden = W[r]``.  They share a per-entry scale, returned last: the
-    true values are ``ldexp(x, common)``.
+    true values are ``ldexp(x, common)``.  A plain table (``exponent``
+    None) needs no alignment, and its scale is 0.
     """
-    columns = [at] + [below[at] for below in index.pred]
-    common = functools.reduce(np.maximum, (exponent[..., c] for c in columns))
-    hidden = np.ldexp(table[..., at], exponent[..., at] - common)
+    columns = [at] + [below[at] for below in pred]
+    if exponent is None:
+        common = 0
+        parts = [table[..., c] for c in columns]
+    else:
+        common = functools.reduce(np.maximum, (exponent[..., c] for c in columns))
+        parts = [np.ldexp(table[..., c], exponent[..., c] - common) for c in columns]
+    hidden = parts[0]
     any_dest = hidden.copy()
     seen = np.zeros_like(hidden)
-    for s, c in zip(index.dests, columns[1:]):
-        below = np.ldexp(table[..., c], exponent[..., c] - common)
+    for s, below in zip(dests, parts[1:]):
         any_dest += p[query.user, s] * below
         if s == query.dest:
             seen = below
@@ -417,8 +428,8 @@ def _crowd_mask(n: int, users) -> np.ndarray:
 
 def _crowd_weight(p: np.ndarray, mask: np.ndarray, counts: Sequence[int]) -> tuple[float, int]:
     """W[c] of one crowd as ``(x, e)``; the weight is ``ldexp(x, e)``."""
-    _, _, at, table, exponent = next(_kernel_batches(p, mask, counts))
-    return float(table[at[0]]), int(exponent[at[0]])
+    *_, at, table, exponent = next(_kernel_batches(p, mask, counts))
+    return float(table[at[0]]), 0 if exponent is None else int(exponent[at[0]])
 
 
 def injection_sum(users: Sequence[int], outputs: DestMultiset, p: np.ndarray) -> float:
@@ -526,6 +537,80 @@ def posterior(scenario: Scenario, observation: Observation, query: PosteriorQuer
     return float(scenario.p[query.user, query.dest])
 
 
+def _extend(table: np.ndarray, width: int, fill) -> np.ndarray:
+    """Rows of ``table`` padded with ``fill`` to ``width`` columns."""
+    out = np.full((len(table), width), fill, dtype=table.dtype)
+    out[:, : table.shape[1]] = table
+    return out
+
+
+def _lattice_block(p: np.ndarray, users, source: np.ndarray, source_exp, width: int, pred: np.ndarray, wide: bool):
+    """Child tables: each row of ``source`` zero-extended to ``width`` columns, after one step with its user."""
+    weights = p[users].T[:, :, None]
+    if wide and source_exp is None:
+        source, source_exp = _widen(source)
+    table = _extend(source, width, 0.0)
+    if not wide:
+        _plain_step(table, source, weights, pred[:, :width])
+        return table, None
+    mantissas, powers = np.frexp(weights)
+    exponent = _extend(source_exp, width, _ZERO_EXPONENT)
+    return _wide_step(table, exponent, source, source_exp, mantissas, powers, pred[:, :width])
+
+
+def _crowd_lattice(p: np.ndarray, others: np.ndarray, pred: np.ndarray):
+    """Every crowd drawn from ``others`` with its table, depth first, in blocks.
+
+    A crowd of k - 1 members (k counting the queried user, who is in no
+    table) has a table over the simplex of total k, whose predecessors
+    are the first ``C(k + nd, nd) + 1`` columns of ``pred``.  Crowds are
+    the combinations of ``others``.  A crowd's parent is the same crowd
+    less its last member, and its table is the parent's, zero-extended
+    to the larger simplex, after one step with that member; members thus
+    join in ascending order, one step each.  The children of a block
+    are cut into blocks of at most ``BATCH_ENTRIES`` entries (or one
+    crowd), so memory stays at about one block per level.  Yields
+    ``(k, table, exponent)`` per block, ``exponent`` None for a plain one.
+
+    :func:`_plain_views` sorts each block's crowds into plain and wide,
+    which never share a block.  A plain crowd's parent is plain (a
+    subset's bound is no larger), and a wide crowd's children are wide.
+    A plain table's nonzero entries are normal floats, so a wide block
+    grown from plain parents gets, through :func:`_widen`, exactly the
+    entries the wide step would have built from the empty table.
+    """
+    n, nd = p.shape
+    eye = np.eye(nd, dtype=np.int64)
+
+    def plain(size, masks):
+        return _plain_views(p, masks, np.broadcast_to(size * eye, (len(masks), nd, nd)))
+
+    def grow(size, table, exponent, masks, last):
+        yield size, table, exponent
+        spare = len(others) - 1 - last
+        parents = np.repeat(np.arange(len(last)), spare)
+        added = np.arange(len(parents)) - np.repeat(np.cumsum(spare) - spare - last - 1, spare)
+        width = math.comb(size + 1 + nd, nd) + 1
+        step = max(1, BATCH_ENTRIES // width)
+        for lo in range(0, len(parents), step):
+            rows, new = parents[lo : lo + step], added[lo : lo + step]
+            crowds = masks[rows]
+            crowds[np.arange(len(rows)), others[new]] = True
+            kept = plain(size + 1, crowds) if exponent is None else np.zeros(len(rows), dtype=bool)
+            for wide, chosen in ((False, kept), (True, ~kept)):
+                if chosen.any():
+                    picked = rows[chosen]
+                    source_exp = None if exponent is None else exponent[picked]
+                    child = _lattice_block(p, others[new[chosen]], table[picked], source_exp, width, pred, wide)
+                    yield from grow(size + 1, *child, crowds[chosen], new[chosen])
+
+    # The crowd of the queried user alone: the empty table, 1 at the zero vector.
+    masks = np.zeros((1, n), dtype=bool)
+    root = np.zeros((1, nd + 2))
+    root[:, 1] = 1.0
+    yield from grow(1, *((root, None) if plain(1, masks)[0] else _widen(root)), masks, np.array([-1]))
+
+
 def expected_posterior_formula(
     scenario: Scenario, query: PosteriorQuery, limits: SizeLimits | None = None
 ) -> float:
@@ -534,32 +619,40 @@ def expected_posterior_formula(
     The observed-input cases contribute b(1-b) p + b^2 up front.  The
     unobserved-input mass is summed in closed form over every crowd
     containing the queried user and every bare-output multiset the crowd
-    could cover.  Crowds of k users go through the kernel together, over
-    the simplex of count vectors with total at most k, and each term
-    ``prefactor * p_ud * matched^2 / with_u`` is read off its entry.
+    could cover.  The crowds' tables grow over the subset lattice
+    (:func:`_crowd_lattice`), one user step per crowd, inside the
+    simplex of the whole population, which is checked against
+    ``TABLE_ENTRIES`` before any table exists.  Each block's terms
+    ``prefactor * p_ud * matched^2 / with_u`` are read off its entries
+    as it is built, and stream into one exactly rounded ``fsum``.
     """
     _check_query(scenario, query)
     (limits or current_limits()).check("formula", "formula", scenario.n, scenario.dest_count)
     p_ud = _queried_prior(scenario, query)
     n = scenario.n
     b = scenario.b
-    others = [v for v in range(n) if v != query.user]
-    terms = [np.array([b * (1.0 - b) * p_ud, b * b])]
-    for crowd_size in range(1, n + 1):
-        index = _simplex(scenario.dest_count, crowd_size)
-        prefactor = np.array(
-            [b ** (n - crowd_size + k) * (1.0 - b) ** (2 * crowd_size - k) for k in range(crowd_size + 1)]
-        )[index.keys.sum(axis=1)]
-        rests = np.array(list(itertools.combinations(others, crowd_size - 1)), dtype=np.int64)
-        masks = np.zeros((len(rests), n), dtype=bool)
-        masks[np.arange(len(rests))[:, None], rests] = True
-        for _, *kernel in _kernel_batches(scenario.p, masks, index):
-            with_u, seen, without_u, exponent = _read_sums(scenario.p, *kernel, query)
+    simplex = _simplex(scenario.dest_count, n)
+    totals = simplex.keys.sum(axis=1)
+    # by_total[k][t]: p_ud times the prior of the endpoints seen when a crowd of k leaves t bare outputs.
+    by_total = [
+        np.array([b ** (n - k + t) * (1.0 - b) ** (2 * k - t) for t in range(k + 1)]) * p_ud for k in range(n + 1)
+    ]
+    others = np.array([v for v in range(n) if v != query.user], dtype=np.int64)
+
+    def terms():
+        yield [b * (1.0 - b) * p_ud, b * b]
+        for size, table, exponent in _crowd_lattice(scenario.p, others, simplex.pred):
+            width = table.shape[1]
+            with_u, seen, without_u, common = _read_sums(
+                scenario.p, range(scenario.dest_count), simplex.pred[:, :width], slice(1, None), table, exponent, query
+            )
             matched = seen + without_u
-            term = prefactor * p_ud * matched * matched
+            term = by_total[size][totals[: width - 1]] * matched * matched
             live = with_u > 0.0
-            terms.append(np.ldexp(term[live] / with_u[live], exponent[live]))
-    return fsum(np.concatenate(terms))
+            quotient = term[live] / with_u[live]
+            yield (quotient if exponent is None else np.ldexp(quotient, common[live])).tolist()
+
+    return fsum(itertools.chain.from_iterable(terms()))
 
 
 # ---------------------------------------------------------------------------

@@ -723,6 +723,16 @@ def test_a_view_past_the_crowd_table_cap_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: a crowd table of {61**8} entries exceeds the cap of {1 << 22}\n"
 
 
+def test_a_formula_past_the_crowd_table_cap_exits_3(tmp_path, monkeypatch, capsys):
+    # 8 users on 24 destinations: C(32, 24) vectors in the population's simplex.
+    dests = [f"d{j}" for j in range(24)]
+    scenario = {"b": 0.3, "destinations": dests, "users": [{"name": f"u{i}", "dist": "uniform"} for i in range(8)]}
+    (tmp_path / "wide.json").write_text(json.dumps(scenario))
+    monkeypatch.setenv("ONION_ANON_SIZE_LIMITS", "formula_users=8,formula_dests=24")
+    assert main(["exact", "--scenario", str(tmp_path / "wide.json"), "--user", "u0", "--dest", "d0"]) == 3
+    assert capsys.readouterr().err == f"error: a crowd table of 10518300 entries exceeds the cap of {1 << 22}\n"
+
+
 @pytest.mark.parametrize("doc, named", [
     ([], "observation file must hold a JSON object"),
     ({"input_only": ["7"], "hidden_count": 2}, "user index 7 out of range"),

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -733,6 +734,50 @@ def test_simplex_is_held_to_the_table_cap():
     # C(28, 18) = 13 123 110 vectors; the cap must refuse them before they are listed.
     with pytest.raises(SizeLimitError, match=f"a crowd table of 13123110 entries exceeds the cap of {1 << 22}"):
         inference._simplex(18, 10)
+
+
+@pytest.mark.parametrize("dests, total", [(1, 5), (3, 4), (6, 3)])
+def test_a_smaller_simplex_is_a_prefix_of_a_larger_one(dests, total):
+    # The formula reads every crowd size's simplex off the population's.
+    whole = inference._simplex(dests, total)
+    for smaller in range(total):
+        part = inference._simplex(dests, smaller)
+        size = len(part.keys)
+        assert np.array_equal(part.keys, whole.keys[:size])
+        assert np.array_equal(part.pred, whole.pred[:, : size + 1])
+
+
+def traced_peak(call):
+    """``call()``'s result and the peak of the Python heap above where it started."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_formula_past_the_table_cap_is_refused_before_any_table():
+    # 8 users on 24 destinations: the population's simplex holds C(32, 24)
+    # vectors, and the cap must refuse them before any crowd's table exists.
+    s = validate_scenario(np.full((8, 24), 1 / 24), 0.3)
+    limits = SizeLimits(formula_users=8, formula_dests=24)
+
+    def refused():
+        with pytest.raises(SizeLimitError, match=f"^a crowd table of 10518300 entries exceeds the cap of {1 << 22}$"):
+            expected_posterior_formula(s, PosteriorQuery(0, 0), limits)
+
+    _, peak = traced_peak(refused)
+    assert peak < 16 << 20
+
+
+def test_formula_memory_is_bounded_by_its_blocks():
+    # At the default ceiling, 10 users on 6 destinations, the lattice holds
+    # one block per crowd size and streams its terms into the sum.
+    draws = np.random.default_rng(5).standard_exponential((10, 6))
+    s = validate_scenario(draws / draws.sum(axis=1, keepdims=True), 0.3)
+    value, peak = traced_peak(lambda: expected_posterior_formula(s, PosteriorQuery(0, 1)))
+    assert 0.0 < value <= 1.0
+    assert peak < 8 << 20
 
 
 def test_crowd_posteriors_refuse_a_box_beyond_the_table_cap():
