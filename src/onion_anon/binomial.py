@@ -1,17 +1,20 @@
 """Binomial masses and an exact binomial inverse CDF.
 
 :func:`masses` is the one kernel behind every binomial table in the
-package: it computes Binomial(n, q) masses on a window of outcomes by
-ratio updates outward from the mode, whose mass is anchored through
-log-gamma.  :func:`ppf` inverts the CDF: for each uniform variate ``u``
-it returns the smallest ``k`` with ``P(X <= k) >= u``, and ``n`` at
-``u == 1``, the usual convention for a discrete quantile.
+package: it computes Binomial(n, q) masses on a window of outcomes,
+relative to the mode's entry of 1.0, by ratio updates outward from the
+mode.  Only this module normalises them: :func:`binomial_weights`
+divides the full support by its sum, and each CDF table divides its
+window by its running total.  A table is built from +, -, *, / and
+``sqrt`` alone, so its bits do not depend on the platform's libm.
+
+:func:`ppf` inverts the CDF: for each uniform variate ``u`` it returns
+the smallest ``k`` with ``P(X <= k) >= u``, and ``n`` at ``u == 1``,
+the usual convention for a discrete quantile.
 
 The CDF tables are windows around the mean that leave out at most
 ``exp(-_TAIL_LOG)`` of probability on each side, far below the
-2**-54 resolution of the variates.  The log-gamma anchor carries a
-relative error near 1e-9 at n around 1e6, so each window is divided by
-its own sum; that error then cancels instead of moving the quantiles.
+2**-54 resolution of the variates, and end at exactly 1.
 
 When ``n`` varies per draw, each draw has a stride S, a power of two
 near the square root of its window's width that depends on its (n, q)
@@ -68,12 +71,13 @@ WINDOW_ENTRIES = 1 << 22
 
 
 def masses(n: int, q: float, lo: int, hi: int) -> np.ndarray:
-    """Binomial(n, q) masses at k = lo..hi, for a window holding the mode.
+    """Binomial(n, q) masses at k = lo..hi relative to the mode's, for a window holding the mode.
 
-    Computed by ratio updates outward from the mode, whose mass is
-    anchored through log-gamma; this keeps every entry finite for any n
-    and q without arbitrary precision.  Each entry equals the one at the
-    same k of the full-support vector (``lo=0, hi=n``) bit for bit.
+    The mode's entry is 1.0 and the rest follow by ratio updates outward
+    from it, so every entry is finite for any n and q, with no
+    arbitrary precision and no transcendental call.  Each entry equals
+    the one at the same k of the full-support vector (``lo=0, hi=n``)
+    bit for bit.
     """
     out = np.zeros(hi - lo + 1, dtype=np.float64)
     if n == 0 or q in (0.0, 1.0):
@@ -82,25 +86,30 @@ def masses(n: int, q: float, lo: int, hi: int) -> np.ndarray:
     mode = min(n, int((n + 1) * q))
     if not lo <= mode <= hi:
         raise ValueError(f"window [{lo}, {hi}] misses the mode {mode}")
-    log_mode = (
-        math.lgamma(n + 1)
-        - math.lgamma(mode + 1)
-        - math.lgamma(n - mode + 1)
-        + mode * math.log(q)
-        + (n - mode) * math.log1p(-q)
-    )
     at = mode - lo
-    out[at] = math.exp(log_mode)
+    out[at] = 1.0
     odds = q / (1.0 - q)
     if mode < hi:
         k = np.arange(mode, hi, dtype=np.float64)
-        up = (n - k) / (k + 1.0) * odds
-        out[at + 1 :] = out[at] * np.cumprod(up)
+        out[at + 1 :] = np.cumprod((n - k) / (k + 1.0) * odds)
     if mode > lo:
         k = np.arange(mode, lo, -1, dtype=np.float64)
-        down = k / (n - k + 1.0) / odds
-        out[at - 1 :: -1] = out[at] * np.cumprod(down)
+        out[at - 1 :: -1] = np.cumprod(k / (n - k + 1.0) / odds)
     return out
+
+
+def binomial_weights(n: int, q: float) -> np.ndarray:
+    """Probability masses of Binomial(n, q) as a length n+1 vector: the
+    full-support :func:`masses` divided by their sum.
+
+    ValueError for a negative ``n`` or ``q`` outside [0, 1].
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q out of range: {q!r}")
+    weights = masses(n, q, 0, n)
+    return weights / weights.sum()
 
 
 def _window(n: int, q: float) -> tuple[int, int]:

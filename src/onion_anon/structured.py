@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import fsum
 
 import numpy as np
 
-from .binomial import masses
+from .binomial import binomial_weights
 from .errors import ConditioningError, DegenerateCellError, ScenarioError
 from .limits import SizeLimits, current_limits
 from .model import STOCHASTIC_TOL, check_distribution, check_integer, check_unit
@@ -63,8 +64,9 @@ class WorstCasePopulation:
 
     @property
     def n_target(self) -> int:
-        """How many other users visit the target: alpha (n - 1), halves rounded up."""
-        return int(math.floor(self.alpha * (self.n - 1) + 0.5))
+        """How many other users visit the target: alpha (n - 1), halves rounded up,
+        with alpha read as its shortest decimal (0.7 * 45 is 31.5, not 31.499999999999996)."""
+        return math.floor(Fraction(repr(float(self.alpha))) * (self.n - 1) + Fraction(1, 2))
 
     @property
     def n_other(self) -> int:
@@ -165,23 +167,6 @@ def shared_distribution_posterior(
     return shared_distribution_cell(unobserved, seen, seen_target, p_target)
 
 
-def binomial_weights(n: int, q: float) -> np.ndarray:
-    """Probability masses of Binomial(n, q) as a length n+1 vector.
-
-    The full-support case of :func:`onion_anon.binomial.masses`, the
-    kernel that the Monte Carlo inverse-CDF tables also use.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q out of range: {q!r}")
-    return masses(n, q, 0, n)
-
-
-def _normalised(weights: np.ndarray) -> np.ndarray:
-    return weights / weights.sum()
-
-
 @lru_cache(maxsize=32)
 def _group_ratios(members: int, b: float, own_output: bool) -> tuple[np.ndarray, np.ndarray, float]:
     """One group's distinct ratios seen / spare with their masses, and the mass where spare is 0.
@@ -192,17 +177,14 @@ def _group_ratios(members: int, b: float, own_output: bool) -> tuple[np.ndarray,
     The ratio is S / (U - S + 1), infinite only where S = U + 1, whose
     mass is returned apart.  Equal ratios are merged on their float
     quotient: two distinct fractions with denominators below N differ by
-    at least 1/N^2, so they stay distinct while N^3 < 2^53.  Each
-    binomial vector is divided by its own sum: its log-gamma anchor is off
-    by up to ~1e-13 relative at a few hundred users, and that error would
-    otherwise carry into every expectation built on these masses.
+    at least 1/N^2, so they stay distinct while N^3 < 2^53.
     """
     ratios, weights = [], []
     spare_zero = 0.0
-    for unseen, weight in enumerate(_normalised(binomial_weights(members, 1.0 - b))):
+    for unseen, weight in enumerate(binomial_weights(members, 1.0 - b)):
         if weight == 0.0:
             continue
-        mass = weight * _normalised(binomial_weights(unseen, b))
+        mass = weight * binomial_weights(unseen, b)
         if own_output:
             spare_zero += b * mass[-1]
             mass = np.concatenate(((1.0 - b) * mass[:1], (1.0 - b) * mass[1:] + b * mass[:-1]))

@@ -8,20 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onion_anon import binomial
+from onion_anon import binomial, structured
 from onion_anon.errors import SizeLimitError
 from onion_anon.seeding import uniform_block
-from onion_anon.structured import binomial_weights
+from onion_anon.structured import WorstCasePopulation, binomial_weights, worst_case_expected_exact
 
 EDGE_U = [2.0**-54, 0.5, 1.0 - 2.0**-53, 1.0]
 PROBS = [0.0, 1e-6, 0.1, 0.3, 0.5, 0.75, 0.97, 1.0]
 
 
 def brute_force_ppf(u: float, n: int, p: float) -> int:
-    """Smallest k whose full-support, normalised CDF reaches u; n at u == 1."""
+    """Smallest k whose full-support CDF, summed from the raw masses and
+    divided by its total as the tables are, reaches u; n at u == 1."""
     if u == 1.0:
         return n
-    cdf = np.cumsum(binomial_weights(n, p))
+    cdf = np.cumsum(binomial.masses(n, p, 0, n))
     cdf /= cdf[-1]
     return next(k for k in range(n + 1) if cdf[k] >= u)
 
@@ -43,34 +44,6 @@ def agrees_with_exact_cdf(draw: int, u: float, n: int, p: float, tol=2.0**-48) -
     cdf, x = exact_cdf(n, p), Fraction(u)
     below = draw == 0 or cdf[draw - 1] < x + Fraction(tol)
     return below and cdf[draw] >= x - Fraction(tol)
-
-
-def reference_weights(n: int, q: float) -> np.ndarray:
-    """``binomial_weights`` as written before it shared its kernel."""
-    out = np.zeros(n + 1, dtype=np.float64)
-    if n == 0 or q == 0.0:
-        out[0] = 1.0
-        return out
-    if q == 1.0:
-        out[n] = 1.0
-        return out
-    mode = min(n, int((n + 1) * q))
-    log_mode = (
-        math.lgamma(n + 1)
-        - math.lgamma(mode + 1)
-        - math.lgamma(n - mode + 1)
-        + mode * math.log(q)
-        + (n - mode) * math.log1p(-q)
-    )
-    out[mode] = math.exp(log_mode)
-    odds = q / (1.0 - q)
-    if mode < n:
-        k = np.arange(mode, n, dtype=np.float64)
-        out[mode + 1 :] = out[mode] * np.cumprod((n - k) / (k + 1.0) * odds)
-    if mode > 0:
-        k = np.arange(mode, 0, -1, dtype=np.float64)
-        out[mode - 1 :: -1] = out[mode] * np.cumprod(k / (n - k + 1.0) / odds)
-    return out
 
 
 def small_cases():
@@ -256,17 +229,53 @@ def test_per_draw_n_matches_scalar_n(n, q, spread, seed):
         assert got == want or within_rounding_of_the_cdf(x, got, want, k, q), (x, k, q, got, want)
 
 
-def test_binomial_weights_unchanged():
-    for n in range(301):
-        for q in PROBS + [1e-9, 1 / 3, 0.999999999]:
-            assert np.array_equal(binomial_weights(n, q), reference_weights(n, q)), (n, q)
+def test_binomial_weights_match_the_exact_binomial():
+    # Every entry within 1e-12 relative of the rational binomial wherever
+    # that is at least 2**-1000, clear of the subnormals; every vector sums
+    # to 1 within 1e-15.  A float q is a / d exactly, with d = 2**e, so
+    # d**n times the masses are integers, stepped by Pascal's rule in n.
+    for q in PROBS + [1e-9, 1 / 3, 0.999999999]:
+        a, d = q.as_integer_ratio()
+        e = d.bit_length() - 1
+        scaled = [1]
+        for n in range(301):
+            if n:
+                scaled = [x * (d - a) + y * a for x, y in zip(scaled + [0], [0] + scaled)]
+            got = binomial_weights(n, q)
+            assert abs(float(got.sum()) - 1.0) <= 1e-15, (n, q)
+            for k, (w, exact) in enumerate(zip(got.tolist(), scaled)):
+                if exact == 0:
+                    assert w == 0.0, (n, q, k)
+                elif exact.bit_length() > e * n - 1000:
+                    shift = max(0, exact.bit_length() - 64)
+                    want = math.ldexp(float(exact >> shift), shift - e * n)
+                    assert abs(w - want) <= 1e-12 * want, (n, q, k)
 
 
 def test_window_tables_match_full_support():
     # A window's masses equal the full-support masses at the same k.
     for n, q in [(300, 0.25), (5000, 0.6), (200_000, 0.05)]:
         lo, hi = binomial._window(n, q)
-        assert np.array_equal(binomial.masses(n, q, lo, hi), binomial_weights(n, q)[lo : hi + 1])
+        assert np.array_equal(binomial.masses(n, q, lo, hi), binomial.masses(n, q, 0, n)[lo : hi + 1])
+
+
+def test_no_transcendental_libm_call_reaches_a_table(monkeypatch):
+    # Tables are built from +, -, *, / and sqrt alone, so their bits do not
+    # depend on the platform's libm.  Memoised tables are dropped first, so
+    # every table below is built under the patch.
+    def refuse(*args):
+        raise AssertionError("a binomial table called a transcendental function")
+
+    u = uniform_block(43, np.arange(200), 2)
+    spread = (u[:, 1] * 5000).astype(np.int64)
+    binomial._small_table.cache_clear()
+    structured._group_ratios.cache_clear()
+    for name in ("lgamma", "log", "log1p", "exp"):
+        monkeypatch.setattr(math, name, refuse)
+    for n in (300, 10**6, 10**8):
+        assert binomial.ppf(u[:, 0], n, 0.3).max() <= n
+        assert (binomial.ppf(u[:, 0], n - spread % n, 0.3) <= n).all()
+    assert 0.0 < worst_case_expected_exact(WorstCasePopulation(300, 0.5, 0.3, 0.4, 0.05)) < 1.0
 
 
 def guide_candidates(cdf: np.ndarray) -> np.ndarray:

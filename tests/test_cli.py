@@ -176,15 +176,22 @@ class TestMc:
     @pytest.mark.parametrize("mode, n, samples, extra, expected", [
         ("worst-case", 100_000_000, 20_000, ["--stratify"], "mean=0.509329493855 std_error=1.37159511574e-07"),
         ("common", 100_000_000, 20_000, ["--stratify"], "mean=0.153234234201 std_error=8.19073885067e-08"),
+        ("worst-case", 1_000_000, 20_000, [], "mean=0.510900509593 std_error=0.00113551596481"),
+        ("common", 1_000_000, 20_000, [], "mean=0.156772327847 std_error=0.00191836020083"),
+        ("worst-case", 1_000_000, 20_000, ["--stratify"], "mean=0.509330968438 std_error=1.37160942507e-06"),
+        ("common", 1_000_000, 20_000, ["--stratify"], "mean=0.153235263499 std_error=8.19137101609e-07"),
         ("worst-case", 300, 70_000, [], "mean=0.510644317508 std_error=0.000602895650258"),
         ("common", 300, 70_000, [], "mean=0.15595661067 std_error=0.00101543354083"),
         ("worst-case", 300, 70_000, ["--stratify"], "mean=0.509723542666 std_error=4.22124278389e-05"),
         ("common", 300, 70_000, ["--stratify"], "mean=0.154165047054 std_error=2.54802759591e-05"),
-    ], ids=["worst-case-1e8-stratified", "common-1e8-stratified", "worst-case-300", "common-300",
+    ], ids=["worst-case-1e8-stratified", "common-1e8-stratified", "worst-case-1e6", "common-1e6",
+            "worst-case-1e6-stratified", "common-1e6-stratified", "worst-case-300", "common-300",
             "worst-case-300-stratified", "common-300-stratified"])
     def test_seeded_structured_bytes(self, mode, n, samples, extra, expected, capsys):
-        # n = 300 takes the direct-table regime; 70 000 samples span three
-        # sampling chunks, so a stratified run's strata share a chunk.
+        # n = 1e6 draws from guided scalar tables past the direct-table range
+        # and walks from anchors, as the benchmark does.  n = 300 takes the
+        # direct-table regime; 70 000 samples span three sampling chunks, so
+        # a stratified run's strata share a chunk.
         population = {
             "worst-case": ["--alpha", "0.5", "--p-target", "0.4", "--p-least", "0.05"],
             "common": ["--dist", "zipf:1", "--dests", "20", "--dest", "3"],
@@ -476,14 +483,24 @@ class TestSweepRowIsTheSingleCommand:
             assert ref == _printed(["worst-case", "--alpha", alpha, *WORST, "--method", "limit"], capsys)
 
     def test_alpha_points_are_their_decimals(self, tmp_path, capsys):
-        # 0 + 7 * 0.1 is 0.7000000000000001, and 0.7 * 45 rounds to 31 target users where it gives 32.
+        # 0 + 7 * 0.1 is 0.7000000000000001; the point is 0.7, and its row is the single command's.
         out = tmp_path / "alpha.csv"
         _printed(["sweep", "--mode", "worst-case", "--n", "46", "--alpha", "0:1:0.1", *WORST, "--out", str(out)], capsys)
         rows = _rows(out)
         assert [row[0] for row in rows] == ["0", *(f"0.{i}" for i in range(1, 10)), "1"]
-        assert rows[7][1] == "0.286166316375"
+        assert rows[7][1] == "0.286119986454"
         for alpha, psi, _, _ in rows:
             assert psi == _printed(["worst-case", "--n", "46", "--alpha", alpha, *WORST], capsys)
+
+    def test_target_count_rounds_alpha_from_its_decimal(self, capsys):
+        # 0.7 of 45 other users is 31.5, so 32 target users, though 0.7 * 45 is
+        # 31.499999999999996 in floats; 0.6999999999999999 gives 31.
+        printed = {
+            alpha: _printed(["worst-case", "--n", "46", "--alpha", alpha, *WORST], capsys)
+            for alpha in ("0.7", "0.7000000000000001", "0.6999999999999999")
+        }
+        assert printed == {"0.7": "0.286119986454", "0.7000000000000001": "0.286119986454",
+                           "0.6999999999999999": "0.286166316375"}
 
     def test_common_n_sweep(self, tmp_path, capsys):
         out = tmp_path / "n.csv"
@@ -510,6 +527,22 @@ class TestSweepRowIsTheSingleCommand:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("n, extra, expected", [(250, [], "0.284992239881"), (300, ["--truncate"], "0.28492924117")],
+                             ids=["full-250", "truncated-300"])
+    def test_worst_case_printed_values(self, n, extra, expected, capsys):
+        assert _printed(["worst-case", "--n", str(n), "--alpha", "0.5", *WORST, *extra], capsys) == expected
+
+    def test_worst_case_n_sweep_bytes(self, tmp_path, capsys):
+        out = tmp_path / "n.csv"
+        _printed(["sweep", "--mode", "worst-case", "--n", "60:240:60", "--alpha", "0.5", *WORST, "--out", str(out)], capsys)
+        assert out.read_text() == (
+            "n,expected_psi,limit_psi,abs_error\n"
+            "60,0.286204923491,0.284615384615,0.00158953887589\n"
+            "120,0.285403658701,0.284615384615,0.000788274085483\n"
+            "180,0.285139539981,0.284615384615,0.000524155365401\n"
+            "240,0.285008001652,0.284615384615,0.00039261703667\n"
+        )
+
     def test_common_sweep_layout(self, tmp_path, capsys):
         out = tmp_path / "conv.csv"
         assert main([

@@ -83,6 +83,7 @@ ROWS = st.one_of(VALID_ROWS, NEAR_TOLERANCE, st.lists(UNIT_ISH, min_size=1, max_
 
 @given(ROWS)
 @example([8.988465674311579e307, 8.98846567431158e307])
+@example([math.inf, -math.inf])
 def test_a_destination_row_has_one_rule(row):
     verdicts = {
         accepts(validate_scenario, [row], 0.5),
@@ -90,7 +91,7 @@ def test_a_destination_row_has_one_rule(row):
         accepts(CommonPopulation, 3, 0.5, tuple(row), 0),
     }
     finite = all(math.isfinite(x) for x in row)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         total = float(np.sum(row))
     rule = finite and min(row) >= 0.0 and abs(total - 1.0) <= STOCHASTIC_TOL
     assert verdicts == {rule}

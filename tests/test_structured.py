@@ -241,8 +241,8 @@ class TestWorstCaseExpected:
         assert worst_case_expected_exact(pop, truncate=True) == pytest.approx(full, rel=0, abs=(1 - b) * 1e-12)
 
     def test_matches_rationals_to_an_ulp(self):
-        # Each binomial vector is divided by its own sum; unnormalised, the
-        # log-gamma anchors' error put this 6e-16 off.
+        # binomial_weights divides each vector by its own sum, so no
+        # unnormalised mass carries into the expectation.
         pop = WorstCasePopulation(n=40, alpha=0.0, b=0.4, p_target=0.3, p_least=0.1)
         want = two_group_in_rationals(pop)
         assert abs(Fraction(worst_case_expected_exact(pop)) - want) <= Fraction(2e-16)
@@ -250,6 +250,19 @@ class TestWorstCaseExpected:
     def test_group_split_rounding(self):
         pop = WorstCasePopulation(n=4, alpha=0.5, b=0.5, p_target=0.5, p_least=0.5)
         assert pop.n_target == 2 and pop.n_other == 1
+
+    @pytest.mark.parametrize("n, alpha, n_target", [
+        (46, 0.7, 32),  # 0.7 * 45 is 31.499999999999996 in floats; the decimal's 31.5 rounds up
+        (46, np.float64(0.7), 32),
+        (46, 0.7000000000000001, 32),
+        (46, 0.6999999999999999, 31),
+        (11, 0.25, 3),
+        (2**62 + 1, 0.5, 2**61),
+        (2**62 + 1, 0.1, 461168601842738790),  # 2**62 / 10 = ...790.4, exact past 2**53
+    ])
+    def test_target_count_rounds_the_decimal_halves_up(self, n, alpha, n_target):
+        pop = WorstCasePopulation(n=n, alpha=alpha, b=0.5, p_target=0.5, p_least=0.5)
+        assert (pop.n_target, pop.n_other) == (n_target, n - 1 - n_target)
 
     def test_size_limit(self):
         pop = WorstCasePopulation(n=301, alpha=0.5, b=0.5, p_target=0.5, p_least=0.25)
