@@ -1,12 +1,14 @@
 """Binomial masses and an exact binomial inverse CDF.
 
-:func:`masses` is the one kernel behind every binomial table in the
-package: it computes Binomial(n, q) masses on a window of outcomes,
+:func:`masses` computes Binomial(n, q) masses on a window of outcomes,
 relative to the mode's entry of 1.0, by ratio updates outward from the
-mode.  Only this module normalises them: :func:`binomial_weights`
-divides the full support by its sum, and each CDF table divides its
-window by its running total.  A table is built from +, -, *, / and
-``sqrt`` alone, so its bits do not depend on the platform's libm.
+mode; :func:`window_rows` takes the same steps for many n at once, one
+row each.  They build every binomial table in the package, and only
+this module normalises them:
+:func:`binomial_weights` divides the full support by its sum, each CDF
+table divides its window by its running total, and :func:`window_rows`
+divides each row's window by its sum.  A table is built from +, -, *, /
+and ``sqrt`` alone, so its bits do not depend on the platform's libm.
 
 :func:`ppf` inverts the CDF: for each uniform variate ``u`` it returns
 the smallest ``k`` with ``P(X <= k) >= u``, and ``n`` at ``u == 1``,
@@ -38,9 +40,12 @@ start, so one read and one comparison settle almost every draw, and the
 rest are bisected within their slot.  The answer is exactly that of
 ``np.searchsorted(cdf, u, side="left")``.  A per-draw-n call lays the
 tables of its distinct n end to end and looks every draw up in one
-pass; a scalar-n call uses one table's guide at any n.  Anchor tables
-(n from ``_DIRECT_BELOW`` up) are neither memoised nor guided: each
-serves one call, through ``np.searchsorted``.
+pass.  From ``_DIRECT_BELOW`` up, a scalar-n call builds its table's
+guide only when it has at least one draw per eight table entries; with
+fewer, the guide would cost more time than it saves, and several times
+the table's bytes, so the draws go through ``np.searchsorted``.
+Anchor tables are neither
+memoised nor guided: each serves one call, through ``np.searchsorted``.
 
 "Exact" is up to rounding.  A table's CDF is a running sum, so each
 entry is off exact arithmetic by at most about one unit of 2**-53 per
@@ -98,6 +103,50 @@ def masses(n: int, q: float, lo: int, hi: int) -> np.ndarray:
     return out
 
 
+def window_rows(n: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Binomial(n[i], q) for many counts at once, each over its own window.
+
+    Returns ``first`` and a table whose row i holds the masses at
+    k = first[i] + j for each column j, divided by the row's sum, and 0
+    outside the window that :func:`_window` gives n[i].  The rows line up
+    on their modes, so column j - 1 holds k - 1 in every row.
+    :class:`SizeLimitError` when the table would pass ``WINDOW_ENTRIES``
+    entries, before it is allocated.
+    """
+    n = np.asarray(n, dtype=np.int64)
+    if q in (0.0, 1.0):
+        return (n.copy() if q == 1.0 else np.zeros_like(n)), np.ones((len(n), 1))
+    count = n.astype(np.float64)
+    mode = np.minimum(count, np.floor((count + 1.0) * q))
+    mean = count * q
+    reach = _reach(mean, q)
+    lo = np.maximum(0.0, np.floor(mean - reach))
+    hi = np.minimum(count, np.ceil(mean + reach))
+    below, above = int((mode - lo).max()), int((hi - mode).max())
+    if len(n) * (below + above + 1) > WINDOW_ENTRIES:
+        raise SizeLimitError(
+            f"Binomial(n, q={q!r}) tables for {len(n)} counts up to n={int(n.max())} need "
+            f"{len(n) * (below + above + 1)} entries, over the cap of {WINDOW_ENTRIES}"
+        )
+    # Row m steps outward from its mode as :func:`masses` does, from k
+    # clipped to 0..m: a step up from m or down from 0 multiplies by 0, so
+    # the rest of the row stays 0, and nothing overflows.
+    m, at = count[:, None], mode[:, None]
+    table = np.empty((len(count), below + above + 1))
+    table[:, below] = 1.0
+    odds = q / (1.0 - q)
+    if above:
+        k = np.minimum(at + np.arange(above, dtype=np.float64), m)
+        table[:, below + 1 :] = np.cumprod((m - k) / (k + 1.0) * odds, axis=1)
+    if below:
+        k = np.maximum(at - np.arange(below, dtype=np.float64), 0.0)
+        table[:, below - 1 :: -1] = np.cumprod(k / (m - k + 1.0) / odds, axis=1)
+    k = (at - below) + np.arange(below + above + 1)
+    table[(k < lo[:, None]) | (k > hi[:, None])] = 0.0
+    table /= table.sum(axis=1, keepdims=True)
+    return (mode - below).astype(np.int64), table
+
+
 def binomial_weights(n: int, q: float) -> np.ndarray:
     """Probability masses of Binomial(n, q) as a length n+1 vector: the
     full-support :func:`masses` divided by their sum.
@@ -112,11 +161,19 @@ def binomial_weights(n: int, q: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _window(n: int, q: float) -> tuple[int, int]:
-    """Outcomes outside [lo, hi] carry at most exp(-_TAIL_LOG) per side.
+def _reach(mean, q: float):
+    """How far from a binomial mean each tail past it holds at most exp(-_TAIL_LOG).
 
     Bernstein's inequality bounds each tail beyond ``t`` from the mean by
-    ``exp(-t^2 / (2 (var + t / 3)))``; ``t`` solves that for _TAIL_LOG.
+    ``exp(-t^2 / (2 (var + t / 3)))``; this is the ``t`` that solves it
+    for _TAIL_LOG, for one mean or an array of them.
+    """
+    return _TAIL_LOG / 3.0 + np.sqrt(_TAIL_LOG**2 / 9.0 + 2.0 * _TAIL_LOG * mean * (1.0 - q))
+
+
+def _window(n: int, q: float) -> tuple[int, int]:
+    """Outcomes outside [lo, hi] carry at most exp(-_TAIL_LOG) per side (see :func:`_reach`).
+
     :class:`SizeLimitError` when the window holds more than
     ``WINDOW_ENTRIES`` outcomes, before any table is allocated.
     """
@@ -125,7 +182,7 @@ def _window(n: int, q: float) -> tuple[int, int]:
     if q == 1.0:
         return n, n
     mean = n * q
-    t = _TAIL_LOG / 3.0 + math.sqrt(_TAIL_LOG**2 / 9.0 + 2.0 * _TAIL_LOG * mean * (1.0 - q))
+    t = _reach(mean, q)
     lo, hi = max(0, math.floor(mean - t)), min(n, math.ceil(mean + t))
     if hi - lo + 1 > WINDOW_ENTRIES:
         raise SizeLimitError(
@@ -156,14 +213,19 @@ def _guided_table(n: int, q: float) -> tuple[int, np.ndarray, np.ndarray]:
     since G is a power of two.
     """
     lo, cdf = _cdf_table(n, q)[:2]
+    guide = _guide(cdf)
+    cdf.setflags(write=False)
+    guide.setflags(write=False)
+    return lo, cdf, guide
+
+
+def _guide(cdf: np.ndarray) -> np.ndarray:
+    """The guide of :func:`_guided_table` for one CDF."""
     size = 1 << (2 * len(cdf) - 1).bit_length()
     # Slots floor(cdf G) never fall along the table, so guide[j] is i on the
     # slots after entry i - 1's up to entry i's own, and the width past the last.
     slots = np.concatenate(([-1], (cdf * size).astype(np.int64), [size + 1]))
-    guide = np.repeat(np.arange(len(cdf) + 1, dtype=np.int32), np.diff(slots))
-    cdf.setflags(write=False)
-    guide.setflags(write=False)
-    return lo, cdf, guide
+    return np.repeat(np.arange(len(cdf) + 1, dtype=np.int32), np.diff(slots))
 
 
 # At most 512 tables below _DIRECT_BELOW, each at most 677 CDF entries
@@ -221,8 +283,17 @@ def ppf(u, n, q: float) -> np.ndarray:
     if n.size and int(n.min()) < 0:
         raise ValueError("n must be non-negative")
     draws = u.ravel()
-    if n.ndim == 0:
-        lo, cdf, guide = (_small_table if n < _DIRECT_BELOW else _guided_table)(int(n), q)
+    if n.ndim == 0 and n >= _DIRECT_BELOW:
+        # A guide costs about as much to build as bisecting one draw for
+        # every eight entries, and its bytes several times the table's.
+        lo, cdf = _cdf_table(int(n), q)[:2]
+        if 8 * len(draws) < len(cdf):
+            k = lo + np.searchsorted(cdf, draws, side="left")
+        else:
+            guide = _guide(cdf)
+            k = lo + _lookup(cdf, guide, (draws * (len(guide) - 2)).astype(np.int64), draws)
+    elif n.ndim == 0:
+        lo, cdf, guide = _small_table(int(n), q)
         k = lo + _lookup(cdf, guide, (draws * (len(guide) - 2)).astype(np.int64), draws)
     else:
         k = _varying_ppf(draws, n.ravel(), q) if n.size else n.ravel()

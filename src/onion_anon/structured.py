@@ -5,7 +5,10 @@ user other than the queried one deterministically visits either the
 queried destination ("target" group) or the destination the queried
 user is least likely to visit ("other" group); the posterior then
 depends only on two ratios, one per group, and the expectation is a sum
-over the two groups' independent ratio distributions.  In the common
+over the two groups' independent ratio distributions.  Each group's
+table holds O(n) cells, and the sum over the other group is a smooth
+function of the target ratio, fitted once by a Chebyshev series, so the
+expectation costs O(n) per population rather than O(n^4).  In the common
 population all users share one destination distribution; the posterior
 depends only on how many inputs went unobserved and how many bare
 outputs match, and the expectation has a closed form.
@@ -20,7 +23,7 @@ from math import fsum
 
 import numpy as np
 
-from .binomial import binomial_weights
+from .binomial import binomial_weights, window_rows  # noqa: F401 (binomial_weights is re-exported)
 from .errors import ConditioningError, DegenerateCellError, ScenarioError
 from .limits import SizeLimits, current_limits
 from .model import STOCHASTIC_TOL, check_distribution, check_integer, check_unit
@@ -29,6 +32,14 @@ from .model import STOCHASTIC_TOL, check_distribution, check_integer, check_unit
 _TRUNCATION_MASS = 2.5e-13
 # Products the two-group kernel holds at once: 512 KiB of float64.
 _KERNEL_PRODUCTS = 1 << 16
+# Up to one kernel block of x-by-r products, the two-group sum evaluates S at every x.
+_DIRECT_PRODUCTS = _KERNEL_PRODUCTS
+# The Chebyshev fit of S tries degrees 2**_FIRST_FIT_BITS .. 2**_FIT_BITS and stops once
+# the root mean square of its upper half of coefficients is at most _FIT_TAIL of the first,
+# a few times the rounding of the node values, which no degree brings lower.
+_FIRST_FIT_BITS = 4
+_FIT_BITS = 9
+_FIT_TAIL = 2.0**-50
 
 
 def check_two_group(b: float, p_target: float, p_least: float) -> tuple[float, float, float]:
@@ -169,35 +180,35 @@ def shared_distribution_posterior(
 
 @lru_cache(maxsize=32)
 def _group_ratios(members: int, b: float, own_output: bool) -> tuple[np.ndarray, np.ndarray, float]:
-    """One group's distinct ratios seen / spare with their masses, and the mass where spare is 0.
+    """One group's ratios seen / spare with their masses, and the mass where spare is 0.
 
     Of the group's ``members`` users, U ~ Binomial(members, 1 - b) have
     unseen inputs and S ~ Binomial(U, b) of their outputs are seen; with
     ``own_output`` the queried user's output joins S with probability b.
     The ratio is S / (U - S + 1), infinite only where S = U + 1, whose
-    mass is returned apart.  Equal ratios are merged on their float
-    quotient: two distinct fractions with denominators below N differ by
-    at least 1/N^2, so they stay distinct while N^3 < 2^53.
+    mass is returned apart.  The (U, S) grid is built in one pass over
+    :func:`binomial.window_rows`: U over its window, S over each U's,
+    each leaving out at most exp(-50) per tail, so the table grows about
+    as ``members``, not its square.  Equal ratios from different cells
+    stay separate entries; no evaluator needs them merged.
     """
-    ratios, weights = [], []
-    spare_zero = 0.0
-    for unseen, weight in enumerate(binomial_weights(members, 1.0 - b)):
-        if weight == 0.0:
-            continue
-        mass = weight * binomial_weights(unseen, b)
-        if own_output:
-            spare_zero += b * mass[-1]
-            mass = np.concatenate(((1.0 - b) * mass[:1], (1.0 - b) * mass[1:] + b * mass[:-1]))
-        seen = np.arange(unseen + 1, dtype=np.float64)
-        ratios.append(seen / (unseen + 1.0 - seen))
-        weights.append(mass)
-    ratio, mass = np.concatenate(ratios), np.concatenate(weights)
-    nonzero = mass > 0.0
-    values, where = np.unique(ratio[nonzero], return_inverse=True)
-    merged = np.bincount(where, weights=mass[nonzero])
+    first, weight = window_rows(np.array([members]), 1.0 - b)
+    unseen = first[0] + np.arange(weight.shape[1])
+    first, mass = window_rows(unseen, b)
+    mass *= weight.T
+    if own_output:
+        # The own output is seen with probability b, moving each cell's mass one column right.
+        mass = np.concatenate((mass, np.zeros((len(mass), 1))), axis=1)
+        mass[:, 1:] = (1.0 - b) * mass[:, 1:] + b * mass[:, :-1]
+        mass[:, 0] *= 1.0 - b
+    seen = first[:, None] + np.arange(mass.shape[1])
+    spare = unseen[:, None] + 1 - seen
+    finite = (mass > 0.0) & (spare > 0)
+    spare_zero = float(mass[spare == 0].sum())
+    values, weights = seen[finite] / spare[finite], mass[finite]
     values.setflags(write=False)
-    merged.setflags(write=False)
-    return values, merged, spare_zero
+    weights.setflags(write=False)
+    return values, weights, spare_zero
 
 
 # benchmarks/worker.py reads this name's cache_info(); ROADMAP direction 1 removes that dependency.
@@ -212,25 +223,115 @@ def _truncated(values: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, np.nda
     return values[keep], mass[keep]
 
 
-def _two_group_mean(x, px, r, pr, p: float, q: float) -> float:
-    """``sum_x P(x) p (1 + x) S(1 + p x)`` with ``S(A) = sum_r P(r) / (A + q r)``, x and r finite.
+def _g_values(s: np.ndarray, r: np.ndarray, pr: np.ndarray, q: float) -> np.ndarray:
+    """``G(s_i) = sum_r P(r) / (1 + q r s_i)`` for each ``s_i``, each row summed pairwise.
 
-    The x rows go through one reused buffer of at most ``_KERNEL_PRODUCTS``
+    The rows go through one reused buffer of at most ``_KERNEL_PRODUCTS``
     products (one row when r alone is longer); freeing a fresh temporary
     per block costs several times the arithmetic.
     """
     rows = max(1, _KERNEL_PRODUCTS // len(r))
-    buf = np.empty((min(rows, len(x)), len(r)))
-    base = 1.0 + q * r
-    outer = p * px * (1.0 + x)
-    totals = []
-    for start in range(0, len(x), rows):
-        stop = min(start + rows, len(x))
-        block = buf[: stop - start]
-        np.add(base, p * x[start:stop, None], out=block)
-        np.reciprocal(block, out=block)
-        totals.append(float(outer[start:stop] @ (block @ pr)))
-    return fsum(totals)
+    buf = np.empty((min(rows, len(s)), len(r)))
+    out = np.empty(len(s))
+    qs = q * s
+    for start in range(0, len(s), rows):
+        block = buf[: min(rows, len(s) - start)]
+        np.multiply(qs[start : start + len(block), None], r, out=block)
+        block += 1.0
+        np.divide(pr, block, out=block)
+        block.sum(axis=1, out=out[start : start + len(block)])
+    return out
+
+
+@lru_cache(maxsize=None)
+def _cosines(bits: int) -> np.ndarray:
+    """``cos(l pi / 2**bits)`` for l = 0 .. 2**bits, from +, -, *, / and sqrt alone.
+
+    Each odd multiple ``a`` of pi / 2**m yields a / 2 and pi - a / 2 by the
+    half-angle formulas, taking for cos(a / 2) and sin(a / 2) whichever of
+    ``sqrt((1 +- cos a) / 2)`` has no cancellation and the other as
+    ``sin a / (2 x)``; every entry is then within a few units of 2**-53.
+    """
+    size = 1 << bits
+    table = np.empty(size + 1)
+    table[0], table[-1] = 1.0, -1.0
+    at, cos, sin = np.array([size // 2]), np.zeros(1), np.ones(1)
+    table[at] = cos
+    for _ in range(bits - 1):
+        root = np.sqrt((1.0 + np.abs(cos)) / 2.0)
+        half_cos = np.where(cos >= 0.0, root, sin / (2.0 * root))
+        half_sin = np.where(cos >= 0.0, sin / (2.0 * root), root)
+        at = np.concatenate((at // 2, size - at // 2))
+        cos, sin = np.concatenate((half_cos, -half_cos)), np.concatenate((half_sin, half_sin))
+        table[at] = cos
+    table.setflags(write=False)
+    return table
+
+
+def _clenshaw(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``sum_k coef[k] T_k(t)`` elementwise, by Clenshaw's recurrence."""
+    b1, b2 = np.zeros_like(t), np.zeros_like(t)
+    twice = 2.0 * t
+    for c in coef[:0:-1]:
+        b1, b2 = twice * b1 - b2 + c, b1
+    return t * b1 - b2 + coef[0]
+
+
+def _chebyshev_fit(low: float, r: np.ndarray, pr: np.ndarray, q: float) -> np.ndarray | None:
+    """Chebyshev coefficients of ``G(s) = sum_r P(r) / (1 + q r s)`` over s in [low, 1], in
+    ``t = (2 s - 1 - low) / (1 - low)``; None if no degree up to 2**_FIT_BITS resolves it.
+
+    G interpolates at the 2**m + 1 points ``cos(j pi / 2**m)``.  Its poles
+    lie at s = -1 / (q r) < 0, off the interval, so its coefficients decay
+    geometrically.  The degree doubles from 2**_FIRST_FIT_BITS, reusing
+    every node value, until the upper half of the coefficients is down to
+    ``_FIT_TAIL`` of the first; the terms past the degree are then far
+    smaller still.  Nodes and coefficients take +, -, *, / and sqrt alone
+    (:func:`_cosines`), so their bits do not depend on the platform's libm.
+    """
+    values = None
+    for bits in range(_FIRST_FIT_BITS, _FIT_BITS + 1):
+        size = 1 << bits
+        cos = _cosines(bits)
+        grown = np.empty(size + 1)
+        fresh = slice(None) if values is None else slice(1, None, 2)
+        if values is not None:
+            grown[::2] = values
+        grown[fresh] = _g_values(((1.0 + low) + (1.0 - low) * cos[fresh]) / 2.0, r, pr, q)
+        values = grown
+        # DCT-I: c_k = (2 / N) sum''_j f_j cos(k j pi / N), the end terms halved.
+        turn = np.outer(np.arange(size + 1), np.arange(size + 1)) % (2 * size)
+        basis = cos[np.minimum(turn, 2 * size - turn)]
+        ends = values.copy()
+        ends[[0, -1]] /= 2.0
+        coef = basis @ ends * (2.0 / size)
+        coef[[0, -1]] /= 2.0
+        tail = coef[size // 2 :]
+        if math.sqrt(float(tail @ tail) / len(tail)) <= _FIT_TAIL * abs(coef[0]):
+            return coef
+    return None
+
+
+def _two_group_mean(x, px, r, pr, p: float, q: float) -> float:
+    """``sum_x P(x) p (1 + x) S(1 + p x)`` with ``S(A) = sum_r P(r) / (A + q r)``, x and r finite.
+
+    With ``s = 1 / A``, ``S(A) = s G(s)`` for ``G(s) = sum_r P(r) / (1 + q r s)``.
+    Where ``len(x) * len(r)`` passes ``_DIRECT_PRODUCTS`` and x spans more
+    than one point, G is a Chebyshev series over ``[1 / (1 + p max(x)), 1]``
+    (:func:`_chebyshev_fit`), evaluated at every x by Clenshaw's recurrence;
+    otherwise G is summed at every x.
+    """
+    s = 1.0 / (1.0 + p * x)
+    weight = px * p * (1.0 + x) * s
+    low = float(s.min(initial=1.0))
+    coef = None
+    if len(x) * len(r) > _DIRECT_PRODUCTS and low < 1.0:
+        coef = _chebyshev_fit(low, r, pr, q)
+    if coef is None:
+        g = _g_values(s, r, pr, q)
+    else:
+        g = _clenshaw(coef, (2.0 * s - (1.0 + low)) / (1.0 - low))
+    return float((weight * g).sum())
 
 
 def worst_case_expected_exact(
@@ -247,7 +348,9 @@ def worst_case_expected_exact(
     ``x = seen_target / spare_target`` and ``r = seen_other / spare_other``,
     and ``f = 1`` where ``spare_target = 0``.  The groups are independent,
     so ``E[f] = P(x = inf) + sum_x P(x) p (1 + x) S(1 + p x)`` with
-    ``S(A) = sum_r P(r) / (A + q r)`` over each group's distinct ratios.
+    ``S(A) = sum_r P(r) / (A + q r)`` over each group's ratio table
+    (:func:`_group_ratios`); S comes from a Chebyshev series in 1 / A
+    wherever summing it at every x would cost more (:func:`_two_group_mean`).
 
     ``truncate=True`` drops each group's least-likely ratios while their
     total mass stays at most 2.5e-13; since ``0 <= f <= 1`` the result

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -261,8 +262,9 @@ def test_window_tables_match_full_support():
 
 def test_no_transcendental_libm_call_reaches_a_table(monkeypatch):
     # Tables are built from +, -, *, / and sqrt alone, so their bits do not
-    # depend on the platform's libm.  Memoised tables are dropped first, so
-    # every table below is built under the patch.
+    # depend on the platform's libm; so are the Chebyshev nodes and
+    # coefficients of the two-group sum, which n = 300 reaches.  Memoised
+    # tables are dropped first, so every table below is built under the patch.
     def refuse(*args):
         raise AssertionError("a binomial table called a transcendental function")
 
@@ -270,12 +272,55 @@ def test_no_transcendental_libm_call_reaches_a_table(monkeypatch):
     spread = (u[:, 1] * 5000).astype(np.int64)
     binomial._small_table.cache_clear()
     structured._group_ratios.cache_clear()
-    for name in ("lgamma", "log", "log1p", "exp"):
+    structured._cosines.cache_clear()
+    for name in ("lgamma", "log", "log1p", "exp", "cos", "sin"):
         monkeypatch.setattr(math, name, refuse)
+    for name in ("cos", "sin"):
+        monkeypatch.setattr(np, name, refuse)
     for n in (300, 10**6, 10**8):
         assert binomial.ppf(u[:, 0], n, 0.3).max() <= n
         assert (binomial.ppf(u[:, 0], n - spread % n, 0.3) <= n).all()
     assert 0.0 < worst_case_expected_exact(WorstCasePopulation(300, 0.5, 0.3, 0.4, 0.05)) < 1.0
+
+
+def test_window_rows_match_one_window_at_a_time():
+    # Each row is its count's window of masses over the window's sum, 0 elsewhere,
+    # and the rows line up on k; tiny and near-1 q build no inf or nan.
+    for q in (0.3, 0.97, 1.1e-308, 1.0 - 2.0**-53, 0.0, 1.0):
+        counts = np.array([0, 1, 7, 40, 41, 300, 5000])
+        first, table = binomial.window_rows(counts, q)
+        assert np.isfinite(table).all()
+        for n, start, row in zip(counts.tolist(), first.tolist(), table):
+            lo, hi = binomial._window(n, q)
+            window = binomial.masses(n, q, lo, hi)
+            assert start <= lo and hi - start < len(row)
+            np.testing.assert_allclose(row[lo - start : hi - start + 1], window / window.sum(), rtol=1e-15, atol=0)
+            assert not row[: lo - start].any() and not row[hi - start + 1 :].any()
+
+
+def test_window_rows_refuse_a_table_past_the_cap():
+    with pytest.raises(SizeLimitError, match="over the cap"):
+        binomial.window_rows(np.arange(10**6, 10**6 + 2000), 0.5)
+
+
+def test_few_draws_at_large_scalar_n_build_no_guide():
+    # A guide holds several times its table's bytes; with fewer draws than
+    # table entries the draws go through np.searchsorted, with the same answer.
+    u = (np.arange(1000) + 0.5) / 1000
+    tracemalloc.start()
+    try:
+        lo, cdf, guide = binomial._guided_table(10**11, 0.5)
+        guided = tracemalloc.get_traced_memory()[1]
+        want = lo + np.searchsorted(cdf, u, side="left")
+        del cdf, guide
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        got = binomial.ppf(u, 10**11, 0.5)
+        plain = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert plain < 0.8 * guided
 
 
 def guide_candidates(cdf: np.ndarray) -> np.ndarray:

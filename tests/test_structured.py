@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from onion_anon import (
     two_group_posterior,
     worst_case_expected_exact,
 )
+from onion_anon import structured
+from onion_anon.limits import SizeLimits
 from onion_anon.structured import two_group_cell
 
 
@@ -247,6 +251,19 @@ class TestWorstCaseExpected:
         want = two_group_in_rationals(pop)
         assert abs(Fraction(worst_case_expected_exact(pop)) - want) <= Fraction(2e-16)
 
+    @pytest.mark.parametrize("n, alpha, b", [(16, 0.5, 0.4), (12, 0.5, 0.8)])
+    def test_interpolant_matches_rationals(self, n, alpha, b, monkeypatch):
+        # Both groups hold several ratios, so with the direct threshold at 0
+        # the Chebyshev fit of S serves the sum.
+        fits = []
+        fit = structured._chebyshev_fit
+        monkeypatch.setattr(structured, "_chebyshev_fit", lambda *args: fits.append(1) or fit(*args))
+        monkeypatch.setattr(structured, "_DIRECT_PRODUCTS", 0)
+        pop = WorstCasePopulation(n=n, alpha=alpha, b=b, p_target=0.3, p_least=0.1)
+        want = two_group_in_rationals(pop)
+        assert abs(Fraction(worst_case_expected_exact(pop)) - want) <= Fraction(1e-15) * want
+        assert fits
+
     def test_group_split_rounding(self):
         pop = WorstCasePopulation(n=4, alpha=0.5, b=0.5, p_target=0.5, p_least=0.5)
         assert pop.n_target == 2 and pop.n_other == 1
@@ -277,6 +294,65 @@ class TestWorstCaseExpected:
     def test_rejects_inconsistent_priors(self):
         with pytest.raises(ScenarioError):
             WorstCasePopulation(n=3, alpha=0.5, b=0.5, p_target=0.8, p_least=0.4)
+
+
+def interpolated_and_direct(pop, limits=None):
+    """The two-group expectation with S from its Chebyshev fit, and summed at every x."""
+    with mock.patch.object(structured, "_DIRECT_PRODUCTS", 0):
+        fitted = worst_case_expected_exact(pop, limits=limits)
+    with mock.patch.object(structured, "_DIRECT_PRODUCTS", 1 << 62):
+        direct = worst_case_expected_exact(pop, limits=limits)
+    return fitted, direct
+
+
+class TestTwoGroupInterpolant:
+    """S's Chebyshev series in 1 / A against S summed at every x."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 400),
+        alpha=st.floats(0.0, 1.0),
+        b=st.floats(0.05, 0.95),
+        p=st.floats(1e-3, 1.0),
+        q_share=st.floats(0.0, 1.0),
+    )
+    @example(n=400, alpha=0.5, b=0.95, p=0.5, q_share=1.0)
+    @example(n=400, alpha=0.5, b=0.05, p=1e-3, q_share=1.0)
+    @example(n=300, alpha=0.9, b=0.3, p=0.3, q_share=1.0)
+    def test_matches_the_direct_sum(self, n, alpha, b, p, q_share):
+        pop = WorstCasePopulation(n=n, alpha=alpha, b=b, p_target=p, p_least=q_share * (1.0 - p))
+        fitted, direct = interpolated_and_direct(pop, SizeLimits(structured_users=400))
+        assert fitted == pytest.approx(direct, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("n, b, q", [
+        (1, 0.3, 0.2), (2, 0.3, 0.2), (2, 0.3, 0.0), (2, 1.1e-308, 0.2), (2, 1.0 - 2.0**-53, 0.2),
+        (120, 0.4, 0.0), (120, 1.1e-308, 0.2), (120, 1e-9, 0.2), (120, 0.999999, 0.2), (120, 1.0 - 2.0**-53, 0.2),
+    ])
+    def test_edge_cases(self, n, b, q):
+        pop = WorstCasePopulation(n=n, alpha=0.5, b=b, p_target=0.4, p_least=q)
+        fitted, direct = interpolated_and_direct(pop)
+        assert fitted == pytest.approx(direct, rel=1e-15, abs=0)
+        if n <= 2:
+            assert direct == pytest.approx(quadruple_sum(pop), rel=0, abs=1e-15)
+
+    def test_group_tables_stay_small_at_1500_members(self):
+        # One pass over the windows of U and of S given U.  The full-support
+        # tables, one binomial_weights call per U, peaked at 83 MB.
+        structured._group_ratios.cache_clear()
+        tracemalloc.start()
+        try:
+            values, mass, spare_zero = structured._group_ratios(1500, 0.4, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            structured._group_ratios.cache_clear()
+        assert peak < 16 << 20
+        assert math.fsum(mass.tolist()) + spare_zero == pytest.approx(1.0, abs=1e-15)
+
+    def test_refuses_tables_past_the_cap(self):
+        pop = WorstCasePopulation(n=10**6, alpha=0.5, b=0.4, p_target=0.3, p_least=0.1)
+        with pytest.raises(SizeLimitError, match="over the cap"):
+            worst_case_expected_exact(pop, limits=SizeLimits(structured_users=10**6))
 
 
 class TestCommonExpected:
