@@ -20,15 +20,20 @@ The CDF tables are windows around the mean that leave out at most
 
 When ``n`` varies per draw, each draw has a stride S, a power of two
 near the square root of its window's width that depends on its (n, q)
-alone, and a table is built only at its anchor ``a = n - n mod S``.
-X_{m+1} is X_m plus a Bernoulli(q), so the quantile of m + 1 is that
-of m or one more: from the anchor's quantile k, CDF T and mass f at k,
-one step takes ``T -= q f`` (T_{m+1}(k)), moves f to the mass of m + 1
-at k, and where ``T < u`` still, adds the mass at k + 1 to T and moves
-k up by one.  Each draw walks its own delta = n - a < S steps, so a
-call costs one table per distinct anchor plus O(S) per draw, not a
-table per value of n.  A draw never depends on which other draws share
-its call.
+alone, and a table is built only at its anchor, the multiple of S
+nearest n: ``a = (n + S/2) & -S``.  X_{m+1} is X_m plus a Bernoulli(q),
+so the quantile of m + 1 is that of m or one more, and that of m - 1
+that of m or one less.  From the anchor's quantile k, CDF T and mass f
+at k, a draw above its anchor walks up: one step takes ``T -= q f``
+(T_{m+1}(k)), moves f to the mass of m + 1 at k, and where ``T < u``
+still, adds the mass at k + 1 to T and moves k up by one.  A draw below
+its anchor walks down: with g = f (m - k) / (m (1 - q)) the mass of
+m - 1 at k, one step takes ``T += q g`` (T_{m-1}(k)), and where
+``T - g >= u`` still and k > 0, takes g off T, moves f to the mass at
+k - 1 and k down by one; elsewhere f becomes g.  Each draw walks its
+own |delta| = |n - a| <= S/2 steps, S/4 on average, so a call costs one
+table per distinct anchor plus O(S) per draw, not a table per value of
+n.  A draw never depends on which other draws share its call.
 
 Below ``_DIRECT_BELOW`` the tables are short and every n gets one of
 its own.  Those tables are memoised (:func:`_small_table`, at most 512
@@ -51,8 +56,9 @@ memoised nor guided: each serves one call, through ``np.searchsorted``.
 entry is off exact arithmetic by at most about one unit of 2**-53 per
 entry summed before it (near the square root of that count in
 practice: a few hundred units at n = 1e8).  Each step of a walk adds
-at most about two units more, one per addition to T, so a walked draw
-carries up to about ``2 delta`` units beyond its anchor table's.  A
+at most about two units more, one per addition to T: ``T -= q f`` and
+``T += f`` up, ``T += q g`` and ``T -= g`` down.  So a walked draw
+carries up to about ``2 |delta|`` units beyond its anchor table's.  A
 draw can differ from exact arithmetic only where ``u`` lies that close
 to a CDF value.
 """
@@ -94,12 +100,14 @@ def masses(n: int, q: float, lo: int, hi: int) -> np.ndarray:
     at = mode - lo
     out[at] = 1.0
     odds = q / (1.0 - q)
+    # Ratios (n - k) / (k + 1) up and k / (n - k + 1) down, their
+    # numerators and denominators counted off directly as floats.
     if mode < hi:
-        k = np.arange(mode, hi, dtype=np.float64)
-        out[at + 1 :] = np.cumprod((n - k) / (k + 1.0) * odds)
+        up = np.arange(n - mode, n - hi, -1, dtype=np.float64) / np.arange(mode + 1, hi + 1, dtype=np.float64)
+        np.cumprod(up * odds, out=out[at + 1 :])
     if mode > lo:
-        k = np.arange(mode, lo, -1, dtype=np.float64)
-        out[at - 1 :: -1] = np.cumprod(k / (n - k + 1.0) / odds)
+        down = np.arange(mode, lo, -1, dtype=np.float64) / np.arange(n - mode + 1, n - lo + 1, dtype=np.float64)
+        np.cumprod(down / odds, out=out[at - 1 :: -1])
     return out
 
 
@@ -191,16 +199,16 @@ def _window(n: int, q: float) -> tuple[int, int]:
     return lo, hi
 
 
-def _cdf_table(n: int, q: float) -> tuple[int, np.ndarray, np.ndarray]:
+def _cdf_table(n: int, q: float) -> tuple[int, np.ndarray, np.ndarray, float]:
     """First outcome of the window, the CDF over it ending at exactly 1,
-    and the masses over it, both divided by the window's sum."""
+    and the window's :func:`masses` with their sum: a mass over the sum
+    is its probability."""
     lo, hi = _window(n, q)
     mass = masses(n, q, lo, hi)
     cdf = np.cumsum(mass)
     total = cdf[-1]
     cdf /= total
-    mass /= total
-    return lo, cdf, mass
+    return lo, cdf, mass, total
 
 
 def _guided_table(n: int, q: float) -> tuple[int, np.ndarray, np.ndarray]:
@@ -270,7 +278,9 @@ def ppf(u, n, q: float) -> np.ndarray:
     Returns, elementwise, the smallest ``k`` with ``P(X <= k) >= u`` as
     int64, and ``n`` where ``u == 1``.  ``n`` is one non-negative count
     or an array of counts shaped like ``u``, of any shape; ``q`` is one
-    probability.  ValueError for a negative or fractional count.
+    probability.  ValueError for a negative or fractional count;
+    :class:`SizeLimitError` when a CDF table would pass ``WINDOW_ENTRIES``
+    entries, before it is built.
     """
     u = np.asarray(u, dtype=np.float64)
     n = _counts(n)
@@ -311,6 +321,12 @@ def _stride(n: np.ndarray, q: float) -> np.ndarray:
     # floor(log2(sqrt(20 sigma))) = floor(log2(400 sigma^2) / 4), read off the float exponent.
     bits = (np.frexp(n * (400.0 * q * (1.0 - q)))[1] - 1) >> 2
     return 1 << np.maximum(bits, _MIN_STRIDE_BITS)
+
+
+def _anchor(n: np.ndarray, q: float) -> np.ndarray:
+    """Each draw's anchor: the multiple of its stride S nearest its n, ``(n + S/2) & -S``."""
+    stride = _stride(n, q)
+    return (n + (stride >> 1)) & -stride
 
 
 def _varying_ppf(u: np.ndarray, n: np.ndarray, q: float) -> np.ndarray:
@@ -363,52 +379,81 @@ def _anchored_ppf(u: np.ndarray, n: np.ndarray, q: float) -> np.ndarray:
     """Draws whose every n is at least ``_DIRECT_BELOW``: anchor tables, then walks.
 
     The anchors' tables are built one at a time, so memory is one table
-    plus O(draws) however widely ``n`` spreads.
+    plus O(draws) however widely ``n`` spreads.  :class:`SizeLimitError`
+    before any table is built when the largest anchor's table, which can
+    lie above every n, would pass the cap.
     """
-    anchor = n & -_stride(n, q)
-    k = np.empty_like(n)
-    cdf_at = np.empty(n.shape, dtype=np.float64)
-    mass_at = np.empty(n.shape, dtype=np.float64)
+    anchor = _anchor(n, q)
+    top = int(anchor.max())
+    try:
+        _window(top, q)
+    except SizeLimitError as err:
+        raise SizeLimitError(
+            f"Binomial(n={int(n.max())}, q={q!r}) draws walk from an anchor at n={top}: {err}"
+        ) from None
     order = np.argsort(anchor)
-    sorted_anchor = anchor[order]
-    cuts = (np.flatnonzero(np.diff(sorted_anchor)) + 1).tolist()
-    for start, end in zip([0] + cuts, cuts + [len(order)]):
-        rows = order[start:end]
-        lo, cdf, mass = _cdf_table(int(sorted_anchor[start]), q)
-        at = np.searchsorted(cdf, u[rows], side="left")
-        k[rows] = lo + at
-        cdf_at[rows] = cdf[at]
-        mass_at[rows] = mass[at]
-    _walk(u, k, cdf_at, mass_at, anchor, n - anchor, q)
+    anchor, u = anchor[order], u[order]
+    k = np.empty_like(n)
+    cdf_at = np.empty(len(n))
+    mass_at = np.empty(len(n))
+    cuts = (np.flatnonzero(np.diff(anchor)) + 1).tolist()
+    for start, end in zip([0] + cuts, cuts + [len(n)]):
+        lo, cdf, mass, total = _cdf_table(int(anchor[start]), q)
+        at = np.searchsorted(cdf, u[start:end], side="left")
+        k[start:end] = lo + at
+        cdf_at[start:end] = cdf[at]
+        mass_at[start:end] = mass[at] / total
+    _walk(u, k, cdf_at, mass_at, anchor, n[order] - anchor, q)
+    k[order] = k.copy()
     return k
 
 
 def _walk(u, k, cdf_at, mass_at, anchor, delta, q: float) -> None:
-    """Move each draw ``delta`` steps from the quantile of its anchor to that of its own n.
+    """Move each draw ``|delta|`` steps from the quantile of its anchor m to that of n = m + delta.
 
-    ``k``, ``cdf_at`` and ``mass_at`` hold Q_anchor(u) and the anchor's
-    CDF and mass there; ``k`` is updated in place.  Draws are sorted by
-    delta, largest first, so step s touches only the prefix still
-    walking.  No step divides by zero: k + 1 >= 1 and m + 1 - k >= 1,
-    since k never passes m.
+    ``k``, ``cdf_at`` and ``mass_at`` hold Q_m(u) and m's CDF and mass
+    there; ``k`` is updated in place.  The steps up and down are the
+    module docstring's; each adds to T twice, so about two units of
+    2**-53 of rounding per step in either direction.  One sort by delta
+    puts the draws walking down first and those walking up last, the
+    longest walks at the ends, so step s touches only the stretch at
+    each end that is still walking.  No step divides by zero: up divides
+    by k + 1 >= 1 and m + 1 - k >= 1, since k never passes m, and down
+    by m >= 1.  The ``k > 0`` test keeps k from passing 0 where T - g
+    rounds above a tiny u.
     """
-    if not delta.any():
-        return
-    order = np.argsort(-delta)
+    order = np.argsort(delta)
     steps = delta[order]
-    live = np.searchsorted(-steps, -np.arange(int(steps[0])), side="left").tolist()
-    u = u[order]
-    t = cdf_at[order]
-    f = mass_at[order]
-    walked = k[order]
-    top = anchor[order] + 1.0  # m + 1
+    below, above = np.searchsorted(steps, 0, side="left"), np.searchsorted(steps, 0, side="right")
+    reach = np.arange(max(-int(steps[0]), int(steps[-1])))
+    # Draws still walking at step s: delta < -s down, delta > s up.
+    down, down_live = order[:below], np.searchsorted(steps, -reach, side="left")
+    up, up_live = order[above:][::-1], len(steps) - np.searchsorted(steps, reach, side="right")
     stay = 1.0 - q
-    for c in live:
-        kc, tc, fc, mc = walked[:c], t[:c], f[:c], top[:c]
-        tc -= q * fc
-        up = tc < u[:c]
-        fc *= mc * np.where(up, q / (kc + 1.0), stay / (mc - kc))
-        np.add(tc, fc, out=tc, where=up)
-        kc += up
-        mc += 1.0
-    k[order] = walked
+    if len(up):
+        uw, t, f, walked = u[up], cdf_at[up], mass_at[up], k[up].astype(np.float64)
+        top = anchor[up] + 1.0  # m + 1
+        for c in up_live[up_live > 0].tolist():
+            kc, tc, fc, mc = walked[:c], t[:c], f[:c], top[:c]
+            tc -= q * fc
+            step = tc < uw[:c]
+            fc *= mc * np.where(step, q / (kc + 1.0), stay / (mc - kc))
+            np.add(tc, fc, out=tc, where=step)
+            kc += step
+            mc += 1.0
+        k[up] = walked
+    if len(down):
+        uw, t, f, walked = u[down], cdf_at[down], mass_at[down], k[down].astype(np.float64)
+        m = anchor[down].astype(np.float64)
+        for c in down_live[down_live > 0].tolist():
+            kc, tc, fc, mc = walked[:c], t[:c], f[:c], m[:c]
+            ratio = (mc - kc) / (mc * stay)
+            g = fc * ratio  # mass of m - 1 at k
+            tc += q * g
+            step = tc - g >= uw[:c]
+            step &= kc > 0
+            np.subtract(tc, g, out=tc, where=step)
+            fc *= np.where(step, kc / (mc * q), ratio)
+            kc -= step
+            mc -= 1.0
+        k[down] = walked

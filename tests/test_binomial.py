@@ -3,10 +3,11 @@ import math
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onion_anon import binomial, structured
@@ -158,6 +159,25 @@ class TestInputs:
             with pytest.raises(SizeLimitError, match=f"Binomial\\(n={np.max(n)}, q=0.5\\)"):
                 binomial.ppf([0.5] * np.size(n), n, 0.5)
 
+    def test_refuses_an_anchor_past_the_cap(self, monkeypatch):
+        # A nearest anchor can lie up to S/2 above every n of a call.  With the
+        # cap at the largest n's own window, that anchor's table is over it:
+        # the call refuses before building any table, and names the anchor.
+        q = 0.5
+        n = next(n for n in range(10**6, 10**6 + 4096) if self._anchor_window_wider(n, q))
+        anchor = int(binomial._anchor(np.array([n]), q)[0])
+        lo, hi = binomial._window(n, q)
+        monkeypatch.setattr(binomial, "WINDOW_ENTRIES", hi - lo + 1)
+        monkeypatch.setattr(binomial, "masses", mock.Mock(side_effect=AssertionError("a table was built")))
+        with pytest.raises(SizeLimitError, match=f"Binomial\\(n={n}, q=0.5\\) draws walk from an anchor at n={anchor}"):
+            binomial.ppf([0.5, 0.5], np.array([n - 1, n]), q)
+
+    @staticmethod
+    def _anchor_window_wider(n: int, q: float) -> bool:
+        lo, hi = binomial._window(n, q)
+        anchor_lo, anchor_hi = binomial._window(int(binomial._anchor(np.array([n]), q)[0]), q)
+        return anchor_hi - anchor_lo > hi - lo
+
     def test_returns_int64(self):
         assert binomial.ppf([0.5], 10, 0.5).dtype == np.int64
         assert binomial.ppf([0.5], np.array([10]), 0.5).dtype == np.int64
@@ -203,13 +223,42 @@ def test_draws_in_range_and_monotone_in_u(n, p, u, per_draw):
 def within_rounding_of_the_cdf(u: float, got: int, want: int, n: int, q: float) -> bool:
     """Whether the CDF of n at every k from min(got, want) up to max(got, want) - 1
     lies within the module's rounding bound of u: a running sum's error in each
-    of the two tables (n's and its anchor's), plus two units per walk step."""
-    anchor = n - n % int(binomial._stride(np.array([n]), q)[0])
+    of the two tables (n's and its anchor's, the multiple of n's stride nearest
+    n), plus two units per walk step, |n - anchor| of them."""
+    anchor = int(binomial._anchor(np.array([n]), q)[0])
     entries = sum(hi - lo + 1 for lo, hi in (binomial._window(n, q), binomial._window(anchor, q)))
-    tol = (entries + 2 * (n - anchor)) * 2.0**-53
-    lo, cdf, _ = binomial._cdf_table(n, q)
+    tol = (entries + 2 * abs(n - anchor)) * 2.0**-53
+    lo, cdf = binomial._cdf_table(n, q)[:2]
     between = cdf[min(got, want) - lo : max(got, want) - lo]
     return bool(np.all(np.abs(between - u) <= tol))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    base=st.one_of(st.integers(0, 5000), st.integers(5000, 10**8)),
+    q=st.one_of(st.sampled_from([1e-6, 0.5, 1.0 - 1e-6]), st.floats(1e-4, 1.0 - 1e-4)),
+    seed=st.integers(0, 2**32 - 1),
+    direct_below=st.sampled_from([binomial._DIRECT_BELOW, 0]),
+)
+# At n = 24, q = 1e-3 and u = 2**-54, T - g rounds above u at k = 0, and a
+# walk down from 32 without the k > 0 test ends at k = -7.
+@example(base=32, q=1e-3, seed=0, direct_below=0)
+def test_walks_both_ways_around_an_anchor(base, q, seed, direct_below):
+    # Every n from S/2 below an anchor to S/2 - 1 above it, each through
+    # the walk from that anchor, equals the draw from its own table, except
+    # where u lies within rounding of a CDF value.
+    stride = int(binomial._stride(np.array([base]), q)[0])
+    anchor = base - base % stride
+    counts = anchor + np.arange(-stride // 2, stride // 2)
+    counts = counts[counts >= 0]
+    u = np.concatenate([EDGE_U, uniform_block(seed, np.arange(8), 1)[:, 0]])
+    with mock.patch.object(binomial, "_DIRECT_BELOW", direct_below):
+        draws = binomial.ppf(np.tile(u, len(counts)), np.repeat(counts, len(u)), q).reshape(len(counts), len(u))
+        for n, row in zip(counts.tolist(), draws):
+            assert 0 <= row.min() and row.max() <= n, (n, q, row)
+            want = binomial.ppf(u, n, q)
+            for x, got, w in zip(u.tolist(), row.tolist(), want.tolist()):
+                assert got == w or within_rounding_of_the_cdf(x, got, w, n, q), (x, n, q, got, w)
 
 
 @settings(max_examples=40, deadline=None)
@@ -351,7 +400,7 @@ def test_guided_lookup_matches_searchsorted(ns, q, seed):
     if small:
         draws = []
         for n in small:
-            lo, cdf, _ = binomial._cdf_table(n, q)
+            lo, cdf = binomial._cdf_table(n, q)[:2]
             u = guide_candidates(cdf)
             draws.append((u, np.full(len(u), n), lo + np.searchsorted(cdf, u, side="left")))
         u, counts, want = (np.concatenate(part) for part in zip(*draws))

@@ -543,6 +543,28 @@ class TestSweep:
             "240,0.285008001652,0.284615384615,0.00039261703667\n"
         )
 
+    @pytest.mark.parametrize("mode, params, expected", [
+        ("worst-case", ["--alpha", "0.5", *WORST],
+         "n,expected_psi,limit_psi,abs_error\n"
+         "250000,0.283175892209,0.284615384615,0.00143949240602\n"
+         "500000,0.287139597858,0.284615384615,0.00252421324234\n"
+         "750000,0.28277803048,0.284615384615,0.00183735413494\n"
+         "1000000,0.286188333755,0.284615384615,0.00157294913922\n"),
+        ("common", COMMON,
+         "n,expected_psi,lower_bound,abs_error\n"
+         "250000,0.0944418173501,0.092603520158,0.00183829719205\n"
+         "500000,0.0940687008377,0.092603520158,0.00146518067968\n"
+         "750000,0.0918666846287,0.092603520158,0.000736835529316\n"
+         "1000000,0.0904029634492,0.092603520158,0.00220055670878\n"),
+    ], ids=["worst-case", "common"])
+    def test_seeded_mc_sweep_bytes(self, mode, params, expected, tmp_path, capsys):
+        # Pins the nested draws at the benchmark's sweep sizes, where every
+        # per-draw n takes an anchor table and a walk.
+        out = tmp_path / "mc.csv"
+        _printed(["sweep", "--mode", mode, "--method", "mc", "--n", "250000:1000000:250000", *params,
+                  "--samples", "5000", "--seed", "23", "--out", str(out)], capsys)
+        assert out.read_text() == expected
+
     def test_common_sweep_layout(self, tmp_path, capsys):
         out = tmp_path / "conv.csv"
         assert main([
