@@ -39,7 +39,15 @@ from .inference import (
     posterior,
     posterior_oracle,
 )
-from .model import DestMultiset, Observation, Scenario, check_distribution, check_observation, validate_scenario
+from .model import (
+    DestMultiset,
+    Observation,
+    Scenario,
+    check_distribution,
+    check_observation,
+    rows_to_check,
+    validate_scenario,
+)
 from .montecarlo import estimate_expected_posterior
 from .seeding import mix64
 from .structured import CommonPopulation, WorstCasePopulation, worst_case_expected_exact, common_expected_exact
@@ -72,7 +80,16 @@ def _user_row(dist, dest_count: int):
         raise ParseError("'dist' must be a distribution string or a list of numbers")
     if len(dist) != dest_count:
         raise ParseError(f"distribution has {len(dist)} entries, expected {dest_count}")
-    return check_distribution(dist, "row")
+    return dist
+
+
+def _check_rows(rows: list, user_names: list[str]) -> None:
+    """The first of ``rows`` that is not stochastic, as a ScenarioError naming its user; one pass for all."""
+    for i in rows_to_check(rows):
+        try:
+            check_distribution(rows[i], "row")
+        except ScenarioError as err:
+            raise ScenarioError(f"user {user_names[i]!r}: {err}") from None
 
 
 def load_scenario(path: str) -> tuple[Scenario, list[str], list[str]]:
@@ -94,13 +111,19 @@ def load_scenario(path: str) -> tuple[Scenario, list[str], list[str]]:
     user_names: list[str] = []
     rows = []
     for i, entry in enumerate(_list_field(doc, "users", "scenario")):
-        if not isinstance(entry, dict) or "name" not in entry or "dist" not in entry:
-            raise ParseError(f"user entry {i} needs 'name' and 'dist' fields")
-        user_names.append(str(entry["name"]))
         try:
-            rows.append(_user_row(entry["dist"], len(dest_names)))
-        except (ParseError, ScenarioError) as err:
-            raise type(err)(f"user {user_names[-1]!r}: {err}") from None
+            if not isinstance(entry, dict) or "name" not in entry or "dist" not in entry:
+                raise ParseError(f"user entry {i} needs 'name' and 'dist' fields")
+            user_names.append(str(entry["name"]))
+            try:
+                rows.append(_user_row(entry["dist"], len(dest_names)))
+            except (ParseError, ScenarioError) as err:
+                raise type(err)(f"user {user_names[-1]!r}: {err}") from None
+        except (ParseError, ScenarioError):
+            # The rows before this entry are checked first, so errors come in file order.
+            _check_rows(rows, user_names)
+            raise
+    _check_rows(rows, user_names)
     if len(set(user_names)) != len(user_names):
         raise ParseError("user names must be unique")
     return validate_scenario(rows, doc["b"]), user_names, dest_names

@@ -136,6 +136,9 @@ TABLE_ENTRIES = 1 << 22
 # span (see _plain_views) stays under this; the rest take the wide kernel.
 _PLAIN_SPAN = 900.0
 
+# Relative slack of the batch-wide plain screen (see _plain_screen).
+_SCREEN_MARGIN = 2.0**-30
+
 # Exponent of the zero entries of a wide table, far below any real one.
 _ZERO_EXPONENT = -(1 << 40)
 
@@ -209,15 +212,42 @@ def _boxes(counts: np.ndarray) -> _IndexSet:
     owner = np.repeat(np.arange(len(counts)), sizes)
     column = np.arange(1, len(owner) + 1)
     local = column - origins[owner]
+    # Digit i of ``local`` is nonzero exactly where local mod (place_i radix_i) >= place_i.
+    outer = place * radix
     pred = np.zeros((len(dests), len(owner) + 1), dtype=np.int64)
     for i in range(len(dests)):
         step = place[owner, i]
-        pred[i, 1:] = np.where(local // step % radix[owner, i] > 0, column - step, 0)
+        pred[i, 1:] = np.where(local % outer[owner, i] >= step, column - step, 0)
     return _IndexSet(tuple(dests.tolist()), pred, origins, np.pad(owner, (1, 0)))
 
 
+def _plain_screen(p: np.ndarray, corners: np.ndarray) -> bool:
+    """Whether every view over ``corners`` passes :func:`_per_view_plain`, by one bound for the batch.
+
+    The bound takes every user into every crowd and every destination into
+    every support: ``sum_u log2(1 + row mass)`` bounds each view's span
+    term, and the largest ``-log2 p`` over positive entries, times the
+    largest corner total, bounds its rare term.  Both are sums of
+    non-negative terms, so rounding moves either side by far less than
+    ``_SCREEN_MARGIN`` of it.  Where the bound fails, the per-view test
+    decides, so each view gets the decision of its own test.
+    """
+    positive = p[p > 0.0]
+    rare = max(float(-np.log2(positive.min())), 0.0) if positive.size else 0.0
+    total = float(corners.sum(axis=-1).max(initial=0))
+    screen = float(np.log2(1.0 + p.sum(axis=1)).sum()) + rare * total
+    return screen * (1.0 + _SCREEN_MARGIN) <= _PLAIN_SPAN
+
+
 def _plain_views(p: np.ndarray, masks: np.ndarray, corners: np.ndarray) -> np.ndarray:
-    """Which views the plain float kernel computes to full precision.
+    """Which views the plain float kernel computes to full precision: all, where :func:`_plain_screen` passes."""
+    if _plain_screen(p, corners):
+        return np.ones(masks.shape[0], dtype=bool)
+    return _per_view_plain(p, masks, corners)
+
+
+def _per_view_plain(p: np.ndarray, masks: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """Which views the plain float kernel computes to full precision, tested view by view.
 
     ``corners`` holds each view's extreme count vectors, ``(V, K, nd)``:
     a non-negative linear form peaks at one of them.  A view's set spans

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -117,6 +117,27 @@ def check_distribution(row, what: str) -> np.ndarray:
     return row
 
 
+def rows_to_check(rows) -> Sequence[int]:
+    """Indices, in order, of the rows of a matrix that :func:`check_distribution` might refuse.
+
+    One pass over the whole matrix lists each row with a non-finite or
+    negative entry, or a sum more than half of ``STOCHASTIC_TOL`` from 1.
+    A sum taken in another order differs by far less than the other half,
+    so every row left out passes; checking the listed rows in order finds
+    the first failing row and its message.  Rows that do not convert to
+    one float matrix are all listed.
+    """
+    try:
+        rows = np.asarray(rows, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range, which check_distribution names
+        return range(len(rows))
+    if rows.ndim != 2:
+        return range(len(rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        off = np.abs(rows.sum(axis=1) - 1.0) > 0.5 * STOCHASTIC_TOL
+    return np.flatnonzero(off | ~np.isfinite(rows).all(axis=1) | (rows < 0.0).any(axis=1))
+
+
 def validate_scenario(p, b) -> Scenario:
     """Check raw scenario data and return a normalized Scenario.
 
@@ -132,8 +153,8 @@ def validate_scenario(p, b) -> Scenario:
     if rows.shape[1] < 1:
         raise ScenarioError("need at least one destination")
     b = check_unit("b", b)
-    for i, row in enumerate(rows):
-        check_distribution(row, f"row {i}")
+    for i in rows_to_check(rows):
+        check_distribution(rows[i], f"row {i}")
     rows /= rows.sum(axis=1, keepdims=True)
     rows.setflags(write=False)
     return Scenario(n=int(rows.shape[0]), dest_count=int(rows.shape[1]), b=b, p=rows)

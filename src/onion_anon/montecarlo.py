@@ -9,11 +9,15 @@ One sampling loop serves every mode.  It reads the queried user's own
 endpoint flags; with the input seen the posterior is 1 (the output is
 seen too) or the prior, whatever the population.  Only the unseen-input
 "crowd" case depends on the population, and each mode supplies just
-that.  The generic mode reduces its crowd samples to distinct views,
-each fixed by its crowd and its bare-output multiset, and passes all of
-a chunk's distinct views to the crowd-matching kernel together, each
-with its own multiset.  The structured modes evaluate the closed-form
-cells of :mod:`onion_anon.structured` on binomially sampled counts
+that.  A chunk's variates come from one :func:`uniform_block` call,
+which fills them in row blocks of about 2**15 words.  The generic mode
+reads each user's destination by one comparison per destination against
+the cumulative rows, and reduces its crowd samples to distinct views,
+each fixed by its crowd and its bare-output multiset: the packed
+(counts, crowd bits) rows, padded to whole 8-byte words, are sorted as
+uint64 keys.  It passes all of a chunk's distinct views to the
+crowd-matching kernel together, each with its own multiset.  The
+structured modes evaluate the closed-form cells of :mod:`onion_anon.structured` on binomially sampled counts
 without materializing users.  Those counts come from the package's own
 exact inverse CDF (:func:`onion_anon.binomial.ppf`), so a seeded
 estimate depends on nothing but this package and numpy.
@@ -109,11 +113,7 @@ def _generic_sampler(scenario: Scenario, query: PosteriorQuery, seed: int) -> Ca
         with its own count vector.
         """
         m = len(variates)
-        dest = np.empty((m, n), dtype=_small_int(nd))
-        for v in range(n):
-            dest[:, v] = np.minimum(
-                np.searchsorted(cumulative[v], variates[:, v], side="right"), nd - 1
-            )
+        dest = _destinations(cumulative, variates[:, :n])
         dest[:, u] = d
         unseen = variates[:, n : 2 * n] >= b
         bare = unseen & (variates[:, 2 * n : 3 * n] < b)
@@ -121,17 +121,45 @@ def _generic_sampler(scenario: Scenario, query: PosteriorQuery, seed: int) -> Ca
         counts = np.bincount((np.arange(m)[:, None] * nd + dest)[bare], minlength=m * nd)
         counts = counts.reshape(m, nd).astype(_small_int(n))
         unseen[:, u] = False
-        packed = np.hstack([counts.view(np.uint8), np.packbits(unseen, axis=1)])
-        _, first, inverse = np.unique(_row_keys(packed), return_index=True, return_inverse=True)
+        first, inverse = _distinct_rows(np.hstack([counts.view(np.uint8), np.packbits(unseen, axis=1)]))
         return crowd_posteriors(scenario.p, unseen[first], counts[first], query)[inverse]
 
     return _sampler(seed, b, 3 * n, (n + u, 2 * n + u), _queried_prior(scenario, query), crowd)
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque, sortable key per row, for ``np.unique`` over rows."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+def _destinations(cumulative: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each user's sampled destination: ``min(searchsorted(cumulative[v], x[:, v], "right"), nd - 1)``.
+
+    A cumulative row is nondecreasing, so that is the number of its first
+    nd - 1 entries at or below x, counted one destination at a time.
+    """
+    nd = cumulative.shape[1]
+    dest = np.zeros(x.shape, dtype=_small_int(nd))
+    for j in range(nd - 1):
+        dest += cumulative[:, j] <= x
+    return dest
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` over the distinct rows of a 2-D uint8 array.
+
+    ``rows[first]`` holds each distinct row once, and ``rows[first][inverse]``
+    equals ``rows``.  Each row, zero-padded to whole 8-byte words, is read
+    as uint64 keys; one ``lexsort`` and a compare of neighbours split them.
+    The distinct rows come out in key order, not byte order.
+    """
+    count, width = rows.shape
+    words = np.zeros((count, -(-width // 8) * 8), dtype=np.uint8)
+    words[:, :width] = rows
+    keys = words.view(np.uint64)
+    order = np.lexsort(keys.T)
+    ordered = keys[order]
+    starts = np.empty(count, dtype=bool)
+    starts[:1] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(count, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
 
 
 def _worst_case_sampler(pop: WorstCasePopulation, seed: int) -> Callable:
@@ -168,19 +196,18 @@ def _summary(psi: np.ndarray, seed: int) -> Estimate:
     return Estimate(float(psi.mean()), float(psi.std(ddof=1)) / math.sqrt(samples), samples, seed)
 
 
-def _stratified_estimate(draw: Callable, b: float, samples: int, seed: int) -> Estimate:
+def _stratified_estimate(draw: Callable, b: float, prior: float, samples: int, seed: int) -> Estimate:
     """Stratify over the queried user's endpoint cases.
 
     The two cases with an observed input contribute constants (1, or the
-    prior that one draw of that case returns), so all samples go to the
-    unobserved-input strata, split by whether the user's own output was
-    seen.  One draw serves both: the input is unseen on every row and the
+    queried ``prior``), so all samples go to the unobserved-input strata,
+    split by whether the user's own output was seen.  One draw serves both: the input is unseen on every row and the
     output forced seen on the rows after the hidden stratum's, so each
     sample index and flag is that of a draw per stratum.
     """
     w_hidden = (1.0 - b) ** 2
     w_out_seen = (1.0 - b) * b
-    constant = b * b * 1.0 + b * (1.0 - b) * float(draw(0, 1, (True, False))[0])
+    constant = b * b * 1.0 + b * (1.0 - b) * prior
     if b == 1.0:
         return Estimate(1.0, 0.0, samples, seed)
     if b == 0.0:
@@ -236,5 +263,6 @@ def estimate_expected_posterior(
     else:
         raise ModelError(f"unknown mode {mode!r}")
     if stratify:
-        return _stratified_estimate(draw, subject.b, samples, seed)
+        prior = _queried_prior(subject, query) if mode == "generic" else subject.queried_prior()
+        return _stratified_estimate(draw, subject.b, prior, samples, seed)
     return _summary(draw(0, samples, None), seed)

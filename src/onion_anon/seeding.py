@@ -5,6 +5,11 @@ function (splitmix64), so a (seed, index) pair names the same variate on
 every platform, in every run, and under any partitioning of the work.
 Sample ``i`` of a run always draws from the child stream ``mix64(seed, i)``,
 which is what makes the Monte Carlo estimates independent of chunking.
+
+:func:`uniform_block` mixes its words in row blocks of about 2**15 words,
+every column at once, and maps a word w to ``((w >> 10) | 1) * 2**-54``:
+one rounding of the same real number as ``((w >> 11) + 0.5) * 2**-53`` in
+:func:`unit_interval`, so the vector and scalar streams agree bit for bit.
 """
 from __future__ import annotations
 
@@ -19,6 +24,10 @@ _MULT2 = 0x94D049BB133111EB
 _U_INCREMENT = np.uint64(_INCREMENT)
 _U_MULT1 = np.uint64(_MULT1)
 _U_MULT2 = np.uint64(_MULT2)
+_SHIFT10, _SHIFT27, _SHIFT30, _SHIFT31, _ONE = (np.uint64(k) for k in (10, 27, 30, 31, 1))
+
+# Words mixed per row block of :func:`uniform_block`.
+_BLOCK_WORDS = 1 << 15
 
 
 def _finalize(x: int) -> int:
@@ -74,11 +83,31 @@ def uniform_block(seed: int, indices: np.ndarray, columns: int) -> np.ndarray:
     Row ``r``, column ``t`` equals ``uniform(mix64(seed, indices[r]), t)``,
     i.e. the block is the per-sample child streams laid out side by side.
     Values lie in (0, 1], as for :func:`unit_interval`.
+
+    The words are mixed in row blocks of about ``_BLOCK_WORDS``, every
+    column at once, in one reused buffer and one temporary.  A word w maps
+    to ``((w >> 10) | 1) * 2**-54``: the odd 54-bit integer 2m + 1, m the
+    top 53 bits, rounded once to the nearest double (ties to even) and
+    scaled by a power of two.  That is the rounding of ``(m + 0.5) *
+    2**-53`` in :func:`unit_interval`, so the two agree bit for bit.
     """
     children = mix64_array(seed, indices)
-    out = np.empty((len(children), columns), dtype=np.float64)
-    for t in range(columns):
-        step = np.uint64(((t + 1) * _INCREMENT) & MASK64)
-        word = _finalize_array(children + step)
-        out[:, t] = ((word >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    rows = len(children)
+    out = np.empty((rows, columns), dtype=np.float64)
+    steps = np.arange(1, columns + 1, dtype=np.uint64) * _U_INCREMENT
+    step_rows = max(1, _BLOCK_WORDS // max(columns, 1))
+    buffer = np.empty((min(rows, step_rows), columns), dtype=np.uint64)
+    spare = np.empty_like(buffer)
+    for lo in range(0, rows, step_rows):
+        hi = min(rows, lo + step_rows)
+        word, temp = buffer[: hi - lo], spare[: hi - lo]
+        np.add(children[lo:hi, None], steps, out=word)
+        for shift, mult in ((_SHIFT30, _U_MULT1), (_SHIFT27, _U_MULT2)):
+            word ^= np.right_shift(word, shift, out=temp)
+            word *= mult
+        word ^= np.right_shift(word, _SHIFT31, out=temp)
+        np.right_shift(word, _SHIFT10, out=temp)
+        temp |= _ONE
+        # Below 2**54, so the int64 view holds the same value, and converts as int64.
+        np.multiply(temp.view(np.int64), 2.0**-54, out=out[lo:hi])
     return out

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -206,6 +207,31 @@ class TestMc:
                 "--samples", "40000", "--seed", "9", "--stratify"]
         assert main(argv) == 0
         assert capsys.readouterr().out == "mean=0.71669210994 std_error=0.000387680114566 samples=40000 seed=9\n"
+
+    @pytest.mark.parametrize("n, k, b, samples, extra, expected", [
+        (10, 3, 0.25, 40_000, [], "mean=0.614828991493 std_error=0.000673634824936"),
+        (10, 3, 0.25, 40_000, ["--stratify"], "mean=0.615525331956 std_error=0.00035619376576"),
+        (40, 4, 0.375, 400, [], "mean=0.701957910497 std_error=0.00641580505438"),
+        (40, 4, 0.375, 400, ["--stratify"], "mean=0.711950206249 std_error=0.00239058425541"),
+    ], ids=["10x3", "10x3-stratified", "40x4", "40x4-stratified"])
+    def test_seeded_generic_bytes(self, n, k, b, samples, extra, expected, tmp_path, capsys):
+        # The benchmark's shapes: small crowds that share views (40 000
+        # samples span two sampling chunks) and large crowds that rarely do.
+        # Rows are integer weights over their sum, some of them zero.
+        rng = random.Random(n)
+        users = []
+        for i in range(n):
+            weights = [rng.choice((0, rng.randint(1, 999))) for _ in range(k - 1)] + [rng.randint(1, 999)]
+            rng.shuffle(weights)
+            users.append({"name": f"u{i}", "dist": [w / sum(weights) for w in weights]})
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"b": b, "destinations": [f"d{j}" for j in range(k)], "users": users}))
+        row = users[0]["dist"]
+        dest = max(range(k), key=row.__getitem__)
+        argv = ["mc", "--scenario", str(path), "--user", "u0", "--dest", f"d{dest}",
+                "--samples", str(samples), "--seed", "7", *extra]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == f"{expected} samples={samples} seed=7\n"
 
     def test_csv_identical_across_thread_counts(self, tmp_path, capsys):
         args = [
@@ -764,6 +790,31 @@ def test_scenario_file_model_errors(doc, message, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["validate", str(path)]) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+OK_USER = {"name": "carol", "dist": [0.5, 0.5]}
+SHORT_ROW = {"name": "alice", "dist": [0.6, 0.3]}
+SHORT_ROW_ERROR = (3, "user 'alice': row is not stochastic: it sums to 0.8999999999999999")
+
+
+@pytest.mark.parametrize("users, code, message", [
+    # A numeric error comes before a structural error in a later user, as the file lists them.
+    ([OK_USER, SHORT_ROW, {"name": "bob", "dist": [1.0]}], *SHORT_ROW_ERROR),
+    ([SHORT_ROW, {"name": "bob"}], *SHORT_ROW_ERROR),
+    ([SHORT_ROW, {"name": "bob", "dist": "explicit:0.5,-0.5"}], *SHORT_ROW_ERROR),
+    ([SHORT_ROW, OK_USER, OK_USER], *SHORT_ROW_ERROR),
+    # And a structural error before a numeric one in a later user.
+    ([OK_USER, {"name": "bob", "dist": [1.0]}, SHORT_ROW], 2, "distribution has 1 entries, expected 2"),
+    ([{"name": "bob", "dist": "explicit:0.5,-0.5"}, SHORT_ROW], 3,
+     "user 'bob': explicit vector is not stochastic: it has a negative entry"),
+    ([OK_USER, {"name": "bob", "dist": [float("inf"), 0.0]}, SHORT_ROW], 3,
+     "user 'bob': row is not stochastic: it has a non-finite entry"),
+])
+def test_scenario_file_errors_come_in_file_order(users, code, message, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**SCENARIO, "users": users}))
+    assert main(["validate", str(path)]) == code
+    assert message in capsys.readouterr().err
 
 
 def test_a_view_past_the_crowd_table_cap_exits_3(tmp_path, capsys):

@@ -585,6 +585,27 @@ def test_kernel_sums_match_slot_enumeration(view, span):
     assert hidden == pytest.approx(slot_injection_sum(rest, outputs, s.p), rel=1e-12, abs=1e-300)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_plain_screen_keeps_each_views_decision(data):
+    """Where the batch-wide screen passes, every view passes its own test; either way each view's decision holds."""
+    s = data.draw(small_scenarios())
+    views, corner_count = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
+    masks = np.array([[data.draw(st.booleans()) for _ in range(s.n)] for _ in range(views)])
+    cell = st.sampled_from([0, 0, 1, 2, 5, 40])
+    corners = np.array([[[data.draw(cell) for _ in range(s.dest_count)] for _ in range(corner_count)]
+                        for _ in range(views)])
+    # Spans just above the screen's bound reach both of its outcomes.
+    bound = float(np.log2(1.0 + s.p.sum(axis=1)).sum()) + 60.0 * float(corners.sum(axis=-1).max())
+    span = data.draw(st.one_of(SPANS, st.floats(0.0, bound)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inference, "_PLAIN_SPAN", span)
+        each = inference._per_view_plain(s.p, masks, corners)
+        assert np.array_equal(inference._plain_views(s.p, masks, corners), each)
+        if inference._plain_screen(s.p, corners):
+            assert each.all()
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_posterior_matches_exact_oracle(data):

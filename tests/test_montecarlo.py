@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onion_anon import (
     CommonPopulation,
@@ -26,7 +28,7 @@ from onion_anon import (
 from onion_anon import inference, montecarlo
 from onion_anon.inference import crowd_posteriors
 from onion_anon.model import DestMultiset, Observation
-from onion_anon.montecarlo import _common_sampler, _generic_sampler, _worst_case_sampler
+from onion_anon.montecarlo import _common_sampler, _destinations, _distinct_rows, _generic_sampler, _worst_case_sampler
 from onion_anon.seeding import mix64, uniform_block
 
 
@@ -157,6 +159,63 @@ class TestBatching:
         assert np.array_equal(block, scalar_path(s, q, 9, 12))
         est = estimate_expected_posterior(s, q, 12, 9)
         assert est.mean == pytest.approx(float(block.mean()), rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_destinations_by_comparison_equal_searchsorted(data):
+    """Rows with zero entries repeat a cumulative value; the comparison still counts like searchsorted."""
+    n, nd = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    weights = st.sampled_from([0.0, 0.0, 0.0, 0.1, 0.25, 0.5, 1.0, 3.0])
+    p = np.array([[data.draw(weights) for _ in range(nd)] for _ in range(n)])
+    p[p.sum(axis=1) == 0.0, data.draw(st.integers(0, nd - 1))] = 1.0
+    cumulative = np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
+    # Variates on the cumulative values themselves, and on either side of them.
+    edges = np.concatenate([cumulative.ravel(), np.nextafter(cumulative.ravel(), 0.0), np.nextafter(cumulative.ravel(), 2.0)])
+    edges = edges[(edges > 0.0) & (edges <= 1.0)].tolist()
+    unit = st.one_of(st.sampled_from(edges), st.floats(2.0**-54, 1.0))
+    x = np.array([[data.draw(unit) for _ in range(n)] for _ in range(data.draw(st.integers(1, 8)))])
+    want = np.array([[min(np.searchsorted(cumulative[v], row[v], side="right"), nd - 1) for v in range(n)] for row in x])
+    assert np.array_equal(_destinations(cumulative, x), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_integer_keys_split_rows_as_void_keys_do(data):
+    """Packed rows of one, two and three words split as ``np.unique`` over void keys splits them."""
+    width = data.draw(st.sampled_from([1, 5, 8, 9, 13, 16, 17, 19, 24]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # A few distinct rows, repeated, some differing in a single byte.
+    pool = rng.choice(np.array([0, 1, 2, 255], dtype=np.uint8), size=(data.draw(st.integers(1, 6)), width))
+    rows = pool[rng.integers(0, len(pool), size=data.draw(st.integers(1, 40)))]
+    rows[rng.random(len(rows)) < 0.2, rng.integers(0, width)] ^= 1
+    first, inverse = _distinct_rows(rows)
+    assert np.array_equal(rows[first][inverse], rows)
+    voids = rows.view(np.dtype((np.void, width))).ravel()
+    _, want_first, want_inverse = np.unique(voids, return_index=True, return_inverse=True)
+    assert len(first) == len(want_first) == len(np.unique(voids[first]))
+    # The same partition: two rows share a key exactly when they share a void key.
+    assert np.array_equal(inverse[:, None] == inverse[None, :], want_inverse[:, None] == want_inverse[None, :])
+
+
+def _void_distinct_rows(rows):
+    """Distinct rows through ``np.unique`` over one void key per row."""
+    voids = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(voids, return_index=True, return_inverse=True)
+    return first, inverse
+
+
+@pytest.mark.parametrize("n, dests, samples, words", [(10, 3, 3000, 1), (40, 4, 120, 2), (100, 6, 24, 3)])
+def test_integer_keys_keep_every_sample(monkeypatch, n, dests, samples, words):
+    """The generic draws are bit-identical to deduplication by void keys at packed widths of 1, 2 and 3 words."""
+    monkeypatch.setenv("ONION_ANON_SIZE_LIMITS", "mc_users=100")
+    assert -(-(dests + -(-n // 8)) // 8) == words
+    rng = np.random.default_rng(n)
+    s = validate_scenario(rng.dirichlet(np.ones(dests), size=n), 0.35)
+    draw = _generic_sampler(s, PosteriorQuery(2, 1), 31)
+    keyed = draw(0, samples, None)
+    monkeypatch.setattr(montecarlo, "_distinct_rows", _void_distinct_rows)
+    assert np.array_equal(keyed, draw(0, samples, None))
 
 
 class TestAgreement:

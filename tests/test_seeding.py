@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from onion_anon import seeding
 from onion_anon.seeding import MASK64, mix64, mix64_array, uniform, uniform_block, unit_interval
 
 
@@ -48,3 +49,48 @@ def test_mix64_array_matches_scalar():
     indices = np.arange(100, dtype=np.int64)
     words = mix64_array(seed, indices)
     assert [int(w) for w in words] == [mix64(seed, i) for i in range(100)]
+
+
+def _unmix(word: int) -> int:
+    """The x with ``_finalize(x) == word``: each xor-shift and odd multiply undone in turn."""
+    for shift, mult in ((31, None), (27, seeding._MULT2), (30, seeding._MULT1)):
+        if mult is not None:
+            word = (word * pow(mult, -1, 1 << 64)) & MASK64
+        x = word
+        for _ in range(64 // shift + 1):
+            x = word ^ (x >> shift)
+        word = x
+    return word
+
+
+def _seed_for_first_word(word: int) -> int:
+    """A seed whose stream 0 gives ``word`` at column 0 of :func:`uniform_block`."""
+    child = (_unmix(word) - seeding._INCREMENT) & MASK64
+    return (_unmix(child) - seeding._INCREMENT) & MASK64
+
+
+@pytest.mark.parametrize("rows, columns, offset", [
+    (1, 30, 0),
+    (80, 120, 1000),
+    (seeding._BLOCK_WORDS // 6 * 2 + 5, 6, 7),  # more rows than one block holds
+    (3, seeding._BLOCK_WORDS + 3, 0),  # a row wider than a block
+])
+def test_row_blocks_match_scalar_stream(rows, columns, offset):
+    seed = 2**64 - 12345
+    indices = np.arange(offset, offset + rows, dtype=np.int64)
+    block = uniform_block(seed, indices, columns)
+    want = [[uniform(mix64(seed, int(i)), t) for t in range(columns)] for i in indices]
+    assert np.array_equal(block, np.array(want))
+
+
+@pytest.mark.parametrize("word", [
+    0, 1, 2**10, 2**11 - 1,
+    # m >= 2**52: m + 0.5 ties between two doubles and rounds to even.
+    (2**52 << 11) | 5, ((2**52 + 1) << 11), ((2**53 - 2) << 11) | 2047, ((2**53 - 1) << 11) - 1,
+    # The top 2**11 words round up to exactly 1.0.
+    MASK64 - 2**11, MASK64 - 2**11 + 1, MASK64,
+])
+def test_row_blocks_convert_ties_as_unit_interval(word):
+    seed = _seed_for_first_word(word)
+    assert seeding._finalize((mix64(seed, 0) + seeding._INCREMENT) & MASK64) == word
+    assert uniform_block(seed, np.zeros(1, dtype=np.int64), 1)[0, 0] == unit_interval(word)
