@@ -28,6 +28,9 @@ last member) after one more user, and each smaller simplex is a prefix
 of the population's.  The lattice is walked depth first in blocks of
 sibling crowds, each block's terms summed as it is built, so every
 crowd costs one user step and memory holds about one block per level.
+The generic sampler reads a small population's posteriors off one such
+walk, kept whole (:func:`crowd_table`), instead of building the tables
+of its sampled views.
 
 Two enumeration oracles, the posterior of a view and its expectation,
 cross-check the closed computations.  Each walks one configuration set,
@@ -184,10 +187,29 @@ def _simplex(dest_count: int, total: int) -> _Simplex:
     sums = np.fromiter(flat, np.int64).reshape(-1, dest_count)[::-1, ::-1] - np.arange(dest_count)
     keys = np.diff(sums, axis=1, prepend=0)
     # steps[j - 1, s] = C(s + j - 2, j - 1): what lowering S_j from s takes off the rank.
-    steps = np.array([[math.comb(s + j - 1, j) if j else 1 for s in range(total + 1)] for j in range(dest_count)])
+    steps = _colex_steps(dest_count, total)
     below = steps[np.arange(dest_count), sums][:, ::-1].cumsum(axis=1)[:, ::-1]
     pred = np.where(keys > 0, np.arange(1, len(keys) + 1)[:, None] - below, 0)
     return _Simplex(keys, np.pad(pred.T, ((0, 0), (1, 0))))
+
+
+def _colex_steps(dest_count: int, total: int) -> np.ndarray:
+    """``C(s + j - 1, j)`` at ``[j, s]``, for ``j <= dest_count`` and ``s <= total`` (1 at j = 0)."""
+    return np.array([[math.comb(s + j - 1, j) if j else 1 for s in range(total + 1)] for j in range(dest_count + 1)])
+
+
+def _colex_rank(steps: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each count vector's graded colex rank ``sum_j C(S_j + j - 1, j)``: its column in :func:`_simplex`, less 1.
+
+    ``counts`` holds the vectors along its last axis, and ``steps`` is
+    :func:`_colex_steps` over their destinations and at least their totals.
+    """
+    rank = np.zeros(counts.shape[:-1], dtype=np.int64)
+    total = np.zeros(counts.shape[:-1], dtype=np.intp)
+    for j in range(counts.shape[-1]):
+        total += counts[..., j]
+        rank += steps[j + 1].take(total)
+    return rank
 
 
 def _check_table(entries: int) -> None:
@@ -317,7 +339,11 @@ def _widen(table: np.ndarray):
 
 
 def _ragged_table(p: np.ndarray, masks: np.ndarray, index: _IndexSet, wide: bool):
-    """A ragged batch's ``(table, exponent)``: in plain floats (``exponent`` None), or wide (see :func:`_wide_step`)."""
+    """A ragged batch's ``(table, exponent)``: in plain floats (``exponent`` None), or wide (see :func:`_wide_step`).
+
+    Whether each entry's view holds each stepped user is gathered once
+    for the batch; a batch of one view holds every user it steps.
+    """
     rows = p[:, list(index.dests)]
     table = np.zeros(index.pred.shape[1])
     table[index.origins] = 1.0
@@ -325,8 +351,13 @@ def _ragged_table(p: np.ndarray, masks: np.ndarray, index: _IndexSet, wide: bool
     if wide:
         table, exponent = _widen(table)
         mantissas, powers = np.frexp(rows)
-    for v in np.flatnonzero(masks.any(axis=0) & (rows > 0.0).any(axis=1)):
-        source = table * masks[:, v][index.owner]
+    users = np.flatnonzero(masks.any(axis=0) & (rows > 0.0).any(axis=1))
+    if len(masks) > 1:
+        held = np.ascontiguousarray(masks.T[users]).take(index.owner, axis=1)
+    else:
+        held = np.ones((len(users), 1), dtype=bool)
+    for v, mask in zip(users, held):
+        source = table * mask
         if wide:
             table, exponent = _wide_step(table, exponent, source, exponent, mantissas[v], powers[v], index.pred)
         else:
@@ -600,23 +631,30 @@ def _crowd_lattice(p: np.ndarray, others: np.ndarray, pred: np.ndarray):
     join in ascending order, one step each.  The children of a block
     are cut into blocks of at most ``BATCH_ENTRIES`` entries (or one
     crowd), so memory stays at about one block per level.  Yields
-    ``(k, table, exponent)`` per block, ``exponent`` None for a plain one.
+    ``(k, table, exponent, masks)`` per block, ``exponent`` None for a
+    plain one, and ``masks`` the block's crowds as rows over the population.
 
     :func:`_plain_views` sorts each block's crowds into plain and wide,
-    which never share a block.  A plain crowd's parent is plain (a
-    subset's bound is no larger), and a wide crowd's children are wide.
+    which never share a block; where the whole population passes
+    :func:`_plain_screen` at total n, every crowd is plain untested.  A
+    plain crowd's parent is plain (a subset's bound is no larger), and a
+    wide crowd's children are wide.
     A plain table's nonzero entries are normal floats, so a wide block
     grown from plain parents gets, through :func:`_widen`, exactly the
     entries the wide step would have built from the empty table.
     """
     n, nd = p.shape
     eye = np.eye(nd, dtype=np.int64)
+    # Where the whole population passes the screen, so does every crowd of every size.
+    everywhere = _plain_screen(p, n * eye)
 
     def plain(size, masks):
+        if everywhere:
+            return np.ones(len(masks), dtype=bool)
         return _plain_views(p, masks, np.broadcast_to(size * eye, (len(masks), nd, nd)))
 
     def grow(size, table, exponent, masks, last):
-        yield size, table, exponent
+        yield size, table, exponent, masks
         spare = len(others) - 1 - last
         parents = np.repeat(np.arange(len(last)), spare)
         added = np.arange(len(parents)) - np.repeat(np.cumsum(spare) - spare - last - 1, spare)
@@ -639,6 +677,69 @@ def _crowd_lattice(p: np.ndarray, others: np.ndarray, pred: np.ndarray):
     root = np.zeros((1, nd + 2))
     root[:, 1] = 1.0
     yield from grow(1, *((root, None) if plain(1, masks)[0] else _widen(root)), masks, np.array([-1]))
+
+
+def lattice_entries(n: int, dest_count: int) -> int:
+    """Entries of every crowd's table over the subset lattice: ``sum_k C(n - 1, k - 1) C(k + nd, nd)``.
+
+    A crowd of k - 1 of the other n - 1 users (k counting the queried
+    user) has a table over the simplex of total k.
+    """
+    return sum(math.comb(n - 1, k - 1) * math.comb(k + dest_count, dest_count) for k in range(1, n + 1))
+
+
+class CrowdTable(NamedTuple):
+    """The posterior of every view whose queried input is unseen, by crowd and bare outputs.
+
+    A crowd's code is the sum of ``bits`` over its users (the queried
+    user's bit is 0).  Its posteriors start at ``values[starts[code]]``
+    and run over its simplex in graded colex order (:func:`_colex_rank`
+    with ``steps``).  A view no configuration produces holds nan.
+    """
+
+    bits: np.ndarray
+    starts: np.ndarray
+    steps: np.ndarray
+    values: np.ndarray
+
+    def posteriors(self, masks: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """What :func:`crowd_posteriors` gives for these crowds and bare outputs, bit for bit."""
+        values = self.values[self.starts[masks @ self.bits] + _colex_rank(self.steps, counts)]
+        if np.isnan(values).any():
+            raise ImpossibleObservationError(_IMPOSSIBLE)
+        return values
+
+
+def crowd_table(p: np.ndarray, query: PosteriorQuery) -> CrowdTable:
+    """Every crowd's posteriors at every bare-output vector, off one walk of :func:`_crowd_lattice`.
+
+    It holds :func:`lattice_entries` values.  Where the population passes
+    :func:`_plain_screen` at total n, every table is plain on both
+    paths, and each crowd's table holds what the ragged kernel builds for
+    any of its views: the same users step in the same order, and an axis
+    outside a view's support or a user outside its crowd adds only
+    zeros.  The sums are read and divided as :func:`crowd_posteriors`
+    does, so each posterior has the same bits.
+    """
+    n, nd = p.shape
+    simplex = _simplex(nd, n)
+    others = np.array([v for v in range(n) if v != query.user], dtype=np.int64)
+    bits = np.zeros(n, dtype=np.int64)
+    bits[others] = 1 << np.arange(n - 1)
+    starts = np.zeros(1 << (n - 1), dtype=np.int64)
+    values = np.empty(lattice_entries(n, nd))
+    p_ud = float(p[query.user, query.dest])
+    filled = 0
+    for _, table, exponent, masks in _crowd_lattice(p, others, simplex.pred):
+        width = table.shape[1]
+        any_dest, seen, hidden, _ = _read_sums(p, range(nd), simplex.pred[:, :width], slice(1, None), table, exponent, query)
+        block = values[filled : filled + any_dest.size].reshape(any_dest.shape)
+        # any_dest >= hidden + p_ud * seen, so an impossible view is 0 / 0.
+        with np.errstate(invalid="ignore"):
+            np.divide(p_ud * (seen + hidden), any_dest, out=block)
+        starts[masks @ bits] = filled + np.arange(len(table)) * (width - 1)
+        filled += block.size
+    return CrowdTable(bits, starts, _colex_steps(nd, n), values)
 
 
 def expected_posterior_formula(
@@ -671,7 +772,7 @@ def expected_posterior_formula(
 
     def terms():
         yield [b * (1.0 - b) * p_ud, b * b]
-        for size, table, exponent in _crowd_lattice(scenario.p, others, simplex.pred):
+        for size, table, exponent, _ in _crowd_lattice(scenario.p, others, simplex.pred):
             width = table.shape[1]
             with_u, seen, without_u, common = _read_sums(
                 scenario.p, range(scenario.dest_count), simplex.pred[:, :width], slice(1, None), table, exponent, query

@@ -12,15 +12,21 @@ seen too) or the prior, whatever the population.  Only the unseen-input
 that.  A chunk's variates come from one :func:`uniform_block` call,
 which fills them in row blocks of about 2**15 words.  The generic mode
 reads each user's destination by one comparison per destination against
-the cumulative rows, and reduces its crowd samples to distinct views,
-each fixed by its crowd and its bare-output multiset: the packed
-(counts, crowd bits) rows, padded to whole 8-byte words, are sorted as
-uint64 keys.  It passes all of a chunk's distinct views to the
-crowd-matching kernel together, each with its own multiset.  The
-structured modes evaluate the closed-form cells of :mod:`onion_anon.structured` on binomially sampled counts
-without materializing users.  Those counts come from the package's own
-exact inverse CDF (:func:`onion_anon.binomial.ppf`), so a seeded
-estimate depends on nothing but this package and numpy.
+the cumulative rows.  A view is fixed by its crowd and its bare-output
+multiset.  Where every crowd's table is small next to the samples and
+the population passes the plain-kernel screen (see :func:`_reads_lattice`),
+the estimate builds all of them once, over the subset lattice as the
+exact formula does, and each view reads its posterior at its crowd's
+bit code and its counts' colex rank.  Otherwise a chunk's crowd samples
+are reduced to distinct views (the packed (counts, crowd bits) rows,
+padded to whole 8-byte words, sorted as uint64 keys), and all of them go
+to the crowd-matching kernel together, each with its own multiset.
+Either way a view's posterior has the same bits.  The structured modes
+evaluate the closed-form cells of :mod:`onion_anon.structured` on
+binomially sampled counts without materializing users.  Those counts
+come from the package's own exact inverse CDF
+(:func:`onion_anon.binomial.ppf`), so a seeded estimate depends on
+nothing but this package and numpy.
 """
 from __future__ import annotations
 
@@ -33,7 +39,16 @@ import numpy as np
 from . import binomial as binom
 from .errors import ModelError
 # ``posterior`` stays a module attribute: benchmarks/spans.py wraps it by name.
-from .inference import PosteriorQuery, _check_query, _queried_prior, crowd_posteriors, posterior  # noqa: F401
+from .inference import (  # noqa: F401
+    PosteriorQuery,
+    _check_query,
+    _plain_screen,
+    _queried_prior,
+    crowd_posteriors,
+    crowd_table,
+    lattice_entries,
+    posterior,
+)
 from .limits import SizeLimits, current_limits
 from .model import Scenario, check_integer
 from .seeding import MASK64, uniform_block
@@ -45,6 +60,12 @@ from .structured import (
 )
 
 _CHUNK = 1 << 15
+
+# The generic sampler reads every crowd's posteriors off one table
+# (:func:`onion_anon.inference.crowd_table`) where the table holds at most
+# _LATTICE_PER_SAMPLE entries per sample and at most _LATTICE_ENTRIES in all.
+_LATTICE_PER_SAMPLE = 6
+_LATTICE_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -99,18 +120,35 @@ def _sampler(
     return draw
 
 
-def _generic_sampler(scenario: Scenario, query: PosteriorQuery, seed: int) -> Callable:
+def _reads_lattice(p: np.ndarray, samples: int) -> bool:
+    """Whether an estimate of ``samples`` draws reads its posteriors off one :func:`crowd_table`.
+
+    The table must be small next to the draws and within
+    ``_LATTICE_ENTRIES``, and the whole population must pass the plain
+    screen at corner total n, so every view is plain on either path.
+    """
+    n, nd = p.shape
+    cap = min(_LATTICE_ENTRIES, _LATTICE_PER_SAMPLE * samples)
+    # Each of the 2**(n - 1) crowds holds at least one entry, so a large n fails before the sum.
+    return n - 1 < cap.bit_length() and lattice_entries(n, nd) <= cap and _plain_screen(p, n * np.eye(nd))
+
+
+def _generic_sampler(scenario: Scenario, query: PosteriorQuery, seed: int, samples: int = 0) -> Callable:
+    """The generic draws of an estimate of ``samples`` draws (see :func:`_reads_lattice`)."""
     n, nd, b = scenario.n, scenario.dest_count, scenario.b
     u, d = query.user, query.dest
     cumulative = np.cumsum(scenario.p, axis=1)
+    prior = _queried_prior(scenario, query)
+    table = crowd_table(scenario.p, query) if _reads_lattice(scenario.p, samples) else None
 
     def crowd(variates: np.ndarray, u_out: np.ndarray) -> np.ndarray:
         """Posteriors of sampled views in which the queried user's input is unseen.
 
         Such a view is fixed by its crowd (the users with unseen inputs,
-        less the queried user) and its bare-output count vector.  The
-        distinct views go to the crowd-matching kernel together, each
-        with its own count vector.
+        less the queried user) and its bare-output count vector.  Each
+        view reads its posterior off the crowd table where there is one;
+        otherwise the distinct views go to the crowd-matching kernel
+        together, each with its own count vector.
         """
         m = len(variates)
         dest = _destinations(cumulative, variates[:, :n])
@@ -121,10 +159,12 @@ def _generic_sampler(scenario: Scenario, query: PosteriorQuery, seed: int) -> Ca
         counts = np.bincount((np.arange(m)[:, None] * nd + dest)[bare], minlength=m * nd)
         counts = counts.reshape(m, nd).astype(_small_int(n))
         unseen[:, u] = False
+        if table is not None:
+            return table.posteriors(unseen, counts)
         first, inverse = _distinct_rows(np.hstack([counts.view(np.uint8), np.packbits(unseen, axis=1)]))
         return crowd_posteriors(scenario.p, unseen[first], counts[first], query)[inverse]
 
-    return _sampler(seed, b, 3 * n, (n + u, 2 * n + u), _queried_prior(scenario, query), crowd)
+    return _sampler(seed, b, 3 * n, (n + u, 2 * n + u), prior, crowd)
 
 
 def _destinations(cumulative: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -251,7 +291,7 @@ def estimate_expected_posterior(
             raise ModelError("generic mode needs a Scenario and a query")
         _check_query(subject, query)
         (limits or current_limits()).check("mc", "generic sampling", subject.n, subject.dest_count)
-        draw = _generic_sampler(subject, query, seed)
+        draw = _generic_sampler(subject, query, seed, samples)
     elif mode == "worst_case":
         if not isinstance(subject, WorstCasePopulation):
             raise ModelError("worst_case mode needs a WorstCasePopulation")

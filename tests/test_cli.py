@@ -10,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from onion_anon import inference, montecarlo
 from onion_anon.cli import build_parser, load_scenario, main, write_scenario
 from onion_anon.errors import ParseError
+from onion_anon.inference import crowd_table
 from onion_anon.limits import current_limits
 from onion_anon.seeding import mix64
 
@@ -208,30 +210,55 @@ class TestMc:
         assert main(argv) == 0
         assert capsys.readouterr().out == "mean=0.71669210994 std_error=0.000387680114566 samples=40000 seed=9\n"
 
-    @pytest.mark.parametrize("n, k, b, samples, extra, expected", [
-        (10, 3, 0.25, 40_000, [], "mean=0.614828991493 std_error=0.000673634824936"),
-        (10, 3, 0.25, 40_000, ["--stratify"], "mean=0.615525331956 std_error=0.00035619376576"),
-        (40, 4, 0.375, 400, [], "mean=0.701957910497 std_error=0.00641580505438"),
-        (40, 4, 0.375, 400, ["--stratify"], "mean=0.711950206249 std_error=0.00239058425541"),
-    ], ids=["10x3", "10x3-stratified", "40x4", "40x4-stratified"])
-    def test_seeded_generic_bytes(self, n, k, b, samples, extra, expected, tmp_path, capsys):
-        # The benchmark's shapes: small crowds that share views (40 000
-        # samples span two sampling chunks) and large crowds that rarely do.
-        # Rows are integer weights over their sum, some of them zero.
-        rng = random.Random(n)
-        users = []
-        for i in range(n):
-            weights = [rng.choice((0, rng.randint(1, 999))) for _ in range(k - 1)] + [rng.randint(1, 999)]
-            rng.shuffle(weights)
-            users.append({"name": f"u{i}", "dist": [w / sum(weights) for w in weights]})
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps({"b": b, "destinations": [f"d{j}" for j in range(k)], "users": users}))
-        row = users[0]["dist"]
-        dest = max(range(k), key=row.__getitem__)
-        argv = ["mc", "--scenario", str(path), "--user", "u0", "--dest", f"d{dest}",
-                "--samples", str(samples), "--seed", "7", *extra]
-        assert main(argv) == 0
+    @pytest.mark.parametrize("n, k, b, samples, extra, lattice, expected", [
+        (10, 3, 0.25, 40_000, [], True, "mean=0.614828991493 std_error=0.000673634824936"),
+        (10, 3, 0.25, 40_000, ["--stratify"], True, "mean=0.615525331956 std_error=0.00035619376576"),
+        (40, 4, 0.375, 400, [], False, "mean=0.701957910497 std_error=0.00641580505438"),
+        (40, 4, 0.375, 400, ["--stratify"], False, "mean=0.711950206249 std_error=0.00239058425541"),
+        (10, 3, 0.25, 70_000, [], True, "mean=0.615809647868 std_error=0.000511593296032"),
+        (10, 3, 0.25, 70_000, ["--stratify"], True, "mean=0.615861577122 std_error=0.000269654531004"),
+        (10, 3, 0.25, 2_000, [], False, "mean=0.612341824518 std_error=0.00306590191581"),
+        (10, 3, 0.25, 2_000, ["--stratify"], False, "mean=0.613972813944 std_error=0.00164091138997"),
+    ], ids=["10x3", "10x3-stratified", "40x4", "40x4-stratified", "10x3-three-chunks",
+            "10x3-three-chunks-stratified", "10x3-few-samples", "10x3-few-samples-stratified"])
+    def test_seeded_generic_bytes(self, n, k, b, samples, extra, lattice, expected, tmp_path, monkeypatch, capsys):
+        # The benchmark's shapes: small crowds that share views and large
+        # crowds that rarely do.  40 000 samples span two sampling chunks and
+        # 70 000 three; 10 x 3 reads every crowd off one table (40 000 and
+        # 70 000 samples), except where the samples are few next to it (2 000).
+        built = []
+        monkeypatch.setattr(montecarlo, "crowd_table", lambda *args: built.append(args) or crowd_table(*args))
+        assert main(generic_argv(tmp_path, n, k, b, samples, *extra)) == 0
         assert capsys.readouterr().out == f"{expected} samples={samples} seed=7\n"
+        assert len(built) == lattice
+
+    @pytest.mark.parametrize("extra", [[], ["--stratify"]], ids=["plain", "stratified"])
+    @pytest.mark.parametrize("forced", ["screen", "cap"])
+    def test_seeded_generic_bytes_on_the_ragged_path(self, forced, extra, tmp_path, monkeypatch, capsys):
+        # 10 x 3 at 70 000 samples would read one table; a failing plain
+        # screen or a smaller cap sends it through the ragged kernel, with
+        # the same bytes as test_seeded_generic_bytes pins.
+        argv = generic_argv(tmp_path, 10, 3, 0.25, 70_000, *extra)
+        if forced == "screen":
+            # Just below the population's screen bound: the screen fails, and
+            # every view, whose crowd lacks the queried user, still passes its own test.
+            p = load_scenario(argv[2])[0].p
+            bound = float(np.log2(1.0 + p.sum(axis=1)).sum()) - float(np.log2(p[p > 0.0].min())) * len(p)
+            monkeypatch.setattr(inference, "_PLAIN_SPAN", bound - 0.5)
+            assert not inference._plain_screen(p, len(p) * np.eye(3))
+        else:
+            monkeypatch.setattr(montecarlo, "_LATTICE_ENTRIES", inference.lattice_entries(10, 3) - 1)
+
+        def unreachable(*args):
+            raise AssertionError("a crowd table was built")
+
+        monkeypatch.setattr(montecarlo, "crowd_table", unreachable)
+        assert main(argv) == 0
+        expected = {
+            (): "mean=0.615809647868 std_error=0.000511593296032",
+            ("--stratify",): "mean=0.615861577122 std_error=0.000269654531004",
+        }[tuple(extra)]
+        assert capsys.readouterr().out == f"{expected} samples=70000 seed=7\n"
 
     def test_csv_identical_across_thread_counts(self, tmp_path, capsys):
         args = [
@@ -245,6 +272,22 @@ class TestMc:
         assert a.read_bytes() == b.read_bytes()
         header = a.read_text().splitlines()[0]
         assert header == "mean,std_error,samples,seed"
+
+
+def generic_argv(tmp_path, n, k, b, samples, *extra):
+    """Generic ``mc`` argv over n users and k destinations, each row integer weights over their sum, some zero."""
+    rng = random.Random(n)
+    users = []
+    for i in range(n):
+        weights = [rng.choice((0, rng.randint(1, 999))) for _ in range(k - 1)] + [rng.randint(1, 999)]
+        rng.shuffle(weights)
+        users.append({"name": f"u{i}", "dist": [w / sum(weights) for w in weights]})
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"b": b, "destinations": [f"d{j}" for j in range(k)], "users": users}))
+    row = users[0]["dist"]
+    dest = max(range(k), key=row.__getitem__)
+    return ["mc", "--scenario", str(path), "--user", "u0", "--dest", f"d{dest}",
+            "--samples", str(samples), "--seed", "7", *extra]
 
 
 @pytest.mark.parametrize("command", ["exact", "posterior", "worst-case", "common"])

@@ -729,6 +729,15 @@ def test_simplex_lists_every_vector_once_with_its_predecessors(dests, total):
         assert below.tolist() == [0] + [column[low] if low[i] >= 0 else 0 for low in lowered]
 
 
+@pytest.mark.parametrize("dests, total", [(1, 0), (1, 4), (2, 3), (3, 4), (4, 2), (6, 3), (9, 2)])
+def test_colex_rank_is_the_simplex_column(dests, total):
+    # The generic sampler ranks its int8 count vectors into crowd tables laid out as the simplex.
+    keys = inference._simplex(dests, total).keys
+    steps = inference._colex_steps(dests, total)
+    assert np.array_equal(inference._colex_rank(steps, keys), np.arange(len(keys)))
+    assert np.array_equal(inference._colex_rank(steps, keys.astype(np.int8)), np.arange(len(keys)))
+
+
 def test_simplex_of_one_output_over_63_destinations():
     # 64 vectors: the zero vector and the 63 unit vectors, each one step above it.
     index = inference._simplex(63, 1)

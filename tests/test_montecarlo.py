@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from onion_anon import (
     CommonPopulation,
     ConditioningError,
+    ImpossibleObservationError,
     ModelError,
     PosteriorQuery,
     ScenarioError,
@@ -216,6 +217,43 @@ def test_integer_keys_keep_every_sample(monkeypatch, n, dests, samples, words):
     keyed = draw(0, samples, None)
     monkeypatch.setattr(montecarlo, "_distinct_rows", _void_distinct_rows)
     assert np.array_equal(keyed, draw(0, samples, None))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_crowd_table_reads_what_the_ragged_kernel_computes(data):
+    """The lattice readout gives every sampled view the bits of :func:`crowd_posteriors`, or raises as it does."""
+    n, nd = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 4))
+    weights = st.sampled_from([0.0, 0.0, 0.1, 0.25, 0.5, 1.0, 3.0])
+    p = np.array([[data.draw(weights) for _ in range(nd)] for _ in range(n)])
+    # Point-mass rows, drawn or forced where a row came out all zero.
+    for v in range(n):
+        if p[v].sum() == 0.0 or data.draw(st.integers(0, 3)) == 0:
+            p[v] = 0.0
+            p[v, data.draw(st.integers(0, nd - 1))] = 1.0
+    s = validate_scenario(p / p.sum(axis=1, keepdims=True), data.draw(st.sampled_from([0.0, 0.25, 0.5, 0.75])))
+    user = data.draw(st.integers(0, n - 1))
+    q = PosteriorQuery(user, data.draw(st.sampled_from(np.flatnonzero(s.p[user] > 0.0).tolist())))
+    assert montecarlo._reads_lattice(s.p, 10**6)
+    seed, samples = data.draw(st.integers(0, 2**64 - 1)), data.draw(st.integers(1, 400))
+    for force_u in [(False, False), (False, True)]:
+        ragged = _generic_sampler(s, q, seed)(0, samples, force_u)
+        assert np.array_equal(_generic_sampler(s, q, seed, 10**6)(0, samples, force_u), ragged)
+    # Views no configuration produces as well: counts on destinations the crowd never visits.
+    table = inference.crowd_table(s.p, q)
+    masks = np.array([[data.draw(st.booleans()) for _ in range(n)] for _ in range(data.draw(st.integers(1, 6)))])
+    masks[:, user] = False
+    for mask in masks:
+        counts = np.zeros(nd, dtype=np.int8)
+        for _ in range(data.draw(st.integers(0, int(mask.sum()) + 1))):
+            counts[data.draw(st.integers(0, nd - 1))] += 1
+        try:
+            want = crowd_posteriors(s.p, mask[None], counts, q)
+        except ImpossibleObservationError:
+            with pytest.raises(ImpossibleObservationError):
+                table.posteriors(mask[None], counts[None])
+            continue
+        assert np.array_equal(table.posteriors(mask[None], counts[None]), want)
 
 
 class TestAgreement:
