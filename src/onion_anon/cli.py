@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .asymptotics import lower_bound, worst_case_limit
 from .distributions import make_distribution
-from .errors import ModelError, ParseError, ScenarioError
+from .errors import ModelError, ParseError, ScenarioError, SizeLimitError
 from .inference import (
     PosteriorQuery,
     expected_posterior_formula,
@@ -191,10 +191,15 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
             handle.write(",".join(row) + "\n")
 
 
+# Most points a sweep range holds.
+SWEEP_POINTS = 1 << 16
+
+
 def _parse_range(text: str, integer: bool) -> list:
     """Parse ``lo:hi:step`` (inclusive of hi) or a single value.
 
-    Point i is ``lo + i * step`` taken exactly, then read as its decimal would be.
+    Point i is ``lo + i * step`` taken exactly, then read as its decimal
+    would be; a range of more than ``SWEEP_POINTS`` points is refused unbuilt.
     """
     parts = text.split(":")
     number = int if integer else Fraction
@@ -206,7 +211,9 @@ def _parse_range(text: str, integer: bool) -> list:
         lo, hi, step = (number(x) for x in parts)
         if step <= 0 or hi < lo:
             raise ValueError
-        points = [lo + i * step for i in range((hi - lo) // step + 1)]
+        if (count := (hi - lo) // step + 1) > SWEEP_POINTS:
+            raise SizeLimitError(f"a sweep of {count} points exceeds the cap of {SWEEP_POINTS}")
+        points = [lo + i * step for i in range(count)]
         return points if integer else [float(x) for x in points]
     except ValueError:
         raise ParseError(f"bad range {text!r}; expected lo:hi:step") from None

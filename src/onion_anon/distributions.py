@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParseError, ScenarioError
+from .errors import ParseError, ScenarioError, SizeLimitError
 from .model import Scenario, check_distribution, check_integer, validate_scenario
 from .structured import WorstCasePopulation
+
+# Most destinations a spec expands to: 8 MiB of float64.
+ROW_ENTRIES = 1 << 20
 
 
 def make_distribution(text: str, dest_count: int) -> np.ndarray:
@@ -24,11 +27,14 @@ def make_distribution(text: str, dest_count: int) -> np.ndarray:
     ``explicit:p0,p1,...`` (a literal row with one entry per
     destination).  Malformed text, or an explicit row of the wrong
     length, is a :class:`ParseError`; a valid text with values the row
-    cannot take is a :class:`ScenarioError`.
+    cannot take is a :class:`ScenarioError`.  More than ``ROW_ENTRIES``
+    destinations is a :class:`SizeLimitError`.
     """
     k = check_integer("dest_count", dest_count)
     if k < 1:
         raise ScenarioError("need at least one destination")
+    if k > ROW_ENTRIES:
+        raise SizeLimitError(f"{k} destinations exceed the cap of {ROW_ENTRIES}")
     head, sep, rest = text.strip().partition(":")
     head = head.strip().lower()
     try:

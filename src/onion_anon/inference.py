@@ -679,12 +679,15 @@ def _crowd_lattice(p: np.ndarray, others: np.ndarray, pred: np.ndarray):
     yield from grow(1, *((root, None) if plain(1, masks)[0] else _widen(root)), masks, np.array([-1]))
 
 
-def lattice_entries(n: int, dest_count: int) -> int:
+def lattice_entries(n: int, dest_count: int, cap: int | None = None) -> int | None:
     """Entries of every crowd's table over the subset lattice: ``sum_k C(n - 1, k - 1) C(k + nd, nd)``.
 
     A crowd of k - 1 of the other n - 1 users (k counting the queried
-    user) has a table over the simplex of total k.
+    user) has a table over the simplex of total k.  None, before the sum,
+    where the 2**(n - 1) crowds alone pass ``cap``.
     """
+    if cap is not None and n - 1 >= cap.bit_length():
+        return None
     return sum(math.comb(n - 1, k - 1) * math.comb(k + dest_count, dest_count) for k in range(1, n + 1))
 
 
@@ -752,17 +755,22 @@ def expected_posterior_formula(
     containing the queried user and every bare-output multiset the crowd
     could cover.  The crowds' tables grow over the subset lattice
     (:func:`_crowd_lattice`), one user step per crowd, inside the
-    simplex of the whole population, which is checked against
-    ``TABLE_ENTRIES`` before any table exists.  Each block's terms
-    ``prefactor * p_ud * matched^2 / with_u`` are read off its entries
-    as it is built, and stream into one exactly rounded ``fsum``.
+    simplex of the whole population, held to ``formula_budget`` lattice
+    units (:func:`lattice_entries` times nd) before any table exists.
+    Each block's terms ``prefactor * p_ud * matched^2 / with_u`` are read
+    off its entries as it is built, and stream into one exactly rounded
+    ``fsum``.
     """
     _check_query(scenario, query)
-    (limits or current_limits()).check("formula", "formula", scenario.n, scenario.dest_count)
+    n, nd = scenario.n, scenario.dest_count
+    budget = (limits or current_limits()).formula_budget
+    entries = lattice_entries(n, nd, budget // nd)
+    if entries is None or entries * nd > budget:
+        units = f"at least 2**{n - 1} * {nd}" if entries is None else entries * nd
+        raise SizeLimitError(f"the formula needs {units} lattice units, budget is {budget}")
     p_ud = _queried_prior(scenario, query)
-    n = scenario.n
     b = scenario.b
-    simplex = _simplex(scenario.dest_count, n)
+    simplex = _simplex(nd, n)
     totals = simplex.keys.sum(axis=1)
     # by_total[k][t]: p_ud times the prior of the endpoints seen when a crowd of k leaves t bare outputs.
     by_total = [
@@ -775,7 +783,7 @@ def expected_posterior_formula(
         for size, table, exponent, _ in _crowd_lattice(scenario.p, others, simplex.pred):
             width = table.shape[1]
             with_u, seen, without_u, common = _read_sums(
-                scenario.p, range(scenario.dest_count), simplex.pred[:, :width], slice(1, None), table, exponent, query
+                scenario.p, range(nd), simplex.pred[:, :width], slice(1, None), table, exponent, query
             )
             matched = seen + without_u
             term = by_total[size][totals[: width - 1]] * matched * matched
@@ -804,19 +812,6 @@ def _view_keys(codes: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return codes @ user_place * (n + 1) ** nd + counts @ count_place
 
 
-def _check_oracle_budget(scenario: Scenario, limits: SizeLimits) -> None:
-    """SizeLimitError when the oracles' walk passes ``oracle_budget`` configurations.
-
-    The walk covers every nonzero-prior destination assignment under all
-    4^n endpoint flags.
-    """
-    cost = math.prod(np.count_nonzero(scenario.p > 0.0, axis=1).tolist()) * 4**scenario.n
-    if cost > limits.oracle_budget:
-        raise SizeLimitError(
-            f"oracle enumeration needs {cost} configurations, budget is {limits.oracle_budget}"
-        )
-
-
 def _merge_views(keys, mass, match):
     """Sum the mass parts by key, in walk order; float and Fraction (object) parts alike."""
     unique_keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
@@ -833,7 +828,7 @@ _FLAG_BLOCK = 1 << 16
 _COMPACT_AT = 1 << 21
 
 
-def _mass_by_view(scenario: Scenario, u: int, d: int, exact: bool):
+def _mass_by_view(scenario: Scenario, u: int, d: int, exact: bool, limits: SizeLimits | None):
     """Group the configuration space by view, in floats or in exact rationals.
 
     Returns three aligned arrays, sorted by :func:`_view_keys`: the key
@@ -843,12 +838,18 @@ def _mass_by_view(scenario: Scenario, u: int, d: int, exact: bool):
     rows and, within a block, over the nonzero-prior destination
     assignments, one vectorized block per assignment; partial results are
     compacted every ``_COMPACT_AT`` rows, so memory is bounded by those two
-    sizes and the number of distinct views, not by 4^n.  With ``exact`` the masses are
-    Fractions (float inputs are dyadic rationals, so nothing is lost),
-    summed in the same order.
+    sizes and the number of distinct views, not by 4^n.  The walk's
+    configurations are held to ``oracle_budget``; where the flags alone
+    pass it, none is counted.  With ``exact`` the masses are Fractions
+    (float inputs are dyadic rationals, so nothing is lost), summed in
+    the same order.
     """
-    n = scenario.n
-    nd = scenario.dest_count
+    n, nd, budget = scenario.n, scenario.dest_count, (limits or current_limits()).oracle_budget
+    supports = [np.flatnonzero(row > 0.0) for row in scenario.p]
+    cost = None if 2 * n >= budget.bit_length() else math.prod(map(len, supports)) * 4**n
+    if cost is None or cost > budget:
+        needs = f"at least 4**{n}" if cost is None else cost
+        raise SizeLimitError(f"oracle enumeration needs {needs} configurations, budget is {budget}")
     if (nd + 2) ** n * (n + 1) ** nd > 2**62:
         raise SizeLimitError("view encoding would overflow 64 bits at this size")
     one_hot = np.eye(nd)
@@ -863,7 +864,6 @@ def _mass_by_view(scenario: Scenario, u: int, d: int, exact: bool):
         k = np.arange(2 * n + 1)
         by_count = np.power(scenario.b, k) * np.power(1.0 - scenario.b, 2 * n - k)
 
-    supports = [np.flatnonzero(row > 0.0) for row in scenario.p]
     keys_parts: list[np.ndarray] = []
     mass_parts: list[np.ndarray] = []
     match_parts: list[np.ndarray] = []
@@ -904,18 +904,12 @@ def posterior_oracle(
     """Posterior by brute force: walk the configurations, match the view.
 
     Both arithmetics walk the same configurations (see
-    :func:`_mass_by_view`) under the oracle ceiling on users and
-    destinations.  With ``exact=True`` the result is a Fraction; that
-    walk adds one Fraction per configuration, so it is also held to
-    ``oracle_budget``.
+    :func:`_mass_by_view`) and are held to one ``oracle_budget``.  With
+    ``exact=True`` the result is a Fraction.
     """
-    limits = limits or current_limits()
     _check_query(scenario, query)
     check_observation(scenario, observation)
-    limits.check("oracle", "oracle", scenario.n, scenario.dest_count)
-    if exact:
-        _check_oracle_budget(scenario, limits)
-    keys, totals, matches = _mass_by_view(scenario, query.user, query.dest, exact)
+    keys, totals, matches = _mass_by_view(scenario, query.user, query.dest, exact, limits)
     codes = [scenario.dest_count + 1] * scenario.n
     for v, dest in observation.linked:
         codes[v] = dest
@@ -943,10 +937,8 @@ def expected_posterior_oracle(
     collapses to sum(match^2 / total) / p[u, d].  Both arithmetics walk
     the same configurations and are held to one ``oracle_budget``.
     """
-    limits = limits or current_limits()
     _check_query(scenario, query)
     p_ud = _queried_prior(scenario, query)
-    _check_oracle_budget(scenario, limits)
-    _, totals, matches = _mass_by_view(scenario, query.user, query.dest, exact)
+    _, totals, matches = _mass_by_view(scenario, query.user, query.dest, exact, limits)
     terms = (matches * matches / totals).tolist()
     return sum(terms) / Fraction(p_ud) if exact else fsum(terms) / p_ud

@@ -1,13 +1,9 @@
-"""Size limits for the exact computations and generic sampling.
+"""Work budgets for the exact computations and generic sampling.
 
-The exact formula and the enumeration oracles have exponential cost, so
-each carries a default ceiling.  The ceilings are knobs, not constants:
-the ``ONION_ANON_SIZE_LIMITS`` environment variable accepts a
-comma-separated list of ``name=value`` overrides, e.g.::
-
-    ONION_ANON_SIZE_LIMITS="formula_users=12,oracle_budget=2000000"
-
-Every users/destinations ceiling is enforced by :meth:`SizeLimits.check`.
+Each budget counts what a computation costs, not the shape of its input.
+The ``ONION_ANON_SIZE_LIMITS`` environment variable overrides them with
+comma-separated ``name=value`` entries, e.g.
+``ONION_ANON_SIZE_LIMITS="formula_budget=50000000,oracle_budget=2000000"``.
 """
 from __future__ import annotations
 
@@ -15,35 +11,31 @@ import dataclasses
 import os
 from dataclasses import dataclass
 
-from .errors import ParseError, SizeLimitError
+from .errors import ParseError
 
 ENV_VAR = "ONION_ANON_SIZE_LIMITS"
 
 
 @dataclass(frozen=True)
 class SizeLimits:
-    formula_users: int = 10
-    formula_dests: int = 6
-    oracle_users: int = 6
-    oracle_dests: int = 4
-    # Budget on the configurations an oracle walk covers (nonzero-prior
-    # destinations multiplied over users, times 4^n endpoint flags) for
-    # the expectation oracle and the rational view oracle; the default
-    # equals the full count at 5 users and 3 destinations (3^5 * 4^5).
+    """What an exact computation or a generic estimate may cost.
+
+    ``formula_budget`` bounds the formula's lattice units, the entries of
+    its crowd tables (:func:`inference.lattice_entries`) times nd, which
+    its time follows at 15-38 ns each; the default admits up to 10 users
+    on up to 6 destinations (3 005 184 units).  ``oracle_budget`` bounds the
+    configurations an oracle walks, nonzero-prior destinations multiplied
+    over users times 4^n endpoint flags; the default is 3^5 * 4^5, the
+    count at 5 users on 3 destinations.  ``mc_users`` and ``mc_dests``
+    bound a generic sampling chunk's memory: its variates take
+    3n * 2^15 * 8 B, 0.75 MB per user, and its bare-output counts
+    2^15 * nd int64, 0.25 MB per destination.
+    """
+
+    formula_budget: int = 1 << 22
     oracle_budget: int = 248_832
-    structured_users: int = 300
     mc_users: int = 40
     mc_dests: int = 6
-
-    def check(self, kind: str, what: str, users: int, dests: int | None = None) -> None:
-        """SizeLimitError naming ``what`` past ``{kind}_users``, or past ``{kind}_dests`` if ``dests`` is given."""
-        sizes = [(users, getattr(self, f"{kind}_users"), "users")]
-        if dests is not None:
-            sizes.append((dests, getattr(self, f"{kind}_dests"), "destinations"))
-        if any(size > cap for size, cap, _ in sizes):
-            caps = " and ".join(f"{cap} {unit}" for _, cap, unit in sizes)
-            got = ", ".join(str(size) for size, _, _ in sizes)
-            raise SizeLimitError(f"{what} limited to {caps} (got {got})")
 
 
 _FIELD_NAMES = {f.name for f in dataclasses.fields(SizeLimits)}

@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import binomial as binom
-from .errors import ModelError
+from .errors import ModelError, SizeLimitError
 # ``posterior`` stays a module attribute: benchmarks/spans.py wraps it by name.
 from .inference import (  # noqa: F401
     PosteriorQuery,
@@ -60,6 +60,8 @@ from .structured import (
 )
 
 _CHUNK = 1 << 15
+# Most samples an estimate takes: it holds every sample's posterior, 256 MiB at the cap.
+SAMPLES = 1 << 25
 
 # The generic sampler reads every crowd's posteriors off one table
 # (:func:`onion_anon.inference.crowd_table`) where the table holds at most
@@ -129,8 +131,8 @@ def _reads_lattice(p: np.ndarray, samples: int) -> bool:
     """
     n, nd = p.shape
     cap = min(_LATTICE_ENTRIES, _LATTICE_PER_SAMPLE * samples)
-    # Each of the 2**(n - 1) crowds holds at least one entry, so a large n fails before the sum.
-    return n - 1 < cap.bit_length() and lattice_entries(n, nd) <= cap and _plain_screen(p, n * np.eye(nd))
+    entries = lattice_entries(n, nd, cap)
+    return entries is not None and entries <= cap and _plain_screen(p, n * np.eye(nd))
 
 
 def _generic_sampler(scenario: Scenario, query: PosteriorQuery, seed: int, samples: int = 0) -> Callable:
@@ -285,12 +287,17 @@ def estimate_expected_posterior(
     samples = check_integer("samples", samples)
     if samples < 2:
         raise ModelError("need at least 2 samples")
+    if samples > SAMPLES:
+        raise SizeLimitError(f"{samples} samples exceed the cap of {SAMPLES}")
     seed = check_integer("seed", seed) & MASK64
     if mode == "generic":
         if not isinstance(subject, Scenario) or query is None:
             raise ModelError("generic mode needs a Scenario and a query")
         _check_query(subject, query)
-        (limits or current_limits()).check("mc", "generic sampling", subject.n, subject.dest_count)
+        limits, n, nd = limits or current_limits(), subject.n, subject.dest_count
+        if n > limits.mc_users or nd > limits.mc_dests:
+            raise SizeLimitError(f"generic sampling limited to {limits.mc_users} users and {limits.mc_dests} "
+                                 f"destinations (got {n}, {nd})")
         draw = _generic_sampler(subject, query, seed, samples)
     elif mode == "worst_case":
         if not isinstance(subject, WorstCasePopulation):

@@ -25,7 +25,6 @@ import numpy as np
 
 from .binomial import binomial_weights, window_rows  # noqa: F401 (binomial_weights is re-exported)
 from .errors import ConditioningError, DegenerateCellError, ScenarioError
-from .limits import SizeLimits, current_limits
 from .model import STOCHASTIC_TOL, check_distribution, check_integer, check_unit
 
 # With truncation, each group's table drops at most this much probability.
@@ -178,7 +177,8 @@ def shared_distribution_posterior(
     return shared_distribution_cell(unobserved, seen, seen_target, p_target)
 
 
-@lru_cache(maxsize=32)
+# A group's table holds up to about 60 MiB at the grid cap; the cache keeps one sum's two.
+@lru_cache(maxsize=2)
 def _group_ratios(members: int, b: float, own_output: bool) -> tuple[np.ndarray, np.ndarray, float]:
     """One group's ratios seen / spare with their masses, and the mass where spare is 0.
 
@@ -189,7 +189,8 @@ def _group_ratios(members: int, b: float, own_output: bool) -> tuple[np.ndarray,
     mass is returned apart.  The (U, S) grid is built in one pass over
     :func:`binomial.window_rows`: U over its window, S over each U's,
     each leaving out at most exp(-50) per tail, so the table grows about
-    as ``members``, not its square.  Equal ratios from different cells
+    as ``members``, not its square; a grid past ``WINDOW_ENTRIES`` cells
+    is refused before it is built.  Equal ratios from different cells
     stay separate entries; no evaluator needs them merged.
     """
     first, weight = window_rows(np.array([members]), 1.0 - b)
@@ -334,11 +335,7 @@ def _two_group_mean(x, px, r, pr, p: float, q: float) -> float:
     return float((weight * g).sum())
 
 
-def worst_case_expected_exact(
-    pop: WorstCasePopulation,
-    truncate: bool = False,
-    limits: SizeLimits | None = None,
-) -> float:
+def worst_case_expected_exact(pop: WorstCasePopulation, truncate: bool = False) -> float:
     """Exact expected posterior for the two-group population.
 
     With the queried input seen (probability b) the posterior averages
@@ -356,7 +353,6 @@ def worst_case_expected_exact(
     total mass stays at most 2.5e-13; since ``0 <= f <= 1`` the result
     then moves by at most ``(1 - b) * 5e-13`` from the full sum.
     """
-    (limits or current_limits()).check("structured", "structured sums", pop.n)
     b = pop.b
     p, q = pop.queried_prior(), pop.p_least
     lead = b * (1.0 - b) * p + b * b

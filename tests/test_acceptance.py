@@ -17,7 +17,6 @@ import pytest
 from onion_anon import (
     CommonPopulation,
     PosteriorQuery,
-    SizeLimits,
     WorstCasePopulation,
     build_common_scenario,
     build_worst_case_scenario,
@@ -162,13 +161,12 @@ def test_criterion_06_rate_is_one_over_n():
     # (n - 1)(E_n - limit) measures 0.0028, 0.204 and 0.095 at the three alphas; at a rate
     # of sqrt(log n / n) it would nearly double from n = 101 to n = 301.
     b, p, q = 0.4, 0.3, 0.1
-    limits = SizeLimits(structured_users=301)
     for alpha in (0.0, 0.5, 1.0):
         limit = worst_case_limit(b, p, q, alpha).value
         scaled = []
         for n in (101, 301):
             pop = WorstCasePopulation(n=n, alpha=alpha, b=b, p_target=p, p_least=q)
-            scaled.append((n - 1) * (worst_case_expected_exact(pop, limits=limits) - limit))
+            scaled.append((n - 1) * (worst_case_expected_exact(pop) - limit))
         assert scaled[1] == pytest.approx(scaled[0], rel=0.03), (alpha, scaled)
     print("criterion 6 (the gap to the limit shrinks as 1/n): PASS")
 

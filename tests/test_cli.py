@@ -370,11 +370,13 @@ class TestWorstCaseAndCommon:
         err = capsys.readouterr().err
         assert err.startswith("error: Binomial(n=") and "needs a CDF table of" in err
 
-    def test_structured_size_limit_exit_code(self):
-        assert main([
-            "worst-case", "--n", "301", "--alpha", "0", "--b", "0.25",
-            "--p-target", "0.2", "--p-least", "0.05",
-        ]) == 3
+    def test_structured_size_limit_exit_code(self, capsys):
+        # No ceiling on users: the group table's grid cap refuses a million.
+        argv = ["worst-case", "--alpha", "0", "--b", "0.25", "--p-target", "0.2", "--p-least", "0.05"]
+        assert main(argv + ["--n", "301"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--n", "1000000"]) == 3
+        assert "entries, over the cap of 4194304" in capsys.readouterr().err
 
     def test_worst_case_exact_needs_n(self, capsys):
         assert main([
@@ -512,7 +514,7 @@ def test_exit_codes_seen_by_a_shell(tmp_path):
     assert exit_code("worst-case", "--n", "20", *worst) == 0
     assert exit_code("sweep", "--mode", "worst-case", *worst, "--out", "x.csv") == 2
     assert exit_code("worst-case", "--n", "20", *worst, "--bogus") == 2
-    assert exit_code("worst-case", "--n", "301", *worst) == 3
+    assert exit_code("worst-case", "--n", "1000000", *worst) == 3
     assert exit_code("validate", "absent.json") == 4
 
 
@@ -703,12 +705,21 @@ def test_write_scenario_defaults(tmp_path):
 
 
 def test_env_var_raises_limits(tmp_path, monkeypatch, scenario_file, capsys):
-    monkeypatch.setenv("ONION_ANON_SIZE_LIMITS", "formula_users=2")
+    # 3 users on 2 destinations: 25 lattice entries, 50 units.
+    monkeypatch.setenv("ONION_ANON_SIZE_LIMITS", "formula_budget=49")
     assert main(["exact", "--scenario", scenario_file, "--user", "alice", "--dest", "web"]) == 3
-    monkeypatch.setenv("ONION_ANON_SIZE_LIMITS", "formula_users=12")
+    assert "needs 50 lattice units" in capsys.readouterr().err
+    monkeypatch.setenv("ONION_ANON_SIZE_LIMITS", "formula_budget=50")
     assert main(["exact", "--scenario", scenario_file, "--user", "alice", "--dest", "web"]) == 0
     monkeypatch.setenv("ONION_ANON_SIZE_LIMITS", "bogus=1")
     assert main(["exact", "--scenario", scenario_file, "--user", "alice", "--dest", "web"]) == 2
+
+
+@pytest.mark.parametrize("name", ["formula_users", "formula_dests", "oracle_users", "oracle_dests", "structured_users"])
+def test_env_var_names_of_deleted_ceilings_are_unknown(name, monkeypatch, scenario_file, capsys):
+    monkeypatch.setenv("ONION_ANON_SIZE_LIMITS", f"{name}=12")
+    assert main(["exact", "--scenario", scenario_file, "--user", "alice", "--dest", "web"]) == 2
+    assert capsys.readouterr().err == f"error: ONION_ANON_SIZE_LIMITS: unknown entry '{name}=12'\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -877,7 +888,7 @@ def test_a_formula_past_the_crowd_table_cap_exits_3(tmp_path, monkeypatch, capsy
     dests = [f"d{j}" for j in range(24)]
     scenario = {"b": 0.3, "destinations": dests, "users": [{"name": f"u{i}", "dist": "uniform"} for i in range(8)]}
     (tmp_path / "wide.json").write_text(json.dumps(scenario))
-    monkeypatch.setenv("ONION_ANON_SIZE_LIMITS", "formula_users=8,formula_dests=24")
+    monkeypatch.setenv("ONION_ANON_SIZE_LIMITS", "formula_budget=1111953000")
     assert main(["exact", "--scenario", str(tmp_path / "wide.json"), "--user", "u0", "--dest", "d0"]) == 3
     assert capsys.readouterr().err == f"error: a crowd table of 10518300 entries exceeds the cap of {1 << 22}\n"
 
@@ -912,8 +923,8 @@ def test_sweep_refuses_two_varying_ranges(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("value, named", [
-    ("formula_users=ten", "formula_users needs an integer, got 'ten'"),
-    ("formula_users=1.5", "formula_users needs an integer, got '1.5'"),
+    ("formula_budget=ten", "formula_budget needs an integer, got 'ten'"),
+    ("formula_budget=1.5", "formula_budget needs an integer, got '1.5'"),
     ("oracle_budget=0", "oracle_budget must be positive"),
     ("mc_users=-3", "mc_users must be positive"),
 ])

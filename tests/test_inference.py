@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onion_anon import (
+    CommonPopulation,
     ConditioningError,
     DestMultiset,
     ImpossibleObservationError,
@@ -22,6 +23,10 @@ from onion_anon import (
     SizeLimitError,
     SizeLimits,
     UnobservedView,
+    WorstCasePopulation,
+    build_common_scenario,
+    build_worst_case_scenario,
+    common_expected_exact,
     configuration_prior,
     duplicate_orderings,
     expected_posterior_formula,
@@ -35,6 +40,7 @@ from onion_anon import (
     shared_distribution_posterior,
     validate_scenario,
     view_probability_split,
+    worst_case_expected_exact,
 )
 from onion_anon import inference
 from onion_anon.inference import _view_sums, crowd_posteriors
@@ -415,7 +421,8 @@ class TestPosteriorOracle:
         merge = inference._merge_views
         monkeypatch.setattr(inference, "_merge_views", lambda *parts: merges.append(1) or merge(*parts))
         query = PosteriorQuery(1, 0)
-        assert posterior_oracle(s, obs, query) == pytest.approx(posterior(s, obs, query), rel=0, abs=1e-12)
+        value = posterior_oracle(s, obs, query, limits=SizeLimits(oracle_budget=3**6 * 4**6))
+        assert value == pytest.approx(posterior(s, obs, query), rel=0, abs=1e-12)
         assert len(merges) == 2
 
 
@@ -426,19 +433,36 @@ ALL_HIDDEN = Observation((), (), DestMultiset((0, 0)), 3)
 
 
 @pytest.mark.parametrize("oracle", [
+    lambda limits: posterior_oracle(TYPED, ALL_HIDDEN, PosteriorQuery(0, 0), limits=limits),
     lambda limits: posterior_oracle(TYPED, ALL_HIDDEN, PosteriorQuery(0, 0), exact=True, limits=limits),
     lambda limits: expected_posterior_oracle(TYPED, PosteriorQuery(0, 0), limits=limits),
     lambda limits: expected_posterior_oracle(TYPED, PosteriorQuery(0, 0), exact=True, limits=limits),
-], ids=["view-exact", "expectation-float", "expectation-exact"])
+], ids=["view-float", "view-exact", "expectation-float", "expectation-exact"])
 def test_oracle_budget_counts_the_configurations_walked(oracle):
     oracle(SizeLimits(oracle_budget=128))
     with pytest.raises(SizeLimitError, match=r"^oracle enumeration needs 128 configurations, budget is 127$"):
         oracle(SizeLimits(oracle_budget=127))
 
 
-def test_float_view_oracle_is_held_only_to_its_ceiling():
-    value = posterior_oracle(TYPED, ALL_HIDDEN, PosteriorQuery(0, 0), limits=SizeLimits(oracle_budget=1))
-    assert value == pytest.approx(0.5, abs=1e-15)
+def test_float_view_oracle_is_held_to_the_budget():
+    # The queried user on 3 destinations and 7 point-mass users walk
+    # 3 * 4**8 = 196 608 configurations, within the default budget.
+    p = np.eye(3)[[0, 1, 2, 0, 1, 2, 0, 1]]
+    p[0] = [0.5, 0.3, 0.2]
+    s = validate_scenario(p, 0.3)
+    obs = Observation(((1, 1),), (2,), DestMultiset((2, 0, 1)), 3)
+    for query in (PosteriorQuery(0, 0), PosteriorQuery(0, 1), PosteriorQuery(0, 2)):
+        assert posterior_oracle(s, obs, query) == pytest.approx(posterior(s, obs, query), rel=0, abs=1e-12)
+    # A dense 6 x 4 population walks 4**6 * 4**6 configurations.
+    dense = validate_scenario(np.full((6, 4), 0.25), 0.3)
+    with pytest.raises(SizeLimitError, match=r"^oracle enumeration needs 16777216 configurations, budget is 248832$"):
+        posterior_oracle(dense, Observation((), (), DestMultiset((0, 0, 0, 0)), 6), PosteriorQuery(0, 0))
+
+
+def test_oracles_refuse_a_large_population_before_the_product():
+    s = validate_scenario(np.full((2000, 2), 0.5), 0.3)
+    with pytest.raises(SizeLimitError, match=r"^oracle enumeration needs at least 4\*\*2000 configurations"):
+        expected_posterior_oracle(s, PosteriorQuery(0, 0))
 
 
 class TestExpectedPosterior:
@@ -487,15 +511,47 @@ class TestExpectedPosterior:
             expected_posterior_oracle(s, PosteriorQuery(0, 1))
 
     def test_formula_size_limit(self):
-        s = validate_scenario([[0.5, 0.5]] * 11, 0.5)
-        with pytest.raises(SizeLimitError):
+        # 11 users on 6 destinations: 1 397 536 lattice entries, 8 385 216 units.
+        s = validate_scenario([[0.5, 0.125, 0.125, 0.125, 0.0625, 0.0625]] * 11, 0.5)
+        message = r"^the formula needs 8385216 lattice units, budget is 4194304$"
+        with pytest.raises(SizeLimitError, match=message):
             expected_posterior_formula(s, PosteriorQuery(0, 0))
+        with pytest.raises(SizeLimitError, match=r"needs 8385216 lattice units, budget is 8385215$"):
+            expected_posterior_formula(s, PosteriorQuery(0, 0), SizeLimits(formula_budget=8385215))
+        # 2**(n - 1) crowds pass the budget on their own: no sum over the lattice.
+        wide = validate_scenario([[1.0]] * 10**4, 0.5)
+        with pytest.raises(SizeLimitError, match=r"^the formula needs at least 2\*\*9999 \* 1 lattice units"):
+            expected_posterior_formula(wide, PosteriorQuery(0, 0))
 
     def test_custom_limits_open_the_gate(self):
-        s = validate_scenario([[0.5, 0.5]] * 11, 0.0)
-        wide = SizeLimits(formula_users=11)
+        s = validate_scenario([[0.5, 0.125, 0.125, 0.125, 0.0625, 0.0625]] * 11, 0.0)
+        wide = SizeLimits(formula_budget=8385216)
         value = expected_posterior_formula(s, PosteriorQuery(0, 0), limits=wide)
         assert value == pytest.approx(0.5, abs=1e-14)
+
+    def test_every_population_of_the_old_corner_fits_the_default_budget(self):
+        budget = SizeLimits().formula_budget
+        assert all(inference.lattice_entries(n, nd) * nd <= budget for n in range(1, 11) for nd in range(1, 7))
+        assert inference.lattice_entries(10, 6) * 6 == 3005184
+
+    def test_sixteen_users_on_two_destinations_run(self):
+        # 16 x 2 holds 3 391 488 units, past the old 10-user ceiling and within
+        # the budget.  The formula agrees with the rational oracle to about
+        # 1e-15 where the oracle can walk, and with each closed form as
+        # closely at 16 users.
+        rng = np.random.default_rng(3)
+        small = random_scenario(rng, 5, 2, 0.3)
+        q = PosteriorQuery(0, 1)
+        exact = float(expected_posterior_oracle(small, q, exact=True))
+        assert expected_posterior_formula(small, q) == pytest.approx(exact, rel=1e-13)
+        common = build_common_scenario(16, 0.3, [0.3, 0.7])
+        assert expected_posterior_formula(common, PosteriorQuery(0, 0)) == pytest.approx(
+            common_expected_exact(CommonPopulation(n=16, b=0.3, p=(0.3, 0.7), dest=0)), rel=1e-13
+        )
+        two_group = build_worst_case_scenario(16, 0.5, 0.3, [0.4, 0.6])
+        assert expected_posterior_formula(two_group, PosteriorQuery(0, 0)) == pytest.approx(
+            worst_case_expected_exact(WorstCasePopulation(16, 0.5, 0.3, 0.4, 0.6)), rel=1e-13
+        )
 
     def test_never_below_lower_bound(self):
         rng = np.random.default_rng(16)
@@ -754,9 +810,7 @@ def test_formula_over_63_destinations_equals_it_over_the_used_ones():
     rows = np.array([[0.5, 0.3125, 0.0, 0.1875], [0.0, 0.625, 0.125, 0.25], [0.375, 0.0, 0.1875, 0.4375]])
     wide = np.zeros((3, 63))
     wide[:, used] = rows
-    whole = expected_posterior_formula(
-        validate_scenario(wide, 0.35), PosteriorQuery(0, 30), SizeLimits(formula_dests=63)
-    )
+    whole = expected_posterior_formula(validate_scenario(wide, 0.35), PosteriorQuery(0, 30))
     assert whole == expected_posterior_formula(validate_scenario(rows, 0.35), PosteriorQuery(0, 1))
 
 
@@ -790,7 +844,7 @@ def test_formula_past_the_table_cap_is_refused_before_any_table():
     # 8 users on 24 destinations: the population's simplex holds C(32, 24)
     # vectors, and the cap must refuse them before any crowd's table exists.
     s = validate_scenario(np.full((8, 24), 1 / 24), 0.3)
-    limits = SizeLimits(formula_users=8, formula_dests=24)
+    limits = SizeLimits(formula_budget=1111953000)
 
     def refused():
         with pytest.raises(SizeLimitError, match=f"^a crowd table of 10518300 entries exceeds the cap of {1 << 22}$"):
@@ -801,7 +855,7 @@ def test_formula_past_the_table_cap_is_refused_before_any_table():
 
 
 def test_formula_memory_is_bounded_by_its_blocks():
-    # At the default ceiling, 10 users on 6 destinations, the lattice holds
+    # At the old ceiling, 10 users on 6 destinations, the lattice holds
     # one block per crowd size and streams its terms into the sum.
     draws = np.random.default_rng(5).standard_exponential((10, 6))
     s = validate_scenario(draws / draws.sum(axis=1, keepdims=True), 0.3)

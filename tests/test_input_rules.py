@@ -5,6 +5,7 @@ entry points that share a rule and require the same verdict from all of
 them, matching the rule written out here.  The plain cases pin the query
 and view defects that used to slip through or fail with the wrong class.
 """
+import dataclasses
 import math
 import os
 import subprocess
@@ -31,6 +32,8 @@ from onion_anon import (
     build_common_scenario,
     build_worst_case_scenario,
     estimate_expected_posterior,
+    expected_posterior_formula,
+    expected_posterior_oracle,
     injection_sum,
     least_alternative_destination,
     lower_bound,
@@ -191,17 +194,28 @@ def test_unit_values_are_not_bools(call, args, name):
         call(*args)
 
 
-@pytest.mark.parametrize("kind, what, sizes, message", [
-    ("structured", "structured sums", (301,), "structured sums limited to 300 users (got 301)"),
-    ("formula", "formula", (10, 7), "formula limited to 10 users and 6 destinations (got 10, 7)"),
-    ("mc", "generic sampling", (41, 2), "generic sampling limited to 40 users and 6 destinations (got 41, 2)"),
-])
-def test_size_limits_name_the_ceiling_and_the_request(kind, what, sizes, message):
-    limits = SizeLimits()
+def uniform(n: int, dests: int):
+    return validate_scenario(np.full((n, dests), 1.0 / dests), 0.5)
+
+
+@pytest.mark.parametrize("call, sizes, message", [
+    (lambda n, dests: expected_posterior_formula(uniform(n, dests), PosteriorQuery(0, 0)), (11, 6),
+     "the formula needs 8385216 lattice units, budget is 4194304"),
+    (lambda n, dests: expected_posterior_oracle(uniform(n, dests), PosteriorQuery(0, 0)), (6, 3),
+     "oracle enumeration needs 2985984 configurations, budget is 248832"),
+    (lambda n, dests: estimate_expected_posterior(uniform(n, dests), PosteriorQuery(0, 0), 2, 1), (41, 2),
+     "generic sampling limited to 40 users and 6 destinations (got 41, 2)"),
+], ids=["formula", "oracle", "generic-sampling"])
+def test_size_limits_name_the_budget_and_the_request(call, sizes, message):
     with pytest.raises(SizeLimitError) as info:
-        limits.check(kind, what, *sizes)
+        call(*sizes)
     assert str(info.value) == message
-    limits.check(kind, what, *(size - 1 for size in sizes))
+    call(sizes[0] - 1, sizes[1])
+
+
+def test_size_limits_are_four_budgets():
+    names = [field.name for field in dataclasses.fields(SizeLimits)]
+    assert names == ["formula_budget", "oracle_budget", "mc_users", "mc_dests"]
 
 
 def test_the_cli_imports_nothing_outside_the_stdlib_but_numpy():

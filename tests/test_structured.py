@@ -29,7 +29,6 @@ from onion_anon import (
     worst_case_expected_exact,
 )
 from onion_anon import structured
-from onion_anon.limits import SizeLimits
 from onion_anon.structured import two_group_cell
 
 
@@ -282,9 +281,14 @@ class TestWorstCaseExpected:
         assert (pop.n_target, pop.n_other) == (n_target, n - 1 - n_target)
 
     def test_size_limit(self):
+        # No ceiling on users: 301 runs, and a million is refused by the
+        # group table's grid cap at every b, before the grid is built.
         pop = WorstCasePopulation(n=301, alpha=0.5, b=0.5, p_target=0.5, p_least=0.25)
-        with pytest.raises(SizeLimitError):
-            worst_case_expected_exact(pop)
+        assert 0.0 < worst_case_expected_exact(pop) <= 1.0
+        for b in (0.05, 0.4, 0.5, 0.9):
+            pop = WorstCasePopulation(n=10**6, alpha=0.5, b=b, p_target=0.5, p_least=0.25)
+            with pytest.raises(SizeLimitError, match=r"need \d+ entries, over the cap of 4194304$"):
+                worst_case_expected_exact(pop)
 
     def test_requires_positive_target_prior(self):
         pop = WorstCasePopulation(n=10, alpha=0.5, b=0.5, p_target=0.0, p_least=0.25)
@@ -296,12 +300,12 @@ class TestWorstCaseExpected:
             WorstCasePopulation(n=3, alpha=0.5, b=0.5, p_target=0.8, p_least=0.4)
 
 
-def interpolated_and_direct(pop, limits=None):
+def interpolated_and_direct(pop):
     """The two-group expectation with S from its Chebyshev fit, and summed at every x."""
     with mock.patch.object(structured, "_DIRECT_PRODUCTS", 0):
-        fitted = worst_case_expected_exact(pop, limits=limits)
+        fitted = worst_case_expected_exact(pop)
     with mock.patch.object(structured, "_DIRECT_PRODUCTS", 1 << 62):
-        direct = worst_case_expected_exact(pop, limits=limits)
+        direct = worst_case_expected_exact(pop)
     return fitted, direct
 
 
@@ -321,7 +325,7 @@ class TestTwoGroupInterpolant:
     @example(n=300, alpha=0.9, b=0.3, p=0.3, q_share=1.0)
     def test_matches_the_direct_sum(self, n, alpha, b, p, q_share):
         pop = WorstCasePopulation(n=n, alpha=alpha, b=b, p_target=p, p_least=q_share * (1.0 - p))
-        fitted, direct = interpolated_and_direct(pop, SizeLimits(structured_users=400))
+        fitted, direct = interpolated_and_direct(pop)
         assert fitted == pytest.approx(direct, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("n, b, q", [
@@ -352,7 +356,7 @@ class TestTwoGroupInterpolant:
     def test_refuses_tables_past_the_cap(self):
         pop = WorstCasePopulation(n=10**6, alpha=0.5, b=0.4, p_target=0.3, p_least=0.1)
         with pytest.raises(SizeLimitError, match="over the cap"):
-            worst_case_expected_exact(pop, limits=SizeLimits(structured_users=10**6))
+            worst_case_expected_exact(pop)
 
 
 class TestCommonExpected:
