@@ -9,10 +9,11 @@ crowd.  The matching weight is a permanent-like sum over injective
 assignments of crowd members to output slots.  One numpy kernel
 evaluates it by dynamic programming instead of enumeration: a table
 over a downward-closed set of count vectors, for the crowd without the
-queried user, built one user at a time.  A table whose entries could
+queried user, built one user at a time.  A kernel call whose tables could
 leave the float range (a large crowd, or hundreds of rare bare outputs)
-runs the same recurrence with an integer exponent per entry instead;
-plain and wide tables never share a call.
+runs the same recurrence with an integer exponent per entry instead.
+That wide kernel gives the plain kernel's bits wherever plain floats
+suffice, so one bound per call chooses between them for speed alone.
 
 A posterior reads the box of every vector up to its bare outputs c at
 the corner c, which serves all three sums it needs (the whole crowd's
@@ -135,12 +136,9 @@ BATCH_ENTRIES = 1 << 15
 # mc limits produce (about 2e5 entries at 40 users and 6 destinations).
 TABLE_ENTRIES = 1 << 22
 
-# A view goes through the plain float kernel while log2 of its table's
-# span (see _plain_views) stays under this; the rest take the wide kernel.
+# A kernel call runs in plain floats while log2 of its tables' span (see
+# _runs_plain) stays under this, and wide otherwise, with the same bits.
 _PLAIN_SPAN = 900.0
-
-# Relative slack of the batch-wide plain screen (see _plain_screen).
-_SCREEN_MARGIN = 2.0**-30
 
 # Exponent of the zero entries of a wide table, far below any real one.
 _ZERO_EXPONENT = -(1 << 40)
@@ -184,13 +182,21 @@ def _simplex(dest_count: int, total: int) -> _Simplex:
     _check_table(math.comb(total + dest_count, dest_count))
     # itertools lists the descending subsets in reverse colex order.
     flat = itertools.chain.from_iterable(itertools.combinations(range(total + dest_count - 1, -1, -1), dest_count))
-    sums = np.fromiter(flat, np.int64).reshape(-1, dest_count)[::-1, ::-1] - np.arange(dest_count)
-    keys = np.diff(sums, axis=1, prepend=0)
+    # Column i holds S_{i+1} until the loop below turns it into the count on axis i.
+    keys = np.fromiter(flat, np.int64).reshape(-1, dest_count)[::-1, ::-1] - np.arange(dest_count)
     # steps[j - 1, s] = C(s + j - 2, j - 1): what lowering S_j from s takes off the rank.
     steps = _colex_steps(dest_count, total)
-    below = steps[np.arange(dest_count), sums][:, ::-1].cumsum(axis=1)[:, ::-1]
-    pred = np.where(keys > 0, np.arange(1, len(keys) + 1)[:, None] - below, 0)
-    return _Simplex(keys, np.pad(pred.T, ((0, 0), (1, 0))))
+    column = np.arange(1, len(keys) + 1)
+    below = np.zeros(len(keys), dtype=np.int64)
+    # int64, as the kernels' take would copy any other index type on every step.
+    pred = np.zeros((dest_count, len(keys) + 1), dtype=np.int64)
+    # One axis at a time from the last, so no (vectors, nd) temporary is alive.
+    for i in range(dest_count - 1, -1, -1):
+        below += steps[i].take(keys[:, i])
+        if i:
+            keys[:, i] -= keys[:, i - 1]
+        pred[i, 1:] = np.where(keys[:, i] > 0, column - below, 0)
+    return _Simplex(keys, pred)
 
 
 def _colex_steps(dest_count: int, total: int) -> np.ndarray:
@@ -243,61 +249,31 @@ def _boxes(counts: np.ndarray) -> _IndexSet:
     return _IndexSet(tuple(dests.tolist()), pred, origins, np.pad(owner, (1, 0)))
 
 
-def _plain_screen(p: np.ndarray, corners: np.ndarray) -> bool:
-    """Whether every view over ``corners`` passes :func:`_per_view_plain`, by one bound for the batch.
+def _runs_plain(rows: np.ndarray, corners: np.ndarray) -> bool:
+    """Whether the plain float kernel builds a call's tables to full precision.
 
-    The bound takes every user into every crowd and every destination into
-    every support: ``sum_u log2(1 + row mass)`` bounds each view's span
-    term, and the largest ``-log2 p`` over positive entries, times the
-    largest corner total, bounds its rare term.  Both are sums of
-    non-negative terms, so rounding moves either side by far less than
-    ``_SCREEN_MARGIN`` of it.  Where the bound fails, the per-view test
-    decides, so each view gets the decision of its own test.
+    ``rows`` holds the masses of the union of the call's crowds, and
+    ``corners`` every view's extreme count vectors, ``(K, nd)``: a
+    non-negative linear form peaks at one of them.  The tables span the
+    destinations where some corner is positive.  With m_v user v's mass
+    there and M the union's total, an entry ``W[r]`` is at most
+    e_|r|(m) <= M**|r| / |r|!, and at most G = prod (1 + m_v); a nonzero
+    one is at least the product of ``pmin_i ** r_i``, where ``pmin_i`` is
+    the union's smallest positive mass on column i.  While log2 of the
+    ratio of these bounds over the corners is at most ``_PLAIN_SPAN``,
+    nothing needed underflows, and an entry that underflows elsewhere
+    moves a needed one by at most 2**-174 of it per multiply-add.  A view
+    of the call has a smaller crowd, support and corner set, so each bound
+    holds for it.  Either kernel gives every view the same bits; the
+    choice only sets how fast the call runs.
     """
-    positive = p[p > 0.0]
-    rare = max(float(-np.log2(positive.min())), 0.0) if positive.size else 0.0
-    total = float(corners.sum(axis=-1).max(initial=0))
-    screen = float(np.log2(1.0 + p.sum(axis=1)).sum()) + rare * total
-    return screen * (1.0 + _SCREEN_MARGIN) <= _PLAIN_SPAN
-
-
-def _plain_views(p: np.ndarray, masks: np.ndarray, corners: np.ndarray) -> np.ndarray:
-    """Which views the plain float kernel computes to full precision: all, where :func:`_plain_screen` passes."""
-    if _plain_screen(p, corners):
-        return np.ones(masks.shape[0], dtype=bool)
-    return _per_view_plain(p, masks, corners)
-
-
-def _per_view_plain(p: np.ndarray, masks: np.ndarray, corners: np.ndarray) -> np.ndarray:
-    """Which views the plain float kernel computes to full precision, tested view by view.
-
-    ``corners`` holds each view's extreme count vectors, ``(V, K, nd)``:
-    a non-negative linear form peaks at one of them.  A view's set spans
-    the destinations where its corners are positive.  With m_v user v's
-    mass there and M the crowd's total, an entry ``W[r]`` is at most e_|r|(m) <= M**|r| / |r|!, and at most
-    G = prod (1 + m_v); a nonzero one is at least the product of
-    ``pmin_i ** r_i``, where ``pmin_i`` is the crowd's smallest positive
-    mass on column i.  While log2 of the ratio of these bounds over the
-    set is at most ``_PLAIN_SPAN``, nothing needed underflows, and an
-    entry that underflows elsewhere moves a needed one by at most
-    2**-174 of it per multiply-add.  Every quantity is taken per view
-    over all destinations, so the test depends on the view alone, never
-    on its batch.
-    """
-    support = (corners > 0).any(axis=1)
-    mass = np.broadcast_to(support @ p.T, masks.shape)
-    totals = corners.sum(axis=2).max(axis=1)
-    sizes = np.arange(1, totals.max(initial=0) + 1)[:, None]
+    mass = rows[:, corners.any(axis=0)].sum(axis=1)
+    sizes = np.arange(1, corners.sum(axis=1).max(initial=0) + 1)
     with np.errstate(divide="ignore"):
-        powers = sizes * np.log2(np.einsum("vu,vu->v", masks, mass)) - np.cumsum(np.log2(sizes))[:, None]
-    powers = np.where(sizes <= totals, powers, 0.0).max(axis=0, initial=0.0)
-    span = np.minimum(np.einsum("vu,vu->v", masks, np.log2(1.0 + mass)), powers)
-    rare = -np.log2(np.where(p > 0.0, p, 1.0))
-    crowds = np.ascontiguousarray(masks.T)
-    worst = np.zeros((masks.shape[0], p.shape[1]))
-    for i in range(p.shape[1]):
-        worst[:, i] = np.where(crowds, rare[:, i, None], 0.0).max(axis=0, initial=0.0)
-    return span + (worst[:, None, :] * corners).sum(axis=2).max(axis=1) <= _PLAIN_SPAN
+        powers = (sizes * np.log2(mass.sum()) - np.cumsum(np.log2(sizes))).max(initial=0.0)
+    span = min(float(np.log2(1.0 + mass).sum()), float(powers))
+    worst = -np.log2(np.where(rows > 0.0, rows, 1.0)).min(axis=0, initial=0.0)
+    return span + float((corners @ worst).max(initial=0.0)) <= _PLAIN_SPAN
 
 
 def _plain_step(table: np.ndarray, source: np.ndarray, weights, pred: np.ndarray) -> None:
@@ -379,16 +355,15 @@ def _kernel_batches(p: np.ndarray, masks: np.ndarray, counts):
     box, so masking the source masks the step, and multiplying by 0 or 1
     is exact.
 
-    Each view goes to the plain kernel or, where :func:`_plain_views`
-    says its table could leave the float range, to the wide one; plain
-    and wide views never share a call; a box past ``TABLE_ENTRIES`` is
-    refused before anything is built.  Each call takes whole views
-    holding at most ``BATCH_ENTRIES`` table entries (or one view), and
-    yields ``(views, dests, pred, at, table, exponent)``: the rows of
-    ``masks`` it ran, the batch's axes and predecessors, the column of
-    each view's corner, and the weights ``ldexp(table, exponent)``,
-    ``exponent`` None for a plain batch.  A view's entries do not depend
-    on its batch.
+    A box past ``TABLE_ENTRIES`` is refused before anything is built.
+    Each call takes whole views holding at most ``BATCH_ENTRIES`` table
+    entries (or one view), and runs plain or, where :func:`_runs_plain`
+    says the union of its crowds and corners could leave the float range,
+    wide.  It yields ``(views, dests, pred, at, table, exponent)``: the
+    rows of ``masks`` it ran, the batch's axes and predecessors, the
+    column of each view's corner, and the weights ``ldexp(table,
+    exponent)``, ``exponent`` None for a plain batch.  A view's weights
+    do not depend on its batch, though their scaled pair may.
     """
     views, nd = masks.shape[0], p.shape[1]
     # The largest box, found in log2 and counted in Python integers, so no product wraps.
@@ -397,17 +372,11 @@ def _kernel_batches(p: np.ndarray, masks: np.ndarray, counts):
     _check_table(math.prod(int(c) + 1 for c in largest))
     counts = np.broadcast_to(np.asarray(counts, dtype=np.int64), (views, nd))
     sizes = (counts + 1).prod(axis=1)
-    plain = np.zeros(views, dtype=bool)
-    # The plain test's (views, users) arrays stay within the same cap.
-    for s in _batches(np.full(views, masks.shape[1])):
-        plain[s] = _plain_views(p, masks[s], counts[s, None, :])
-    for wide in (False, True):
-        group = np.flatnonzero(plain != wide)
-        for batch in _batches(sizes[group]):
-            chosen = group[batch]
-            index = _boxes(counts[chosen])
-            table = _ragged_table(p, masks[chosen], index, wide)
-            yield (chosen, index.dests, index.pred, np.cumsum(sizes[chosen]), *table)
+    for batch in _batches(sizes):
+        wide = not _runs_plain(p[masks[batch].any(axis=0)], counts[batch])
+        index = _boxes(counts[batch])
+        table = _ragged_table(p, masks[batch], index, wide)
+        yield (batch, index.dests, index.pred, np.cumsum(sizes[batch]), *table)
 
 
 def _read_sums(p: np.ndarray, dests, pred: np.ndarray, at, table: np.ndarray, exponent, query):
@@ -605,13 +574,14 @@ def _extend(table: np.ndarray, width: int, fill) -> np.ndarray:
     return out
 
 
-def _lattice_block(p: np.ndarray, users, source: np.ndarray, source_exp, width: int, pred: np.ndarray, wide: bool):
-    """Child tables: each row of ``source`` zero-extended to ``width`` columns, after one step with its user."""
+def _lattice_block(p: np.ndarray, users, source: np.ndarray, source_exp, width: int, pred: np.ndarray):
+    """Child tables: each row of ``source`` zero-extended to ``width`` columns, after one step with its user.
+
+    The step is wide where the parents are (``source_exp`` not None).
+    """
     weights = p[users].T[:, :, None]
-    if wide and source_exp is None:
-        source, source_exp = _widen(source)
     table = _extend(source, width, 0.0)
-    if not wide:
+    if source_exp is None:
         _plain_step(table, source, weights, pred[:, :width])
         return table, None
     mantissas, powers = np.frexp(weights)
@@ -634,24 +604,11 @@ def _crowd_lattice(p: np.ndarray, others: np.ndarray, pred: np.ndarray):
     ``(k, table, exponent, masks)`` per block, ``exponent`` None for a
     plain one, and ``masks`` the block's crowds as rows over the population.
 
-    :func:`_plain_views` sorts each block's crowds into plain and wide,
-    which never share a block; where the whole population passes
-    :func:`_plain_screen` at total n, every crowd is plain untested.  A
-    plain crowd's parent is plain (a subset's bound is no larger), and a
-    wide crowd's children are wide.
-    A plain table's nonzero entries are normal floats, so a wide block
-    grown from plain parents gets, through :func:`_widen`, exactly the
-    entries the wide step would have built from the empty table.
+    The whole walk runs in one kernel: plain where :func:`_runs_plain`
+    passes for all of ``others`` at total n, which bounds every crowd at
+    every size, and wide otherwise.
     """
     n, nd = p.shape
-    eye = np.eye(nd, dtype=np.int64)
-    # Where the whole population passes the screen, so does every crowd of every size.
-    everywhere = _plain_screen(p, n * eye)
-
-    def plain(size, masks):
-        if everywhere:
-            return np.ones(len(masks), dtype=bool)
-        return _plain_views(p, masks, np.broadcast_to(size * eye, (len(masks), nd, nd)))
 
     def grow(size, table, exponent, masks, last):
         yield size, table, exponent, masks
@@ -664,19 +621,15 @@ def _crowd_lattice(p: np.ndarray, others: np.ndarray, pred: np.ndarray):
             rows, new = parents[lo : lo + step], added[lo : lo + step]
             crowds = masks[rows]
             crowds[np.arange(len(rows)), others[new]] = True
-            kept = plain(size + 1, crowds) if exponent is None else np.zeros(len(rows), dtype=bool)
-            for wide, chosen in ((False, kept), (True, ~kept)):
-                if chosen.any():
-                    picked = rows[chosen]
-                    source_exp = None if exponent is None else exponent[picked]
-                    child = _lattice_block(p, others[new[chosen]], table[picked], source_exp, width, pred, wide)
-                    yield from grow(size + 1, *child, crowds[chosen], new[chosen])
+            source_exp = None if exponent is None else exponent[rows]
+            child = _lattice_block(p, others[new], table[rows], source_exp, width, pred)
+            yield from grow(size + 1, *child, crowds, new)
 
     # The crowd of the queried user alone: the empty table, 1 at the zero vector.
-    masks = np.zeros((1, n), dtype=bool)
     root = np.zeros((1, nd + 2))
     root[:, 1] = 1.0
-    yield from grow(1, *((root, None) if plain(1, masks)[0] else _widen(root)), masks, np.array([-1]))
+    plain = _runs_plain(p[others], n * np.eye(nd, dtype=np.int64))
+    yield from grow(1, *((root, None) if plain else _widen(root)), np.zeros((1, n), dtype=bool), np.array([-1]))
 
 
 def lattice_entries(n: int, dest_count: int, cap: int | None = None) -> int | None:
@@ -716,13 +669,13 @@ class CrowdTable(NamedTuple):
 def crowd_table(p: np.ndarray, query: PosteriorQuery) -> CrowdTable:
     """Every crowd's posteriors at every bare-output vector, off one walk of :func:`_crowd_lattice`.
 
-    It holds :func:`lattice_entries` values.  Where the population passes
-    :func:`_plain_screen` at total n, every table is plain on both
-    paths, and each crowd's table holds what the ragged kernel builds for
-    any of its views: the same users step in the same order, and an axis
-    outside a view's support or a user outside its crowd adds only
-    zeros.  The sums are read and divided as :func:`crowd_posteriors`
-    does, so each posterior has the same bits.
+    It holds :func:`lattice_entries` values.  Each crowd's table holds
+    what the ragged kernel builds for any of its views: the same users
+    step in the same order, an axis outside a view's support or a user
+    outside its crowd adds only zeros, and the plain and wide kernels give
+    the same bits, whichever each path runs.  The sums are read and
+    divided as :func:`crowd_posteriors` does, so each posterior has the
+    same bits.
     """
     n, nd = p.shape
     simplex = _simplex(nd, n)

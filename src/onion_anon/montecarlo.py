@@ -13,11 +13,10 @@ that.  A chunk's variates come from one :func:`uniform_block` call,
 which fills them in row blocks of about 2**15 words.  The generic mode
 reads each user's destination by one comparison per destination against
 the cumulative rows.  A view is fixed by its crowd and its bare-output
-multiset.  Where every crowd's table is small next to the samples and
-the population passes the plain-kernel screen (see :func:`_reads_lattice`),
-the estimate builds all of them once, over the subset lattice as the
-exact formula does, and each view reads its posterior at its crowd's
-bit code and its counts' colex rank.  Otherwise a chunk's crowd samples
+multiset.  Where every crowd's table is small next to the samples (see
+:func:`_reads_lattice`), the estimate builds all of them once, over the
+subset lattice as the exact formula does, and each view reads its
+posterior at its crowd's bit code and its counts' colex rank.  Otherwise a chunk's crowd samples
 are reduced to distinct views (the packed (counts, crowd bits) rows,
 padded to whole 8-byte words, sorted as uint64 keys), and all of them go
 to the crowd-matching kernel together, each with its own multiset.
@@ -42,7 +41,6 @@ from .errors import ModelError, SizeLimitError
 from .inference import (  # noqa: F401
     PosteriorQuery,
     _check_query,
-    _plain_screen,
     _queried_prior,
     crowd_posteriors,
     crowd_table,
@@ -125,14 +123,12 @@ def _sampler(
 def _reads_lattice(p: np.ndarray, samples: int) -> bool:
     """Whether an estimate of ``samples`` draws reads its posteriors off one :func:`crowd_table`.
 
-    The table must be small next to the draws and within
-    ``_LATTICE_ENTRIES``, and the whole population must pass the plain
-    screen at corner total n, so every view is plain on either path.
+    The table must be small next to the draws and within ``_LATTICE_ENTRIES``.
     """
     n, nd = p.shape
     cap = min(_LATTICE_ENTRIES, _LATTICE_PER_SAMPLE * samples)
     entries = lattice_entries(n, nd, cap)
-    return entries is not None and entries <= cap and _plain_screen(p, n * np.eye(nd))
+    return entries is not None and entries <= cap
 
 
 def _generic_sampler(scenario: Scenario, query: PosteriorQuery, seed: int, samples: int = 0) -> Callable:

@@ -4,9 +4,12 @@
 looks up in another with timing wrappers.  A refactor that drops one of
 those names breaks the traced benchmark, not the package, so the first test
 installs the wrappers in a fresh interpreter and requires that nothing
-raises.  The worker test runs one small round in every mode.  Both only
-read ``benchmarks/`` and write no bytecode there.
+raises.  The worker test runs one small round in every mode.  The last
+test runs the crowd-kernel ops of real rounds and requires that every
+kernel call stays in plain floats.  All of them only read
+``benchmarks/`` and write no bytecode there.
 """
+import importlib.util
 import json
 import os
 import subprocess
@@ -14,6 +17,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from onion_anon import inference
+from onion_anon.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -54,3 +60,44 @@ def test_the_benchmark_worker_runs_cli_ops(mode, tmp_path):
     if mode != "setup":
         assert [op["problem"] for op in report["ops"]] == [None, None]
         assert [op["code"] for op in report["ops"]] == [0, 0]
+
+
+# The ops of each workload that run the crowd kernel, by class.
+KERNEL_OPS = {
+    "exact": {"formula-hetero-n9-d6", "formula-worst-n9-d6", "formula-common-n10-d4", "posterior-crowd"},
+    "mc-generic": {f"{shape}{kind}" for shape in ("small-crowd", "large-crowd-n20", "large-crowd-n40")
+                   for kind in ("", "-stratified")},
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("workload", sorted(KERNEL_OPS))
+def test_the_benchmarks_kernel_calls_stay_plain(workload, seed, tmp_path, monkeypatch, capsys):
+    """Round 0's formula (9 x 6 and 10 x 4), posterior (crowds of 60 to 100)
+    and generic (10 x 3, 20 x 6 and 40 x 4) ops never run the wide kernel.
+
+    A wide call gives the same bits at several times the cost of a plain
+    one, so a bound that sent these calls wide would slow the benchmark
+    without changing any output.
+    """
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "benchmarks" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    round_ = workloads.build_round(workload, seed, 0, 1)
+    monkeypatch.chdir(tmp_path)
+    for name, text in round_["files"].items():
+        (tmp_path / name).write_text(text)
+    decisions = []
+    runs_plain = inference._runs_plain
+    monkeypatch.setattr(inference, "_runs_plain", lambda *args: decisions.append(runs_plain(*args)) or decisions[-1])
+    ran = set()
+    for op in round_["ops"]:
+        if op["cls"] in KERNEL_OPS[workload]:
+            before = len(decisions)
+            assert main(op["argv"]) == 0
+            assert len(decisions) > before, op["cls"]
+            ran.add(op["cls"])
+    capsys.readouterr()
+    assert ran == KERNEL_OPS[workload]
+    assert all(decisions), f"{decisions.count(False)} of {len(decisions)} kernel calls went wide"

@@ -232,33 +232,40 @@ class TestMc:
         assert capsys.readouterr().out == f"{expected} samples={samples} seed=7\n"
         assert len(built) == lattice
 
+    # test_seeded_generic_bytes's pins at 10 x 3 and 70 000 samples.
+    SEEDED_10X3_70K = {
+        (): "mean=0.615809647868 std_error=0.000511593296032",
+        ("--stratify",): "mean=0.615861577122 std_error=0.000269654531004",
+    }
+
     @pytest.mark.parametrize("extra", [[], ["--stratify"]], ids=["plain", "stratified"])
-    @pytest.mark.parametrize("forced", ["screen", "cap"])
+    def test_seeded_generic_bytes_with_every_kernel_call_wide(self, extra, tmp_path, monkeypatch, capsys):
+        # 10 x 3 at 70 000 samples reads one crowd table; a span of -1 walks
+        # it in the wide kernel, with the bytes test_seeded_generic_bytes pins.
+        monkeypatch.setattr(inference, "_PLAIN_SPAN", -1.0)
+        built = []
+        monkeypatch.setattr(montecarlo, "crowd_table", lambda *args: built.append(args) or crowd_table(*args))
+        assert main(generic_argv(tmp_path, 10, 3, 0.25, 70_000, *extra)) == 0
+        assert capsys.readouterr().out == f"{self.SEEDED_10X3_70K[tuple(extra)]} samples=70000 seed=7\n"
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("extra", [[], ["--stratify"]], ids=["plain", "stratified"])
+    @pytest.mark.parametrize("forced", ["cap", "wide"])
     def test_seeded_generic_bytes_on_the_ragged_path(self, forced, extra, tmp_path, monkeypatch, capsys):
-        # 10 x 3 at 70 000 samples would read one table; a failing plain
-        # screen or a smaller cap sends it through the ragged kernel, with
-        # the same bytes as test_seeded_generic_bytes pins.
+        # 10 x 3 at 70 000 samples would read one table; a smaller cap sends
+        # it through the ragged kernel, in plain floats or, at a span of -1,
+        # wide, with the same bytes as test_seeded_generic_bytes pins.
         argv = generic_argv(tmp_path, 10, 3, 0.25, 70_000, *extra)
-        if forced == "screen":
-            # Just below the population's screen bound: the screen fails, and
-            # every view, whose crowd lacks the queried user, still passes its own test.
-            p = load_scenario(argv[2])[0].p
-            bound = float(np.log2(1.0 + p.sum(axis=1)).sum()) - float(np.log2(p[p > 0.0].min())) * len(p)
-            monkeypatch.setattr(inference, "_PLAIN_SPAN", bound - 0.5)
-            assert not inference._plain_screen(p, len(p) * np.eye(3))
-        else:
-            monkeypatch.setattr(montecarlo, "_LATTICE_ENTRIES", inference.lattice_entries(10, 3) - 1)
+        monkeypatch.setattr(montecarlo, "_LATTICE_ENTRIES", inference.lattice_entries(10, 3) - 1)
+        if forced == "wide":
+            monkeypatch.setattr(inference, "_PLAIN_SPAN", -1.0)
 
         def unreachable(*args):
             raise AssertionError("a crowd table was built")
 
         monkeypatch.setattr(montecarlo, "crowd_table", unreachable)
         assert main(argv) == 0
-        expected = {
-            (): "mean=0.615809647868 std_error=0.000511593296032",
-            ("--stratify",): "mean=0.615861577122 std_error=0.000269654531004",
-        }[tuple(extra)]
-        assert capsys.readouterr().out == f"{expected} samples=70000 seed=7\n"
+        assert capsys.readouterr().out == f"{self.SEEDED_10X3_70K[tuple(extra)]} samples=70000 seed=7\n"
 
     def test_csv_identical_across_thread_counts(self, tmp_path, capsys):
         args = [

@@ -589,11 +589,11 @@ WEIGHTS = st.sampled_from([0.0, 0.0, 0.1, 0.25, 0.5, 1.0, 3.0])
 
 
 @st.composite
-def small_scenarios(draw, max_users=6, max_dests=3):
+def small_scenarios(draw, max_users=6, max_dests=3, weights=WEIGHTS):
     """A scenario with zero entries allowed; each row keeps one positive."""
     n = draw(st.integers(1, max_users))
     k = draw(st.integers(1, max_dests))
-    p = np.array([[draw(WEIGHTS) for _ in range(k)] for _ in range(n)])
+    p = np.array([[draw(weights) for _ in range(k)] for _ in range(n)])
     for v in range(n):
         if p[v].sum() == 0.0:
             p[v, draw(st.integers(0, k - 1))] = 1.0
@@ -617,8 +617,8 @@ def rest_mask(n, crowd, user):
     return mask
 
 
-# A span of -1 sends every view through the wide kernel; 3 bits splits
-# small batches between the two kernels.
+# A span of -1 sends every kernel call wide; 3 bits sends most calls wide
+# and keeps the smallest plain.
 SPANS = st.sampled_from([inference._PLAIN_SPAN, -1.0, 3.0])
 
 
@@ -641,25 +641,74 @@ def test_kernel_sums_match_slot_enumeration(view, span):
     assert hidden == pytest.approx(slot_injection_sum(rest, outputs, s.p), rel=1e-12, abs=1e-300)
 
 
-@settings(max_examples=150, deadline=None)
+def exact_sums(sums):
+    """:func:`_view_sums` as exact numbers: each sum's mantissa and exponent, a zero sum as (0, 0).
+
+    The scaled pair of one weight may be (0.5, 1) from a wide call and
+    (1.0, 0) from a plain one; its mantissa and exponent are the same.
+    """
+    *values, common = sums
+    exact = []
+    for x in values:
+        mantissa, exponent = np.frexp(x)
+        exact += [mantissa, np.where(mantissa != 0.0, exponent + common, 0)]
+    return exact
+
+
+# Weights down to 1e-200: the plain bound fails at two bare outputs on
+# such a column, so the default span sends some calls wide and keeps others plain.
+RARE_WEIGHTS = st.sampled_from([0.0, 1e-200, 3e-199, 1e-30, 0.1, 0.5, 1.0, 3.0])
+
+
+def try_posteriors(read):
+    try:
+        return read()
+    except ImpossibleObservationError:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_plain_screen_keeps_each_views_decision(data):
-    """Where the batch-wide screen passes, every view passes its own test; either way each view's decision holds."""
-    s = data.draw(small_scenarios())
-    views, corner_count = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
+def test_every_kernel_gives_the_same_bits(data):
+    """Spans 900, 3 and -1 (every call wide) give the same sums, posteriors, formula and crowd table, bit for bit."""
+    s = data.draw(small_scenarios(max_users=5, weights=RARE_WEIGHTS))
+    user = data.draw(st.integers(0, s.n - 1))
+    query = PosteriorQuery(user, data.draw(st.sampled_from(np.flatnonzero(s.p[user] > 0.0).tolist())))
+    views = data.draw(st.integers(1, 6))
+    cells = st.sampled_from([0, 0, 1, 2, 3])
+    counts = np.array([[data.draw(cells) for _ in range(s.dest_count)] for _ in range(views)])
     masks = np.array([[data.draw(st.booleans()) for _ in range(s.n)] for _ in range(views)])
-    cell = st.sampled_from([0, 0, 1, 2, 5, 40])
-    corners = np.array([[[data.draw(cell) for _ in range(s.dest_count)] for _ in range(corner_count)]
-                        for _ in range(views)])
-    # Spans just above the screen's bound reach both of its outcomes.
-    bound = float(np.log2(1.0 + s.p.sum(axis=1)).sum()) + 60.0 * float(corners.sum(axis=-1).max())
-    span = data.draw(st.one_of(SPANS, st.floats(0.0, bound)))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(inference, "_PLAIN_SPAN", span)
-        each = inference._per_view_plain(s.p, masks, corners)
-        assert np.array_equal(inference._plain_views(s.p, masks, corners), each)
-        if inference._plain_screen(s.p, corners):
-            assert each.all()
+    masks[:, user] = False
+    # A crowd of at least 300 users: the drawn rows repeated after the queried user's.
+    big = np.vstack([s.p[user], np.tile(s.p, (-(-300 // s.n), 1))])
+    big_mask = np.ones((1, len(big)), dtype=bool)
+    big_mask[0, 0] = False
+    big_counts = np.array([data.draw(st.sampled_from([0, 1, 5, 20])) for _ in range(s.dest_count)])
+    big_query = PosteriorQuery(0, query.dest)
+
+    # The crowd table holds each crowd's views of at most its size plus the queried user's output.
+    fits = counts.sum(axis=1) <= masks.sum(axis=1) + 1
+
+    def everything():
+        table = inference.crowd_table(s.p, query)
+        return [
+            *exact_sums(_view_sums(s.p, masks, counts, query)),
+            *exact_sums(_view_sums(big, big_mask, big_counts, big_query)),
+            try_posteriors(lambda: crowd_posteriors(s.p, masks, counts, query)),
+            try_posteriors(lambda: crowd_posteriors(big, big_mask, big_counts, big_query)),
+            expected_posterior_formula(s, query).hex(),
+            table.values,
+            try_posteriors(lambda: table.posteriors(masks[fits], counts[fits])),
+        ]
+
+    want = everything()
+    for span in (3.0, -1.0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inference, "_PLAIN_SPAN", span)
+            got = everything()
+        for a, b in zip(got, want):
+            assert type(a) is type(b)
+            assert np.array_equal(a, b, equal_nan=True) if isinstance(b, np.ndarray) else a == b
 
 
 @settings(max_examples=100, deadline=None)
@@ -699,12 +748,13 @@ def test_batched_views_equal_single_views_bit_for_bit(data):
 
 
 def check_batches(s, query, counts, masks, data):
-    batch = _view_sums(s.p, masks, counts, query)
+    sums = _view_sums(s.p, masks, counts, query)
+    batch = exact_sums(sums)
     for i in range(len(masks)):
-        single = _view_sums(s.p, masks[i : i + 1], counts, query)
+        single = exact_sums(_view_sums(s.p, masks[i : i + 1], counts, query))
         for got, want in zip(batch, single):
             assert np.array_equal(got[i : i + 1], want)
-    possible = batch[0] > 0.0
+    possible = sums[0] > 0.0
     if possible.any():
         whole = crowd_posteriors(s.p, masks[possible], counts, query)
         with pytest.MonkeyPatch.context() as patch:
@@ -726,13 +776,14 @@ def test_ragged_batch_equals_one_call_per_view(data):
     masks[:, query.user] = False
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(inference, "_PLAIN_SPAN", data.draw(SPANS))
-        singles = [_view_sums(s.p, masks[i : i + 1], counts[i], query) for i in range(views)]
+        singles = [exact_sums(_view_sums(s.p, masks[i : i + 1], counts[i], query)) for i in range(views)]
         patch.setattr(inference, "BATCH_ENTRIES", data.draw(st.integers(1, 64)))
-        batch = _view_sums(s.p, masks, counts, query)
+        sums = _view_sums(s.p, masks, counts, query)
+        batch = exact_sums(sums)
         for i, single in enumerate(singles):
             for got, want in zip(batch, single):
                 assert np.array_equal(got[i : i + 1], want)
-        if not np.all(batch[0] > 0.0):
+        if not np.all(sums[0] > 0.0):
             with pytest.raises(ImpossibleObservationError):
                 crowd_posteriors(s.p, masks, counts, query)
             return
@@ -891,10 +942,27 @@ def test_a_view_just_over_the_table_cap_is_refused_before_anything_is_built(monk
     def unreachable(*args):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(inference, "_plain_views", unreachable)
+    monkeypatch.setattr(inference, "_runs_plain", unreachable)
     monkeypatch.setattr(inference, "_boxes", unreachable)
     with pytest.raises(SizeLimitError, match="^a crowd table of 16 entries exceeds the cap of 12$"):
         crowd_posteriors(p, masks, np.array([[1, 1], [3, 3]]), query)
+
+
+def test_simplex_holds_little_beyond_its_keys_and_predecessors():
+    # 646 646 vectors over 12 destinations: keys and pred are 62 MB each.
+    code = (
+        "import resource\n"
+        "from onion_anon import inference\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "simplex = inference._simplex(12, 10)\n"
+        "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "print(len(simplex.keys), grown // 1024)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    vectors, grown_mb = run.stdout.split()
+    assert int(vectors) == math.comb(22, 12)
+    assert int(grown_mb) <= 200, f"the simplex grew the peak RSS by {grown_mb} MB"
 
 
 def test_oracle_memory_is_bounded_by_its_blocks_not_by_four_to_the_n():
